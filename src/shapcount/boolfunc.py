@@ -5,6 +5,12 @@ variable index space 0..n-1, built from constants, variables, negation and
 n-ary connectives.  Everything is immutable and exact: model counts are
 Python ints, Shapley values are Fractions.
 
+Constructing a BoolFunc validates its nodes and records each distinct node
+once, children first; every operation here is a loop over that order.  So
+any nesting depth is accepted, shared subtrees are walked once (an
+operation costs time linear in the distinct subterms) and results keep the
+input's sharing.
+
 The brute-force routines in this module are the ground truth the rest of the
 package is checked against.  They enumerate the full valuation space as big
 integer bitmasks (one bit per valuation, bit index = set of true variables),
@@ -13,11 +19,11 @@ which keeps exhaustive enumeration fast up to the configured bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError, RefusalError
 
@@ -88,11 +94,41 @@ class BoolFunc:
     root: Node
     var_count: int
     labels: tuple[str, ...] | None = None
+    # every distinct node (by identity) once, children before parents
+    _order: tuple[Node, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.var_count < 0:
             raise InputError("variable count must be nonnegative")
-        _validate_node(self.root, self.var_count)
+        order: list[Node] = []
+        seen: set[int] = set()
+        stack: list[tuple[Node, bool]] = [(self.root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            if isinstance(node, Const):
+                if node.value not in (0, 1):
+                    raise InputError(f"constant must be 0 or 1, got {node.value!r}")
+            elif isinstance(node, Var):
+                if not 0 <= node.index < self.var_count:
+                    raise InputError(
+                        f"variable index {node.index} out of range for {self.var_count} variables"
+                    )
+            elif isinstance(node, Not):
+                stack.append((node.child, False))
+            elif isinstance(node, (And, Or)):
+                if len(node.children) < 2:
+                    raise InputError("n-ary connectives need at least two children")
+                stack.extend((c, False) for c in reversed(node.children))
+            else:
+                raise InputError(f"not a function node: {node!r}")
+        object.__setattr__(self, "_order", tuple(order))
         if self.labels is not None:
             if len(self.labels) != self.var_count:
                 raise InputError("label count must equal variable count")
@@ -101,50 +137,40 @@ class BoolFunc:
 
     def size(self) -> int:
         """Number of variable occurrences and connectives (constants free)."""
-        memo: dict[int, int] = {}
-
-        def sz(node: Node) -> int:
-            key = id(node)
-            if key in memo:
-                return memo[key]
+        sizes: dict[int, int] = {}
+        for node in self._order:
             if isinstance(node, Const):
                 val = 0
             elif isinstance(node, Var):
                 val = 1
             elif isinstance(node, Not):
-                val = 1 + sz(node.child)
+                val = 1 + sizes[id(node.child)]
             else:
-                val = 1 + sum(sz(c) for c in node.children)
-            memo[key] = val
-            return val
-
-        return sz(self.root)
+                val = 1 + sum(sizes[id(c)] for c in node.children)
+            sizes[id(node)] = val
+        return sizes[id(self.root)]
 
 
-def _validate_node(root: Node, var_count: int) -> None:
-    stack = [root]
-    seen: set[int] = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+def _rebuild(func: BoolFunc, replace: Callable[[Var], Node]) -> Node:
+    """The root of `func` with each variable node replaced by replace(node).
+
+    Connectives are rebuilt as they are, constants kept, and every distinct
+    node is rebuilt once, so shared subterms stay shared.
+    """
+    out: dict[int, Node] = {}
+    for node in func._order:
         if isinstance(node, Const):
-            if node.value not in (0, 1):
-                raise InputError(f"constant must be 0 or 1, got {node.value!r}")
+            new: Node = node
         elif isinstance(node, Var):
-            if not 0 <= node.index < var_count:
-                raise InputError(
-                    f"variable index {node.index} out of range for {var_count} variables"
-                )
+            new = replace(node)
         elif isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            if len(node.children) < 2:
-                raise InputError("n-ary connectives need at least two children")
-            stack.extend(node.children)
+            new = Not(out[id(node.child)])
+        elif isinstance(node, And):
+            new = And(tuple(out[id(c)] for c in node.children))
         else:
-            raise InputError(f"not a function node: {node!r}")
+            new = Or(tuple(out[id(c)] for c in node.children))
+        out[id(node)] = new
+    return out[id(func.root)]
 
 
 # ---------------------------------------------------------------------------
@@ -157,34 +183,20 @@ def evaluate(func: BoolFunc, true_vars: Iterable[int]) -> int:
     for v in trues:
         if not 0 <= v < func.var_count:
             raise InputError(f"valuation mentions variable {v}, function has {func.var_count}")
-    memo: dict[int, int] = {}
-
-    def ev(node: Node) -> int:
-        key = id(node)
-        if key in memo:
-            return memo[key]
+    values: dict[int, int] = {}
+    for node in func._order:
         if isinstance(node, Const):
             val = node.value
         elif isinstance(node, Var):
             val = 1 if node.index in trues else 0
         elif isinstance(node, Not):
-            val = 1 - ev(node.child)
+            val = 1 - values[id(node.child)]
         elif isinstance(node, And):
-            val = 1
-            for c in node.children:
-                if ev(c) == 0:
-                    val = 0
-                    break
+            val = int(all(values[id(c)] for c in node.children))
         else:
-            val = 0
-            for c in node.children:
-                if ev(c) == 1:
-                    val = 1
-                    break
-        memo[key] = val
-        return val
-
-    return ev(func.root)
+            val = int(any(values[id(c)] for c in node.children))
+        values[id(node)] = val
+    return values[id(func.root)]
 
 
 _MASK_CACHE: dict[int, tuple[int, ...]] = {}
@@ -237,30 +249,24 @@ def truth_table(func: BoolFunc, *, bound: int = ENUMERATION_BOUND) -> int:
     _check_bound(n, bound, "exhaustive enumeration")
     full = (1 << (1 << n)) - 1
     masks = _variable_masks(n)
-    memo: dict[int, int] = {}
-
-    def table(node: Node) -> int:
-        key = id(node)
-        if key in memo:
-            return memo[key]
+    tables: dict[int, int] = {}
+    for node in func._order:
         if isinstance(node, Const):
             val = full if node.value else 0
         elif isinstance(node, Var):
             val = masks[node.index]
         elif isinstance(node, Not):
-            val = full ^ table(node.child)
+            val = full ^ tables[id(node.child)]
         elif isinstance(node, And):
             val = full
             for c in node.children:
-                val &= table(c)
+                val &= tables[id(c)]
         else:
             val = 0
             for c in node.children:
-                val |= table(c)
-        memo[key] = val
-        return val
-
-    return table(func.root)
+                val |= tables[id(c)]
+        tables[id(node)] = val
+    return tables[id(func.root)]
 
 
 # ---------------------------------------------------------------------------
@@ -335,57 +341,36 @@ def substitute_const(func: BoolFunc, var: int, value: int) -> BoolFunc:
         raise InputError(f"no variable {var} to substitute")
     if value not in (0, 1):
         raise InputError("cofactor value must be 0 or 1")
-    memo: dict[int, Node] = {}
+    pinned = Const(value)
 
-    def sub(node: Node) -> Node:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Const):
-            out: Node = node
-        elif isinstance(node, Var):
-            if node.index == var:
-                out = Const(value)
-            elif node.index > var:
-                out = Var(node.index - 1)
-            else:
-                out = node
-        elif isinstance(node, Not):
-            out = Not(sub(node.child))
-        elif isinstance(node, And):
-            out = And(tuple(sub(c) for c in node.children))
-        else:
-            out = Or(tuple(sub(c) for c in node.children))
-        memo[key] = out
-        return out
+    def replace(node: Var) -> Node:
+        if node.index == var:
+            return pinned
+        return Var(node.index - 1) if node.index > var else node
 
-    return BoolFunc(sub(func.root), func.var_count - 1)
+    return BoolFunc(_rebuild(func, replace), func.var_count - 1)
 
 
 def constant_fold(func: BoolFunc) -> BoolFunc:
     """Simplify away constants.  Never applied implicitly by any other
     operation here, so expression sizes stay predictable."""
-
-    def fold(node: Node) -> Node:
+    out: dict[int, Node] = {}
+    for node in func._order:
         if isinstance(node, (Const, Var)):
-            return node
-        if isinstance(node, Not):
-            child = fold(node.child)
-            if isinstance(child, Const):
-                return Const(1 - child.value)
-            return Not(child)
-        kids = [fold(c) for c in node.children]
-        if isinstance(node, And):
-            if any(isinstance(k, Const) and k.value == 0 for k in kids):
-                return FALSE
-            kids = [k for k in kids if not isinstance(k, Const)]
-            return conjunction(kids)
-        if any(isinstance(k, Const) and k.value == 1 for k in kids):
-            return TRUE
-        kids = [k for k in kids if not isinstance(k, Const)]
-        return disjunction(kids)
-
-    return BoolFunc(fold(func.root), func.var_count)
+            new: Node = node
+        elif isinstance(node, Not):
+            child = out[id(node.child)]
+            new = Const(1 - child.value) if isinstance(child, Const) else Not(child)
+        else:
+            kids = [out[id(c)] for c in node.children]
+            absorbing = FALSE if isinstance(node, And) else TRUE
+            if any(isinstance(k, Const) and k.value == absorbing.value for k in kids):
+                new = absorbing
+            else:
+                kids = [k for k in kids if not isinstance(k, Const)]
+                new = conjunction(kids) if isinstance(node, And) else disjunction(kids)
+        out[id(node)] = new
+    return BoolFunc(out[id(func.root)], func.var_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,46 +400,20 @@ def apply_substitution(func: BoolFunc, mapping: Mapping[int, BoolFunc]) -> Subst
     survivors = [i for i in range(func.var_count) if i not in mapping]
     old_to_new = {old: new for new, old in enumerate(survivors)}
     fresh: dict[int, tuple[int, ...]] = {}
+    shifted: dict[int, Node] = {}
     offset = len(survivors)
     for old in sorted(mapping):
         m = mapping[old].var_count
         fresh[old] = tuple(range(offset, offset + m))
+        shifted[old] = _rebuild(mapping[old], lambda node, delta=offset: Var(node.index + delta))
         offset += m
 
-    def shift(node: Node, delta: int) -> Node:
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Var):
-            return Var(node.index + delta)
-        if isinstance(node, Not):
-            return Not(shift(node.child, delta))
-        if isinstance(node, And):
-            return And(tuple(shift(c, delta) for c in node.children))
-        return Or(tuple(shift(c, delta) for c in node.children))
+    def replace(node: Var) -> Node:
+        if node.index in shifted:
+            return shifted[node.index]
+        return Var(old_to_new[node.index])
 
-    memo: dict[int, Node] = {}
-
-    def sub(node: Node) -> Node:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Const):
-            out: Node = node
-        elif isinstance(node, Var):
-            if node.index in mapping:
-                out = shift(mapping[node.index].root, fresh[node.index][0] if fresh[node.index] else 0)
-            else:
-                out = Var(old_to_new[node.index])
-        elif isinstance(node, Not):
-            out = Not(sub(node.child))
-        elif isinstance(node, And):
-            out = And(tuple(sub(c) for c in node.children))
-        else:
-            out = Or(tuple(sub(c) for c in node.children))
-        memo[key] = out
-        return out
-
-    return SubstitutionResult(BoolFunc(sub(func.root), offset), old_to_new, fresh)
+    return SubstitutionResult(BoolFunc(_rebuild(func, replace), offset), old_to_new, fresh)
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,12 +426,6 @@ class GroupedSubstitution:
 
     func: BoolFunc
     groups: tuple[tuple[int, ...], ...]
-
-    def source_of(self, new_var: int) -> int:
-        for old, group in enumerate(self.groups):
-            if new_var in group:
-                return old
-        raise InputError(f"no fresh variable {new_var}")
 
 
 def _grouped_substitute(func: BoolFunc, arities: Sequence[int], connective) -> GroupedSubstitution:
@@ -487,26 +440,10 @@ def _grouped_substitute(func: BoolFunc, arities: Sequence[int], connective) -> G
     for m in arities:
         groups.append(tuple(range(offset, offset + m)))
         offset += m
-    memo: dict[int, Node] = {}
-
-    def sub(node: Node) -> Node:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Const):
-            out: Node = node
-        elif isinstance(node, Var):
-            out = connective([Var(z) for z in groups[node.index]])
-        elif isinstance(node, Not):
-            out = Not(sub(node.child))
-        elif isinstance(node, And):
-            out = And(tuple(sub(c) for c in node.children))
-        else:
-            out = Or(tuple(sub(c) for c in node.children))
-        memo[key] = out
-        return out
-
-    return GroupedSubstitution(BoolFunc(sub(func.root), offset), tuple(groups))
+    # one replacement node per variable, shared by all of its occurrences
+    replacements = [connective([Var(z) for z in group]) for group in groups]
+    root = _rebuild(func, lambda node: replacements[node.index])
+    return GroupedSubstitution(BoolFunc(root, offset), tuple(groups))
 
 
 def or_substitute(func: BoolFunc, arities: Sequence[int]) -> GroupedSubstitution:
@@ -633,24 +570,22 @@ def or_substituted_kcounts(
     table = truth_table(func, bound=bound)
     polys = [_group_poly(m) for m in arities]
 
-    def rec(part: int, m: int) -> list[int]:
-        if part == 0:
-            return [0]
-        if m == 0:
-            return [1]
-        half = 1 << (1 << (m - 1))
-        lo = rec(part & (half - 1), m - 1)
-        hi = rec(part >> (1 << (m - 1)), m - 1)
-        out = _poly_mul(hi, polys[m - 1]) if hi != [0] else [0]
-        for j, coef in enumerate(lo):
-            if j < len(out):
-                out[j] += coef
-            else:
-                out.extend([0] * (j - len(out)))
-                out.append(coef)
-        return out
-
-    counts = rec(table, n)
+    # size polynomials of the table's nonzero blocks, merged one variable at
+    # a time: block j covers the valuations whose index shifted right by the
+    # merged variable count is j, and the odd half of each pair has the next
+    # variable's group true
+    blocks = {index: [1] for index in _model_indices(table)}
+    for poly in polys:
+        merged: dict[int, list[int]] = {}
+        for index, block in blocks.items():
+            if index & 1:
+                block = _poly_mul(block, poly)
+            acc = merged.setdefault(index >> 1, [])
+            acc.extend([0] * (len(block) - len(acc)))
+            for j, coef in enumerate(block):
+                acc[j] += coef
+        blocks = merged
+    counts = blocks.get(0, [0])
     counts.extend([0] * (total_vars + 1 - len(counts)))
     return tuple(counts[: total_vars + 1])
 

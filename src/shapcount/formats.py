@@ -30,6 +30,7 @@ from .boolfunc import (
 from .errors import InputError
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
+_VARIABLE = re.compile(r"x(\d+)")
 
 
 def parse_sexpr(text: str) -> BoolFunc:
@@ -49,43 +50,6 @@ def parse_sexpr(text: str) -> BoolFunc:
         pos += 1
         return tok
 
-    declared: list[int] = []
-
-    def parse_node() -> Node:
-        tok = take()
-        if tok == "(":
-            head = take()
-            if head == "vars":
-                raise InputError("(vars ...) may only appear at the top level")
-            if head == "not":
-                child = parse_node()
-                if take() != ")":
-                    raise InputError("(not ...) takes exactly one argument")
-                return Not(child)
-            if head in ("and", "or"):
-                children = []
-                while peek() != ")":
-                    if peek() is None:
-                        raise InputError(f"unterminated ({head} ...)")
-                    children.append(parse_node())
-                take()
-                if len(children) < 2:
-                    raise InputError(f"({head} ...) needs at least two arguments")
-                return And(tuple(children)) if head == "and" else Or(tuple(children))
-            raise InputError(f"unknown connective {head!r}")
-        if tok == ")":
-            raise InputError("unbalanced ')'")
-        if tok == "0":
-            return Const(0)
-        if tok == "1":
-            return Const(1)
-        m = re.fullmatch(r"x(\d+)", tok)
-        if not m:
-            raise InputError(f"unrecognized token {tok!r}")
-        index = int(m.group(1))
-        declared.append(index)
-        return Var(index)
-
     var_count = None
     if tokens[:2] == ["(", "vars"]:
         pos = 2
@@ -93,14 +57,62 @@ def parse_sexpr(text: str) -> BoolFunc:
         if not count_tok.isdigit():
             raise InputError("(vars ...) needs a nonnegative count")
         var_count = int(count_tok)
-        root = parse_node()
-        if take() != ")":
-            raise InputError("(vars ...) takes a count and one expression")
-    else:
-        root = parse_node()
+
+    needed = 0
+    # open connectives, innermost last, each with the arguments parsed so far
+    stack: list[tuple[str, list[Node]]] = []
+    node: Node | None = None  # a finished subterm not yet given to its parent
+    while True:
+        if node is not None:
+            if not stack:
+                break
+            stack[-1][1].append(node)
+            node = None
+        if stack:
+            head, children = stack[-1]
+            if head == "not":
+                if children:
+                    if take() != ")":
+                        raise InputError("(not ...) takes exactly one argument")
+                    stack.pop()
+                    node = Not(children[0])
+                    continue
+            elif peek() == ")":
+                take()
+                stack.pop()
+                if len(children) < 2:
+                    raise InputError(f"({head} ...) needs at least two arguments")
+                node = And(tuple(children)) if head == "and" else Or(tuple(children))
+                continue
+            elif peek() is None:
+                raise InputError(f"unterminated ({head} ...)")
+        tok = take()
+        if tok == "(":
+            head = take()
+            if head == "vars":
+                raise InputError("(vars ...) may only appear at the top level")
+            if head not in ("not", "and", "or"):
+                raise InputError(f"unknown connective {head!r}")
+            stack.append((head, []))
+        elif tok == ")":
+            raise InputError("unbalanced ')'")
+        elif tok == "0":
+            node = Const(0)
+        elif tok == "1":
+            node = Const(1)
+        else:
+            m = _VARIABLE.fullmatch(tok)
+            if not m:
+                raise InputError(f"unrecognized token {tok!r}")
+            index = int(m.group(1))
+            needed = max(needed, index + 1)
+            node = Var(index)
+    root = node
+
+    if var_count is not None and take() != ")":
+        raise InputError("(vars ...) takes a count and one expression")
     if pos != len(tokens):
         raise InputError(f"trailing input after function: {tokens[pos]!r}")
-    needed = max(declared) + 1 if declared else 0
     if var_count is None:
         var_count = needed
     elif var_count < needed:
@@ -111,18 +123,30 @@ def parse_sexpr(text: str) -> BoolFunc:
 def format_sexpr(func: BoolFunc) -> str:
     """One-line rendering, always with the (vars ...) wrapper so the variable
     count round-trips."""
-
-    def fmt(node: Node) -> str:
+    # each node's text is a tuple of pieces holding its children's tuples, so
+    # it costs O(1) to build; one join at the end keeps time and memory
+    # linear in the output at any depth
+    pieces: dict[int, tuple] = {}
+    for node in func._order:
         if isinstance(node, Const):
-            return str(node.value)
-        if isinstance(node, Var):
-            return f"x{node.index}"
-        if isinstance(node, Not):
-            return f"(not {fmt(node.child)})"
-        head = "and" if isinstance(node, And) else "or"
-        return "(" + head + " " + " ".join(fmt(c) for c in node.children) + ")"
-
-    return f"(vars {func.var_count} {fmt(func.root)})"
+            piece: tuple = (str(node.value),)
+        elif isinstance(node, Var):
+            piece = (f"x{node.index}",)
+        elif isinstance(node, Not):
+            piece = ("(not ", pieces[id(node.child)], ")")
+        else:
+            head = "(and" if isinstance(node, And) else "(or"
+            piece = (head, *(p for c in node.children for p in (" ", pieces[id(c)])), ")")
+        pieces[id(node)] = piece
+    out: list[str] = []
+    stack: list = [pieces[id(func.root)]]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(item))
+    return f"(vars {func.var_count} " + "".join(out) + ")"
 
 
 def parse_dimacs(text: str) -> BoolFunc:

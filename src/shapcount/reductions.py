@@ -126,16 +126,7 @@ def kcounts_from_counts_and(n: int, oracle: CountOracle) -> tuple[int, ...]:
     variable replaced by a *conjunction* of fresh variables: a size-k model
     then contributes (2^ell - 1)^(n-k) assignments, so the same Vandermonde
     system is solved for the reversed index."""
-    if n < 0:
-        raise InputError("variable count must be nonnegative")
-    nodes = [(1 << ell) - 1 for ell in range(1, n + 2)]
-    rhs = [oracle(tuple([ell] * n)) for ell in range(1, n + 2)]
-    sol = vandermonde_solve(nodes, rhs)
-    reversed_counts = tuple(
-        _as_count(x, f"the recovered size-{n - k} count", comb(n, n - k))
-        for k, x in enumerate(sol)
-    )
-    return tuple(reversed(reversed_counts))
+    return tuple(reversed(kcounts_from_counts(n, oracle)))
 
 
 def shapley_from_kcounts(n: int, oracle: KCountOracle) -> tuple[Fraction, ...]:

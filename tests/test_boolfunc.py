@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,62 @@ def test_apply_substitution_examples():
     assert isinstance(zero.func.root, And)
     assert zero.func.root.children[0] == Const(0)
     assert constant_fold(zero.func).root == Const(0)
+
+
+def distinct_nodes(func: BoolFunc) -> int:
+    seen, stack = set(), [func.root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, "children", (getattr(node, "child", None),)))
+    seen.discard(id(None))
+    return len(seen)
+
+
+def shared_tower(base: BoolFunc, levels: int) -> BoolFunc:
+    node = base.root
+    for _ in range(levels):
+        node = And((node, node))
+    return BoolFunc(node, base.var_count)
+
+
+def test_shared_dag_operations_are_linear():
+    # (x0 or (x1 and 0) or not x1) = x0 or not x1, from 7 distinct nodes; 41
+    # levels make a tree of about 1.5e13 nodes from 48 distinct ones.  Only
+    # numbers appear in the asserts: the dataclass repr of the DAG is a tree.
+    base = BoolFunc(Or((Var(0), And((Var(1), Const(0))), Not(Var(1)))), 2)
+    want = truth_table(base)
+    tower = shared_tower(base, 41)
+    tower_nodes = distinct_nodes(tower)
+    assert tower_nodes == 7 + 41
+
+    def timed(fn):
+        start = time.perf_counter()
+        result = fn()
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0
+        return result
+
+    size = timed(tower.size)
+    assert size == (1 << 41) * (base.size() + 1) - 1
+    folded = timed(lambda: constant_fold(tower))
+    folded_table, folded_nodes = truth_table(folded), distinct_nodes(folded)
+    assert folded_table == want and folded_nodes == 4 + 41
+    pinned = timed(lambda: substitute_const(BoolFunc(tower.root, 3), 2, 1))
+    pinned_table = truth_table(pinned)
+    assert pinned_table == want
+    replaced = timed(lambda: apply_substitution(BoolFunc(Var(0), 1), {0: tower}))
+    replaced_table = truth_table(replaced.func)
+    assert replaced_table == want
+
+    # a replacement used at many sites is built once and shared by all of them
+    many = BoolFunc(Or(tuple(Var(0) for _ in range(200))), 1)
+    spread = timed(lambda: apply_substitution(many, {0: tower}))
+    spread_nodes = distinct_nodes(spread.func)
+    assert spread_nodes == 1 + tower_nodes
+    grouped_nodes = distinct_nodes(or_substitute(many, (3,)).func)
+    assert grouped_nodes == 1 + 4
 
 
 def test_or_substitute_shapes():

@@ -5,6 +5,8 @@ from shapcount import lineage as lg
 from shapcount.cli import main
 
 EX1 = "(and x0 (or x1 (not x2)))"
+# 3000 levels: 1500 times (and (not g) x1) around x0, which is x0 and x1
+DEEP = "(and (not " * 1500 + "x0" + ") x1)" * 1500
 
 
 @pytest.fixture()
@@ -250,3 +252,27 @@ def test_output_file_flag(workspace, capsys):
     code, out = run(capsys, "count", workspace / "ex1.bf", "--out", target)
     assert code == 0 and out == ""
     assert target.read_text() == "3\n"
+
+
+@pytest.mark.parametrize(
+    "verb, want",
+    [
+        (("count",), "1\n"),
+        (("kcount", "--method", "brute"), "0,0,1\n"),
+        (("shapley",), "1/2,1/2\n"),
+        (("compare",), None),
+    ],
+)
+def test_deeply_nested_formula(workspace, capsys, verb, want):
+    deep = workspace / "deep.bf"
+    deep.write_text(DEEP)
+    code, out = run(capsys, verb[0], deep, *verb[1:])
+    assert code == 0
+    if want is None:
+        assert out.rstrip().endswith("agreement ok")
+    else:
+        assert out == want
+    cut = workspace / "cut.bf"
+    cut.write_text(DEEP[: len(DEEP) // 2])
+    code, out = run(capsys, verb[0], cut, *verb[1:])
+    assert code == 2 and out == ""

@@ -25,6 +25,17 @@ def test_sexpr_round_trip():
     assert parse_sexpr(format_sexpr(padded)) == padded
 
 
+def test_sexpr_round_trip_at_depth_3000():
+    node = Var(0)
+    for level in range(3000):
+        node = Not(node) if level % 2 else And((node, Var(level % 7)))
+    f = BoolFunc(node, 7)
+    again = parse_sexpr(format_sexpr(f))
+    # compared by truth table: dataclass ==, hash and repr recurse
+    count, table = again.var_count, truth_table(again)
+    assert count == 7 and table == truth_table(f)
+
+
 def test_sexpr_vars_wrapper():
     f = parse_sexpr("(vars 5 (or x0 x1))")
     assert f.var_count == 5
@@ -44,6 +55,7 @@ def test_sexpr_vars_wrapper():
         "(not x0 x1)",
         "y3",
         "(vars x (and x0 x1))",
+        pytest.param("(and (not " * 3000 + "x0", id="unterminated-at-depth-6000"),
     ],
 )
 def test_sexpr_rejects_malformed(bad):
