@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from . import reductions
 from .boolfunc import BoolFunc, Const, Node, Not as FNot, And as FAnd, Or as FOr, Var as FVar
-from .errors import InputError, RefusalError
+from .errors import InconsistencyError, InputError, RefusalError
 
 CONST0 = "const0"
 CONST1 = "const1"
@@ -202,31 +202,22 @@ class CircuitBuilder:
             return kept[0]
         return self.add(OR, inputs=kept)
 
-    def build(
-        self,
-        output: int,
-        *,
-        deterministic_by_construction: bool = False,
-        prune: bool = True,
-    ) -> Circuit:
-        gates = self._gates
-        if prune:
-            keep = set()
-            stack = [output]
-            while stack:
-                idx = stack.pop()
-                if idx in keep:
-                    continue
-                keep.add(idx)
-                stack.extend(gates[idx].inputs)
-            order = sorted(keep)
-            remap = {old: new for new, old in enumerate(order)}
-            gates = [
-                Gate(g.kind, g.var, tuple(remap[r] for r in g.inputs))
-                for g in (self._gates[i] for i in order)
-            ]
-            output = remap[output]
-        return Circuit(gates, output, self.var_count, deterministic_by_construction)
+    def build(self, output: int, *, deterministic_by_construction: bool = False) -> Circuit:
+        keep = set()
+        stack = [output]
+        while stack:
+            idx = stack.pop()
+            if idx in keep:
+                continue
+            keep.add(idx)
+            stack.extend(self._gates[idx].inputs)
+        order = sorted(keep)
+        remap = {old: new for new, old in enumerate(order)}
+        gates = [
+            Gate(g.kind, g.var, tuple(remap[r] for r in g.inputs))
+            for g in (self._gates[i] for i in order)
+        ]
+        return Circuit(gates, remap[output], self.var_count, deterministic_by_construction)
 
 
 # ---------------------------------------------------------------------------
@@ -502,24 +493,24 @@ class ValidationReport:
     notes: tuple[str, ...] = ()
 
 
-def validate(circuit: Circuit, *, determinism_bound: int = DETERMINISM_BOUND) -> ValidationReport:
+def validate(circuit: Circuit) -> ValidationReport:
     ok, bad = check_decomposable(circuit)
     notes: list[str] = []
     if circuit.deterministic_by_construction:
         status, witness = "verified", None
         notes.append("determinism certified by construction")
     else:
-        status, witness = check_deterministic_exhaustive(circuit, bound=determinism_bound)
+        status, witness = check_deterministic_exhaustive(circuit)
         if status == "assumed":
             notes.append(
                 f"determinism assumed: {circuit.var_count} variables exceed the "
-                f"exhaustive bound of {determinism_bound}"
+                f"exhaustive bound of {DETERMINISM_BOUND}"
             )
     return ValidationReport(ok, bad, status, witness, tuple(notes))
 
 
-def _countable(circuit: Circuit, validation: ValidationReport | None, bound: int) -> ValidationReport:
-    report = validation if validation is not None else validate(circuit, determinism_bound=bound)
+def _countable(circuit: Circuit, validation: ValidationReport | None) -> ValidationReport:
+    report = validation if validation is not None else validate(circuit)
     if not report.decomposable:
         raise RefusalError(
             f"circuit is not decomposable (AND gates {list(report.violating_and_gates)}); refusing to count"
@@ -535,18 +526,13 @@ def _countable(circuit: Circuit, validation: ValidationReport | None, bound: int
 # Counting
 
 
-def model_count_dd(
-    circuit: Circuit,
-    *,
-    validation: ValidationReport | None = None,
-    determinism_bound: int = DETERMINISM_BOUND,
-) -> int:
+def model_count_dd(circuit: Circuit, *, validation: ValidationReport | None = None) -> int:
     """Exact model count in one bottom-up pass.
 
     Each gate's count is taken over its own scope; OR children are scaled by
     2^(scope gap) and the output by 2^(unused declared variables).
     """
-    _countable(circuit, validation, determinism_bound)
+    _countable(circuit, validation)
     scopes = circuit.scopes()
     counts: list[int] = []
     for idx, gate in enumerate(circuit.gates):
@@ -586,15 +572,12 @@ def _shift_poly(poly: list[int], gap: int) -> list[int]:
 
 
 def size_polynomial_count(
-    circuit: Circuit,
-    *,
-    validation: ValidationReport | None = None,
-    determinism_bound: int = DETERMINISM_BOUND,
+    circuit: Circuit, *, validation: ValidationReport | None = None
 ) -> tuple[int, ...]:
     """Size-bucketed model counts via one bottom-up pass of generating
     polynomials: a gate's polynomial has the number of its size-k models
     over its scope as the t^k coefficient."""
-    _countable(circuit, validation, determinism_bound)
+    _countable(circuit, validation)
     scopes = circuit.scopes()
     polys: list[list[int]] = []
     for idx, gate in enumerate(circuit.gates):
@@ -651,7 +634,7 @@ def unfold(circuit: Circuit) -> BoolFunc:
 
 
 # ---------------------------------------------------------------------------
-# Substitution of a variable by a disjunction of fresh variables
+# Substitution of variables by disjunctions of fresh variables
 
 
 def literal_occurrences(circuit: Circuit, var: int) -> int:
@@ -676,141 +659,135 @@ class CircuitSubstitution:
     fresh: tuple[int, ...]
 
 
-def or_substitute_circuit(circuit: Circuit, var: int, ell: int) -> CircuitSubstitution:
-    """Replace a variable by a disjunction of `ell` fresh variables while
-    preserving determinism and decomposability.
+def _or_substitute(circuit: Circuit, widths: dict[int, int]) -> Circuit:
+    """Replace each variable v in `widths` by a disjunction of widths[v]
+    fresh variables in one pass, keeping determinism and decomposability.
 
-    Positive occurrences become the exclusive chain
+    Positive occurrences of v become the exclusive chain
 
         D(Z_i..Z_l) = Z_i or (not Z_i and D(Z_(i+1)..Z_l))
 
-    and negated occurrences become `not Z_1 and ... and not Z_l`; with
-    ell = 0 they become the constants 0 and 1.  Negation must sit directly
-    above variable gates on every path that contains the variable (gate
-    growth stays within 6*k*ell gates for k literal occurrences).
-
-    Surviving variables are re-densified (old j maps to j-1 for j > var);
-    the fresh variables take the last `ell` indices.
+    and negated ones `not Z_1 and ... and not Z_l`; width 0 gives the
+    constants 0 and 1.  Each chain is built once.  Negation must sit directly
+    above variable gates on every path that contains a replaced variable.
+    Survivors are numbered densely first, then come the fresh blocks in
+    ascending order of the replaced variables.  The paper's growth bound,
+    gates added <= 6 * sum of k_v * l_v for k_v literal occurrences, is
+    checked on the result.
     """
     n = circuit.var_count
-    if not 0 <= var < n:
-        raise InputError(f"no variable {var} to substitute")
-    if ell < 0:
-        raise InputError("the replacement width must be nonnegative")
-    scopes = circuit.scopes()
+    for var, ell in widths.items():
+        if not 0 <= var < n:
+            raise InputError(f"no variable {var} to substitute")
+        if ell < 0:
+            raise InputError("the replacement width must be nonnegative")
     for idx, gate in enumerate(circuit.gates):
         if gate.kind == NOT:
             child = gate.inputs[0]
-            if circuit.gates[child].kind != VAR and var in scopes[child]:
+            if circuit.gates[child].kind != VAR and not circuit.scopes()[child].isdisjoint(widths):
                 raise InputError(
                     f"gate {idx}: negation above a non-variable gate on the substituted "
                     "variable's path; push negation to the leaves first"
                 )
 
-    builder = CircuitBuilder(n - 1 + ell)
-    zs = tuple(range(n - 1, n - 1 + ell))
-    if ell == 0:
-        pos_root = builder.add(CONST0)
-        neg_root = builder.add(CONST1)
-    elif ell == 1:
-        pos_root = builder.add(VAR, var=zs[0])
-        neg_root = builder.add(NOT, inputs=(pos_root,))
-    else:
-        var_gates = [builder.add(VAR, var=z) for z in zs]
-        not_gates = {}
-        chain = var_gates[-1]
-        for i in range(ell - 2, -1, -1):
-            not_gates[i] = builder.add(NOT, inputs=(var_gates[i],))
-            guarded = builder.add(AND, inputs=(not_gates[i], chain))
-            chain = builder.add(OR, inputs=(var_gates[i], guarded))
-        pos_root = chain
-        not_gates[ell - 1] = builder.add(NOT, inputs=(var_gates[ell - 1],))
-        neg_root = builder.add(AND, inputs=tuple(not_gates[i] for i in range(ell)))
+    renumbered = {v: i for i, v in enumerate(v for v in range(n) if v not in widths)}
+    builder = CircuitBuilder(len(renumbered) + sum(widths.values()))
+    roots: dict[int, tuple[int, int]] = {}  # variable -> (positive, negated) replacement
+    fresh = len(renumbered)
+    for var in sorted(widths):
+        zs = [builder.add(VAR, var=z) for z in range(fresh, fresh + widths[var])]
+        fresh += len(zs)
+        negs = [builder.add(NOT, inputs=(z,)) for z in zs]
+        chain = zs[-1] if zs else builder.const(0)
+        for i in range(len(zs) - 2, -1, -1):
+            chain = builder.add(OR, inputs=(zs[i], builder.add(AND, inputs=(negs[i], chain))))
+        roots[var] = (chain, builder.and_(negs))
 
-    mapping: dict[int, int] = {}
-    var_gate_ids = set()
+    # literal gate -> its replaced variable; edges into these are the k_v
+    literal_of: dict[int, int] = {}
+    occurrences = dict.fromkeys(widths, 0)
+    mapping: list[int] = []
     for idx, gate in enumerate(circuit.gates):
-        if gate.kind == VAR:
-            if gate.var == var:
-                var_gate_ids.add(idx)
-                mapping[idx] = pos_root
-            else:
-                new_index = gate.var if gate.var < var else gate.var - 1
-                mapping[idx] = builder.add(VAR, var=new_index)
-        elif gate.kind == NOT and gate.inputs[0] in var_gate_ids:
-            mapping[idx] = neg_root
+        for ref in gate.inputs:
+            if ref in literal_of:
+                occurrences[literal_of[ref]] += 1
+        if gate.kind == VAR and gate.var in widths:
+            literal_of[idx] = gate.var
+            mapping.append(roots[gate.var][0])
+        elif gate.kind == VAR:
+            mapping.append(builder.add(VAR, var=renumbered[gate.var]))
+        elif gate.kind == NOT and gate.inputs[0] in literal_of:
+            literal_of[idx] = literal_of[gate.inputs[0]]
+            mapping.append(roots[literal_of[idx]][1])
         else:
-            mapping[idx] = builder.add(gate.kind, inputs=tuple(mapping[r] for r in gate.inputs))
+            mapping.append(builder.add(gate.kind, inputs=tuple(mapping[r] for r in gate.inputs)))
+    if circuit.output in literal_of:
+        occurrences[literal_of[circuit.output]] += 1
 
     result = builder.build(
         mapping[circuit.output],
         deterministic_by_construction=circuit.deterministic_by_construction,
     )
+    grown = result.size() - circuit.size()
+    bound = 6 * sum(k * widths[var] for var, k in occurrences.items())
+    if grown > bound:
+        raise InconsistencyError(
+            f"substitution added {grown} gates, over the bound 6*sum(k*l) = {bound}"
+        )
+    return result
+
+
+def or_substitute_circuit(circuit: Circuit, var: int, ell: int) -> CircuitSubstitution:
+    """Replace one variable by a disjunction of `ell` fresh variables (see
+    `_or_substitute`).  Survivors are re-densified (old j maps to j-1 for
+    j > var); the fresh variables take the last `ell` indices."""
+    result = _or_substitute(circuit, {var: ell})
+    n = circuit.var_count
     old_to_new = {y: (y if y < var else y - 1) for y in range(n) if y != var}
-    return CircuitSubstitution(result, old_to_new, zs)
+    return CircuitSubstitution(result, old_to_new, tuple(range(n - 1, n - 1 + ell)))
 
 
-def or_substitute_all(circuit: Circuit, ell: int) -> Circuit:
-    """Replace every variable by a disjunction of `ell` fresh ones.
-
-    Applied one variable at a time in descending index order, so each
-    original variable still sits at its own index when its turn comes.
-    """
-    cur = circuit
-    for i in range(circuit.var_count - 1, -1, -1):
-        cur = or_substitute_circuit(cur, i, ell).circuit
-    return cur
+def or_substitute_all(circuit: Circuit, arities: Sequence[int]) -> Circuit:
+    """Replace variable i by a disjunction of arities[i] fresh variables, all
+    in one rebuild.  Variable i's fresh block follows those of variables
+    0..i-1, the numbering of `boolfunc.or_substitute`."""
+    if len(arities) != circuit.var_count:
+        raise InputError(
+            f"need one arity per variable: got {len(arities)} for {circuit.var_count}"
+        )
+    return _or_substitute(circuit, dict(enumerate(arities)))
 
 
 # ---------------------------------------------------------------------------
 # Pipelines
 
 
-def _certified_base(circuit, validation, determinism_bound):
-    report = _countable(circuit, validation, determinism_bound)
+def _certified_base(circuit: Circuit, validation: ValidationReport | None) -> Circuit:
+    report = _countable(circuit, validation)
     if report.determinism == "verified" and not circuit.deterministic_by_construction:
         # substitution preserves determinism, so don't re-verify the copies
-        return circuit.certified(), report
-    return circuit, report
+        return circuit.certified()
+    return circuit
 
 
 def kcounts_circuit(
-    circuit: Circuit,
-    *,
-    validation: ValidationReport | None = None,
-    determinism_bound: int = DETERMINISM_BOUND,
+    circuit: Circuit, *, validation: ValidationReport | None = None
 ) -> tuple[int, ...]:
     """Size-bucketed counts through the count-oracle reduction: one total
     model count per uniform replacement width, then a Vandermonde solve.
     Must agree with size_polynomial_count."""
-    base, _ = _certified_base(circuit, validation, determinism_bound)
-
-    def oracle(arities: tuple[int, ...]) -> int:
-        widths = set(arities)
-        if len(widths) > 1:
-            raise InputError("this pipeline only issues uniform replacements")
-        ell = widths.pop() if widths else 1
-        substituted = or_substitute_all(base, ell)
-        return model_count_dd(substituted, determinism_bound=determinism_bound)
-
-    return reductions.kcounts_from_counts(circuit.var_count, oracle)
+    base = _certified_base(circuit, validation)
+    return reductions.kcounts_from_counts(
+        circuit.var_count, lambda arities: model_count_dd(or_substitute_all(base, arities))
+    )
 
 
 def shapley_circuit(
-    circuit: Circuit,
-    *,
-    validation: ValidationReport | None = None,
-    determinism_bound: int = DETERMINISM_BOUND,
+    circuit: Circuit, *, validation: ValidationReport | None = None
 ) -> tuple[Fraction, ...]:
     """Exact Shapley vector through the k-count-oracle reduction; the
     variable-deleted cofactors are width-0 substitutions."""
-    base, _ = _certified_base(circuit, validation, determinism_bound)
-
-    def oracle(arities: tuple[int, ...]) -> tuple[int, ...]:
-        target = base
-        for i in range(len(arities) - 1, -1, -1):
-            if arities[i] != 1:
-                target = or_substitute_circuit(target, i, arities[i]).circuit
-        return size_polynomial_count(target, determinism_bound=determinism_bound)
-
-    return reductions.shapley_from_kcounts(circuit.var_count, oracle)
+    base = _certified_base(circuit, validation)
+    return reductions.shapley_from_kcounts(
+        circuit.var_count, lambda arities: size_polynomial_count(or_substitute_all(base, arities))
+    )

@@ -350,36 +350,47 @@ def _compare_formula(func: BoolFunc, bound: int) -> list[str]:
     return lines
 
 
+def _compare_circuit(
+    parsed: circuit.Circuit, report: circuit.ValidationReport, bound: int
+) -> list[str]:
+    unfolded = circuit.unfold(parsed)
+    count_dd = circuit.model_count_dd(parsed, validation=report)
+    count_brute = boolfunc.brute_count(unfolded, bound=bound)
+    kc_direct = circuit.size_polynomial_count(parsed, validation=report)
+    kc_paper = circuit.kcounts_circuit(parsed, validation=report)
+    kc_brute = boolfunc.brute_kcounts(unfolded, bound=bound)
+    sh_circ = circuit.shapley_circuit(parsed, validation=report)
+    sh_brute = boolfunc.brute_shapley_subsets(unfolded, bound=bound)
+    lines = [
+        f"count dd={count_dd} brute={count_brute}",
+        "kcounts direct=%s paper=%s brute=%s"
+        % tuple(",".join(str(c) for c in k) for k in (kc_direct, kc_paper, kc_brute)),
+        "shapley circuit=%s brute=%s"
+        % tuple(",".join(_fraction(v) for v in s) for s in (sh_circ, sh_brute)),
+    ]
+    if not (count_dd == count_brute and kc_direct == kc_paper == kc_brute and sh_circ == sh_brute):
+        raise InconsistencyError("methods disagree:\n" + "\n".join(lines))
+    return lines
+
+
 def cmd_compare(ns) -> str:
     bound = _bound(ns)
     if ns.fuzz:
+        if ns.kind == "lineage":
+            raise InputError("--fuzz generates formulas or circuits, not lineage instances")
         rng = random.Random(ns.seed)
         for _ in range(ns.fuzz):
-            _compare_formula(gen.random_boolfunc(rng, max_vars=6), bound)
+            if ns.kind == "circuit":
+                parsed = gen.random_decision_circuit(rng, max_vars=6, max_gates=25)
+                _compare_circuit(parsed, circuit.validate(parsed), bound)
+            else:
+                _compare_formula(gen.random_boolfunc(rng, max_vars=6), bound)
         return f"fuzz cases={ns.fuzz} seed={ns.seed} agreement ok\n"
     header = f"compare kind={ns.kind} input=sha256:{_digest(ns.inputs)}"
     if ns.kind == "formula":
         lines = [header] + _compare_formula(_load_formula(_single(ns.inputs)), bound)
     elif ns.kind == "circuit":
-        parsed, report = _validated_circuit(_single(ns.inputs))
-        unfolded = circuit.unfold(parsed)
-        count_dd = circuit.model_count_dd(parsed)
-        count_brute = boolfunc.brute_count(unfolded, bound=bound)
-        kc_direct = circuit.size_polynomial_count(parsed)
-        kc_paper = circuit.kcounts_circuit(parsed)
-        kc_brute = boolfunc.brute_kcounts(unfolded, bound=bound)
-        sh_circ = circuit.shapley_circuit(parsed)
-        sh_brute = boolfunc.brute_shapley_subsets(unfolded, bound=bound)
-        lines = [
-            header,
-            f"count dd={count_dd} brute={count_brute}",
-            "kcounts direct=%s paper=%s brute=%s"
-            % tuple(",".join(str(c) for c in k) for k in (kc_direct, kc_paper, kc_brute)),
-            "shapley circuit=%s brute=%s"
-            % tuple(",".join(_fraction(v) for v in s) for s in (sh_circ, sh_brute)),
-        ]
-        if not (count_dd == count_brute and kc_direct == kc_paper == kc_brute and sh_circ == sh_brute):
-            raise InconsistencyError("methods disagree:\n" + "\n".join(lines))
+        lines = [header] + _compare_circuit(*_validated_circuit(_single(ns.inputs)), bound)
     else:
         query, db = _load_instance(ns.inputs)
         built = lineage.build_lineage(query, db)
@@ -467,7 +478,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p = sub.add_parser("compare", help="run all applicable methods and require agreement")
     common(p)
-    p.add_argument("--fuzz", type=int, default=0, help="compare this many random formulas")
+    p.add_argument(
+        "--fuzz",
+        type=int,
+        default=0,
+        help="compare this many random formulas, or d-D circuits with --kind circuit",
+    )
     return parser
 
 

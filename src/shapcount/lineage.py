@@ -108,15 +108,14 @@ class Database:
         for name in rows:
             schema.get(name)
         for rel in schema.relations:
-            seen: list[tuple[str, ...]] = []
+            seen: dict[tuple[str, ...], None] = {}  # insertion-ordered: first occurrence wins
             for row in rows.get(rel.name, ()):
                 t = tuple(str(v) for v in row)
                 if len(t) != rel.arity:
                     raise InputError(
                         f"relation {rel.name} has arity {rel.arity}, row {t} does not fit"
                     )
-                if t not in seen:
-                    seen.append(t)
+                seen[t] = None
             stored[rel.name] = tuple(seen)
         self.rows = stored
         tuple_map: list[tuple[str, int]] = []

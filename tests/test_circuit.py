@@ -12,6 +12,7 @@ from shapcount.boolfunc import (
     brute_shapley_permutations,
     evaluate as feval,
     or_substitute,
+    truth_table,
 )
 from shapcount.circuit import (
     AND,
@@ -38,7 +39,7 @@ from shapcount.circuit import (
     unfold,
     validate,
 )
-from shapcount.errors import InputError, RefusalError
+from shapcount.errors import InconsistencyError, InputError, RefusalError
 
 
 def single_var() -> Circuit:
@@ -276,6 +277,20 @@ def test_or_substitute_equivalence_and_preservation():
             assert sub.circuit.size() <= c.size() + 2
 
 
+def test_substitution_over_the_growth_bound_is_an_inconsistency(monkeypatch):
+    build = CircuitBuilder.build
+
+    def padded(self, output, **kw):
+        for _ in range(7):
+            output = self.add(NOT, inputs=(output,))
+        return build(self, output, **kw)
+
+    monkeypatch.setattr(CircuitBuilder, "build", padded)
+    # width 1 on one occurrence allows 6 new gates
+    with pytest.raises(InconsistencyError, match="over the bound"):
+        or_substitute_circuit(single_var(), 0, 1)
+
+
 def test_uniform_substitution_counts():
     rng = random.Random(78)
     for _ in range(20):
@@ -284,10 +299,32 @@ def test_uniform_substitution_counts():
         for ell in (1, 2, 3):
             if c.var_count * ell > 15:
                 continue
-            substituted = or_substitute_all(c, ell)
+            substituted = or_substitute_all(c, (ell,) * c.var_count)
             assert model_count_dd(substituted) == brute_count(
                 or_substitute(f, (ell,) * c.var_count).func
             )
+
+
+def test_mixed_substitution_matches_function_substitution():
+    # one rebuild for all variables, numbered like boolfunc.or_substitute
+    rng = random.Random(81)
+    done = 0
+    while done < 40:
+        c = gen.random_decision_circuit(rng, max_vars=6, max_gates=25)
+        arities = tuple(rng.randint(0, 3) for _ in range(c.var_count))
+        if sum(arities) > 12:
+            continue
+        done += 1
+        sub = or_substitute_all(c, arities)
+        fn = or_substitute(unfold(c), arities).func
+        assert sub.var_count == fn.var_count == sum(arities)
+        assert truth_table(unfold(sub)) == truth_table(fn)
+        assert check_decomposable(sub)[0]
+        assert check_deterministic_exhaustive(sub) == ("verified", None)
+        growth = sum(literal_occurrences(c, v) * m for v, m in enumerate(arities))
+        assert sub.size() - c.size() <= 6 * growth
+    with pytest.raises(InputError, match="one arity per variable"):
+        or_substitute_all(single_var(), (1, 1))
 
 
 def test_kcounts_circuit_agrees_with_direct():

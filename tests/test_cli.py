@@ -221,6 +221,22 @@ def test_compare_fuzz_deterministic(workspace, capsys):
     assert second == first
 
 
+def test_compare_fuzz_circuits(workspace, capsys, monkeypatch):
+    code, out = run(capsys, "compare", "--fuzz", "3", "--kind", "circuit", "--seed", "5")
+    assert code == 0 and out == "fuzz cases=3 seed=5 agreement ok\n"
+    code, _ = run(capsys, "compare", "--fuzz", "3", "--kind", "lineage")
+    assert code == 2
+    from shapcount import cli as cli_module
+
+    monkeypatch.setattr(
+        cli_module.circuit,
+        "kcounts_circuit",
+        lambda parsed, **kw: (-1,) * (parsed.var_count + 1),
+    )
+    code, _ = run(capsys, "compare", "--fuzz", "3", "--kind", "circuit")
+    assert code == 4
+
+
 def test_outputs_are_byte_identical(workspace, capsys):
     runs = [run(capsys, "shapley", workspace / "ex1.bf")[1] for _ in range(2)]
     assert runs[0] == runs[1]

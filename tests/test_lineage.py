@@ -381,6 +381,20 @@ def test_embed_refuses_hierarchical():
         lg.embed_nonhierarchical(lg.parse_query("Q :- R(x), S(x, y)"), db)
 
 
+def test_database_rows_deduplicate_in_first_seen_order():
+    schema = lg.Schema((lg.Relation("R", 1, True), lg.Relation("S", 2, True)))
+    db = lg.Database(
+        schema,
+        {
+            "R": [("b",), ("a",), ("b",), ("c",), ("a",)],
+            "S": [("x", "1"), ("y", "2"), ("x", "1")],
+        },
+    )
+    assert db.rows == {"R": (("b",), ("a",), ("c",)), "S": (("x", "1"), ("y", "2"))}
+    assert db.tuple_map == (("R", 0), ("R", 1), ("R", 2), ("S", 0), ("S", 1))
+    assert db.var_of("S", 1) == 4
+
+
 def test_database_roundtrip_and_determinism(tmp_path):
     q, db = chain_instance()
     lg.write_database(db, tmp_path)
