@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError, RefusalError
@@ -468,16 +468,46 @@ def and_substitute(func: BoolFunc, arities: Sequence[int]) -> GroupedSubstitutio
 # disjuncts, has sum(m_i) variables; enumerating those directly is hopeless
 # already at moderate n.  These oracles instead enumerate the 2^n base
 # valuations and count group assignments combinatorially: a true group can
-# be set 2^m - 1 ways, a false group exactly one way.  They are still
-# exhaustive enumeration over the base space and never solve any linear
-# system, so they stay independent of the reductions they feed.
+# be set 2^m - 1 ways, a false group exactly one way, so each base model
+# weighs the product of its true variables' weights.  With one weight for
+# every variable that product depends only on the model's size, and the
+# sum takes one popcount per size; otherwise the models are merged one
+# variable at a time.  Size-bucketed counts ride along as digits: the
+# weight of a true group, evaluated at t = 2^B, is its size polynomial
+# (1+t)^m - 1, and the counts are read off the total's base-2^B digits.
+# The oracles are still exhaustive enumeration over the base space and
+# never solve any linear system, so they stay independent of the
+# reductions they feed.
 
 
-def _model_indices(table: int):
+def _weighted_count(table: int, n: int, weights: Sequence[int]) -> int:
+    """Sum over the models x of the truth table of the product of
+    weights[i] over the variables i that x sets."""
+    masks = _variable_masks(n)
+    for i, w in enumerate(weights):
+        if not w:
+            table &= ~masks[i]
+    w = max(weights, default=0)
+    if all(x in (0, w) for x in weights):
+        total = 0
+        for mask in reversed(_weight_masks(n)):
+            total = total * w + (table & mask).bit_count()
+        return total
+    # block j holds the weighted sum of the models whose index shifted right
+    # by the merged variable count is j; the odd block of each pair has the
+    # next variable true
+    blocks: dict[int, int] = {}
     while table:
         low = table & -table
-        yield low.bit_length() - 1
+        blocks[low.bit_length() - 1] = 1
         table ^= low
+    for w in weights:
+        merged: dict[int, int] = {}
+        for index, value in blocks.items():
+            key = index >> 1
+            merged[key] = merged.get(key, 0) + (value * w if index & 1 else value)
+        blocks = merged
+    return blocks.get(0, 0)
 
 
 def or_substituted_count(
@@ -488,17 +518,7 @@ def or_substituted_count(
     if len(arities) != func.var_count:
         raise InputError("need one arity per variable")
     table = truth_table(func, bound=bound)
-    ways = [(1 << m) - 1 for m in arities]
-    total = 0
-    for idx in _model_indices(table):
-        weight = 1
-        rest = idx
-        while rest and weight:
-            low = rest & -rest
-            weight *= ways[low.bit_length() - 1]
-            rest ^= low
-        total += weight
-    return total
+    return _weighted_count(table, func.var_count, [(1 << m) - 1 for m in arities])
 
 
 def and_substituted_count(
@@ -509,32 +529,10 @@ def and_substituted_count(
     if len(arities) != func.var_count:
         raise InputError("need one arity per variable")
     table = truth_table(func, bound=bound)
-    ways = [(1 << m) - 1 for m in arities]
-    n = func.var_count
-    total = 0
-    for idx in _model_indices(table):
-        weight = 1
-        for i in range(n):
-            if not (idx >> i) & 1:
-                weight *= ways[i]
-                if not weight:
-                    break
-        total += weight
-    return total
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _group_poly(m: int) -> list[int]:
-    # size generating polynomial of a true group: (1+t)^m - 1
-    return [comb(m, k) if k else 0 for k in range(m + 1)]
+    # negate every input: swap the halves each variable splits the table into
+    for i, mask in enumerate(_variable_masks(func.var_count)):
+        table = ((table & mask) >> (1 << i)) | ((table & ~mask) << (1 << i))
+    return _weighted_count(table, func.var_count, [(1 << m) - 1 for m in arities])
 
 
 def or_substituted_kcounts(
@@ -542,52 +540,19 @@ def or_substituted_kcounts(
 ) -> tuple[int, ...]:
     """Size-bucketed model counts of the function under a disjunctive
     group replacement, indexed 0..sum(arities)."""
-    n = func.var_count
-    if len(arities) != n:
+    if len(arities) != func.var_count:
         raise InputError("need one arity per variable")
-    total_vars = sum(arities)
-
-    uniform = len(set(arities)) <= 1
-    if uniform and (n == 0 or arities[0] == 1):
-        return brute_kcounts(func, bound=bound)
-    zeros = [i for i, m in enumerate(arities) if m == 0]
-    if len(zeros) == 1 and all(m == 1 for i, m in enumerate(arities) if i != zeros[0]):
-        return brute_kcounts(substitute_const(func, zeros[0], 0), bound=bound)
-    if uniform:
-        # lift k-counts through the shared group polynomial
-        base = brute_kcounts(func, bound=bound)
-        poly = _group_poly(arities[0]) if n else [1]
-        out = [0] * (total_vars + 1)
-        lifted = [1]
-        for k, cnt in enumerate(base):
-            if cnt:
-                for j, coef in enumerate(lifted):
-                    out[j] += cnt * coef
-            if k < n:
-                lifted = _poly_mul(lifted, poly)
-        return tuple(out)
-
     table = truth_table(func, bound=bound)
-    polys = [_group_poly(m) for m in arities]
-
-    # size polynomials of the table's nonzero blocks, merged one variable at
-    # a time: block j covers the valuations whose index shifted right by the
-    # merged variable count is j, and the odd half of each pair has the next
-    # variable's group true
-    blocks = {index: [1] for index in _model_indices(table)}
-    for poly in polys:
-        merged: dict[int, list[int]] = {}
-        for index, block in blocks.items():
-            if index & 1:
-                block = _poly_mul(block, poly)
-            acc = merged.setdefault(index >> 1, [])
-            acc.extend([0] * (len(block) - len(acc)))
-            for j, coef in enumerate(block):
-                acc[j] += coef
-        blocks = merged
-    counts = blocks.get(0, [0])
-    counts.extend([0] * (total_vars + 1 - len(counts)))
-    return tuple(counts[: total_vars + 1])
+    total_vars = sum(arities)
+    # every count is at most 2^total_vars, so one digit of B > total_vars bits
+    # holds it and no digit carries into the next
+    width = total_vars // 8 + 1
+    digit = 1 << (8 * width)
+    packed = _weighted_count(table, func.var_count, [(digit + 1) ** m - 1 for m in arities])
+    raw = packed.to_bytes(width * (total_vars + 1), "little")
+    return tuple(
+        int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)
+    )
 
 
 def or_substituted_shapley(
@@ -610,11 +575,13 @@ def or_substituted_shapley(
     total = sum(arities)
     hi = or_substituted_kcounts(substitute_const(func, target, 1), rest, bound=bound)
     lo = or_substituted_kcounts(substitute_const(func, target, 0), rest, bound=bound)
+    fact = [1]
+    for j in range(1, total + 1):
+        fact.append(fact[-1] * j)
     num = sum(
-        factorial(k) * factorial(total - 1 - k) * (a - b)
-        for k, (a, b) in enumerate(zip(hi, lo))
+        fact[k] * fact[total - 1 - k] * (a - b) for k, (a, b) in enumerate(zip(hi, lo))
     )
-    return Fraction(num, factorial(total))
+    return Fraction(num, fact[total])
 
 
 def count_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):

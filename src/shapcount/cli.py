@@ -412,7 +412,7 @@ def cmd_compare(ns) -> str:
         if compiled is not None:
             count_dd = circuit.model_count_dd(compiled)
             kc_direct = circuit.size_polynomial_count(compiled)
-            sh_tuples = lineage.shapley_tuples(query, db, bound=bound)
+            sh_circuit = circuit.shapley_circuit(compiled)
             lines.append(f"count circuit={count_dd}")
             lines.append(
                 "kcounts direct=%s brute=%s"
@@ -420,9 +420,9 @@ def cmd_compare(ns) -> str:
             )
             lines.append(
                 "shapley circuit=%s brute=%s"
-                % tuple(",".join(_fraction(v) for v in s) for s in (sh_tuples, sh_brute))
+                % tuple(",".join(_fraction(v) for v in s) for s in (sh_circuit, sh_brute))
             )
-            ok = ok and count_dd == count_brute and kc_direct == kc_brute and sh_tuples == sh_brute
+            ok = ok and count_dd == count_brute and kc_direct == kc_brute and sh_circuit == sh_brute
         if not ok:
             raise InconsistencyError("methods disagree:\n" + "\n".join(lines))
     return "\n".join(lines + ["agreement ok"]) + "\n"

@@ -12,9 +12,12 @@ replacement:
                                         variable standing in for `target`
                                         (arities[target] == 1)
 
-Everything is exact rational arithmetic; the linear systems are solved by
-Gaussian elimination with partial pivoting over Fractions and verified by
-back-substitution.
+Everything is exact rational arithmetic.  The Vandermonde systems are
+solved by the Bjorck-Pereyra algorithm (Newton divided differences, then
+monomial coefficients) and verified by re-substitution; the moment systems
+of count_from_shapley share one matrix, which is factored once per call by
+Gaussian elimination with partial pivoting over Fractions and back-solved
+once per variable.
 """
 
 from __future__ import annotations
@@ -40,34 +43,56 @@ def coefficients(n: int) -> tuple[Fraction, ...]:
     )
 
 
+def _factor(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """PA = LU of a square rational matrix by Gaussian elimination with
+    partial pivoting: U on and above the diagonal, L's multipliers below
+    it, and the row order of P.  Raises InputError on a singular matrix."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    order = list(range(n))
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[pivot][col] == 0:
+            raise InputError("singular matrix")
+        a[col], a[pivot] = a[pivot], a[col]
+        order[col], order[pivot] = order[pivot], order[col]
+        for r in range(col + 1, n):
+            if a[r][col]:
+                a[r][col] = f = a[r][col] / a[col][col]
+                for c in range(col + 1, n):
+                    a[r][c] -= f * a[col][c]
+    return a, order
+
+
+def _back_solve(factors: tuple[list[list[Fraction]], list[int]], rhs: Sequence) -> list[Fraction]:
+    """Solve A x = rhs from A's _factor output."""
+    a, order = factors
+    n = len(a)
+    y: list[Fraction] = []
+    for r in range(n):
+        y.append(Fraction(rhs[order[r]]) - sum(a[r][c] * y[c] for c in range(r)))
+    sol = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = y[r] - sum(a[r][c] * sol[c] for c in range(r + 1, n))
+        sol[r] = acc / a[r][r]
+    return sol
+
+
 def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
     """Solve a square rational system by Gaussian elimination with partial
     pivoting.  Raises InputError on a singular matrix."""
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise InputError("system must be square with a matching right-hand side")
-    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
-            raise InputError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] / a[col][col]
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    sol = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = a[r][n] - sum(a[r][c] * sol[c] for c in range(r + 1, n))
-        sol[r] = acc / a[r][r]
-    return sol
+    return _back_solve(_factor(matrix), rhs)
 
 
 def vandermonde_solve(nodes: Sequence[int], rhs: Sequence) -> tuple[Fraction, ...]:
     """Solve V s = rhs where V[j][k] = nodes[j]**k.
 
-    Nodes must be pairwise distinct (the system is then nonsingular).  The
+    Nodes must be pairwise distinct (the system is then nonsingular).
+    Bjorck-Pereyra: Newton divided differences of the right-hand side, then
+    their expansion into monomial coefficients, in O(n^2) operations.  The
     solution is re-substituted and must reproduce the right-hand side
     exactly; with rational arithmetic a mismatch can only mean a bug.
     """
@@ -75,10 +100,19 @@ def vandermonde_solve(nodes: Sequence[int], rhs: Sequence) -> tuple[Fraction, ..
         raise InputError("duplicate nodes make the system singular")
     if len(nodes) != len(rhs):
         raise InputError("need one equation per node")
-    matrix = [[Fraction(x) ** k for k in range(len(nodes))] for x in nodes]
-    sol = solve_exact(matrix, [Fraction(y) for y in rhs])
-    for row, want in zip(matrix, rhs):
-        if sum(c * s for c, s in zip(row, sol)) != want:
+    n = len(nodes)
+    sol = [Fraction(y) for y in rhs]
+    for k in range(n - 1):
+        for j in range(n - 1, k, -1):
+            sol[j] = (sol[j] - sol[j - 1]) / (nodes[j] - nodes[j - k - 1])
+    for k in range(n - 2, -1, -1):
+        for j in range(k, n - 1):
+            sol[j] -= nodes[k] * sol[j + 1]
+    for x, want in zip(nodes, rhs):
+        value = Fraction(0)
+        for s in reversed(sol):
+            value = value * x + s
+        if value != want:
             raise InconsistencyError("back-substitution did not reproduce the right-hand side")
     return tuple(sol)
 
@@ -220,14 +254,11 @@ def count_from_shapley(n: int, value_at_zero: int, oracle: ShapleyOracle) -> int
         raise InputError("the all-zero value must be 0 or 1")
     if n == 0:
         return value_at_zero
-    matrix = [expansion_weights(n, ell) for ell in range(1, n + 1)]
+    factors = _factor([expansion_weights(n, ell) for ell in range(1, n + 1)])
     sums = [Fraction(0)] * n
     for i in range(n):
-        rhs = []
-        for ell in range(1, n + 1):
-            arities = tuple(1 if p == i else ell for p in range(n))
-            rhs.append(Fraction(oracle(arities, i)))
-        diffs = solve_exact(matrix, rhs)
+        rhs = [oracle(tuple(1 if p == i else ell for p in range(n)), i) for ell in range(1, n + 1)]
+        diffs = _back_solve(factors, rhs)
         for k, d in enumerate(diffs):
             if d.denominator != 1:
                 raise InconsistencyError(

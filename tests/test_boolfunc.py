@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -295,17 +296,29 @@ def test_cofactor_sum_identities():
 
 def test_substituted_oracles_match_materialized_functions():
     rng = random.Random(106)
-    for _ in range(60):
-        f = gen.random_boolfunc(rng, max_vars=4)
-        n = f.var_count
-        arities = tuple(rng.randint(0, 3) for _ in range(n))
-        if sum(arities) > 12:
+    mixed = 0
+    for _ in range(80):
+        f = gen.random_boolfunc(rng, max_vars=7)
+        arities = tuple(rng.randint(0, 3) for _ in range(f.var_count))
+        if sum(arities) > 16:
             continue
+        # two distinct nonzero arities take the oracles' model-merging path
+        mixed += len(set(arities) - {0}) > 1
         materialized = or_substitute(f, arities).func
         assert or_substituted_count(f, arities) == brute_count(materialized)
         assert or_substituted_kcounts(f, arities) == brute_kcounts(materialized)
         and_materialized = and_substitute(f, arities).func
         assert and_substituted_count(f, arities) == brute_count(and_materialized)
+    assert mixed >= 20
+
+
+def test_packed_kcount_digits_hold_binomial_rows():
+    # the constant 1 has every valuation as a model: its bucket j is C(sum, j),
+    # the largest a digit of the packed total has to hold
+    for arities in ((8, 7, 0, 5, 9), (9,) * 6, (0, 0, 3), (1,) * 7, (16,), ()):
+        total = sum(arities)
+        want = tuple(comb(total, j) for j in range(total + 1))
+        assert or_substituted_kcounts(BoolFunc(Const(1), len(arities)), arities) == want
 
 
 def test_substituted_shapley_matches_materialized():

@@ -199,6 +199,20 @@ def test_compare_all_kinds(workspace, capsys):
     assert code == 0 and "branch hard" in out
 
 
+def test_lineage_compare_compiles_once(workspace, capsys, monkeypatch):
+    calls = []
+    compile_lineage = lg.compile_hierarchical_lineage
+
+    def counting(query, db):
+        calls.append(query)
+        return compile_lineage(query, db)
+
+    monkeypatch.setattr(lg, "compile_hierarchical_lineage", counting)
+    code, out = run(capsys, "compare", workspace / "join.q", workspace / "join", "--kind", "lineage")
+    assert code == 0 and "shapley circuit=1/4,1/4,1/4,1/4 " in out
+    assert len(calls) == 1
+
+
 def test_compare_needs_an_input(workspace, capsys):
     code, _ = run(capsys, "compare")
     assert code == 2

@@ -85,6 +85,18 @@ def test_vandermonde_random_round_trips():
         assert vandermonde_solve(nodes, rhs) == tuple(solution)
 
 
+def test_vandermonde_equals_explicit_elimination():
+    rng = random.Random(6)
+    for _ in range(30):
+        size = rng.randint(1, 20)
+        nodes = rng.sample(range(-60, 61), size)
+        matrix = [[Fraction(x) ** k for k in range(size)] for x in nodes]
+        ints = [rng.randint(-10**6, 10**6) for _ in range(size)]
+        fracs = [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(size)]
+        for rhs in (ints, fracs):
+            assert vandermonde_solve(nodes, rhs) == tuple(solve_exact(matrix, rhs))
+
+
 def test_solve_exact_singular():
     with pytest.raises(InputError):
         solve_exact([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], [Fraction(1)] * 2)
@@ -207,6 +219,17 @@ def test_inconsistent_oracles_are_reported():
         count_from_shapley(
             3, 0, lambda arities, i: honest_shap(arities, i) + (max(arities) == 2)
         )
+
+
+def test_count_from_shapley_names_the_inconsistent_variable():
+    f = example1()
+    honest = shapley_oracle(f)
+
+    def perturbed(arities, i):
+        return honest(arities, i) + (i == 1 and max(arities) == 2)
+
+    with pytest.raises(InconsistencyError, match="for variable 1,"):
+        count_from_shapley(3, 0, perturbed)
 
 
 def test_zero_variable_edge_cases():
