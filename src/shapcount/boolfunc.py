@@ -510,6 +510,23 @@ def _weighted_count(table: int, n: int, weights: Sequence[int]) -> int:
     return blocks.get(0, 0)
 
 
+def _size_digits(arities: Sequence[int]):
+    """Group weights (1+t)^m - 1 at t = 2^B, and the reader of the size-
+    bucketed counts 0..sum(arities) off a weighted count's base-2^B digits.
+    No count exceeds 2^sum(arities), so B, the least multiple of 8 above
+    sum(arities), holds each without carrying into the next digit."""
+    total = sum(arities)
+    width = total // 8 + 1
+
+    def unpack(packed: int) -> tuple[int, ...]:
+        raw = packed.to_bytes(width * (total + 1), "little")
+        return tuple(
+            int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)
+        )
+
+    return [((1 << 8 * width) + 1) ** m - 1 for m in arities], unpack
+
+
 def or_substituted_count(
     func: BoolFunc, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
 ) -> int:
@@ -543,16 +560,8 @@ def or_substituted_kcounts(
     if len(arities) != func.var_count:
         raise InputError("need one arity per variable")
     table = truth_table(func, bound=bound)
-    total_vars = sum(arities)
-    # every count is at most 2^total_vars, so one digit of B > total_vars bits
-    # holds it and no digit carries into the next
-    width = total_vars // 8 + 1
-    digit = 1 << (8 * width)
-    packed = _weighted_count(table, func.var_count, [(digit + 1) ** m - 1 for m in arities])
-    raw = packed.to_bytes(width * (total_vars + 1), "little")
-    return tuple(
-        int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)
-    )
+    weights, unpack = _size_digits(arities)
+    return unpack(_weighted_count(table, func.var_count, weights))
 
 
 def or_substituted_shapley(
@@ -571,10 +580,15 @@ def or_substituted_shapley(
         raise InputError(f"no variable {target}")
     if arities[target] != 1:
         raise InputError("the distinguished variable must keep arity 1")
-    rest = [m for i, m in enumerate(arities) if i != target]
+    table = truth_table(func, bound=bound)
+    mask = _variable_masks(n)[target]
+    # the cofactors' counts: the target weighs as the largest other group (or
+    # 1), which keeps uniform weights uniform, and is divided out again
+    weights, unpack = _size_digits([m for i, m in enumerate(arities) if i != target])
+    weights.insert(target, max(weights, default=0) or 1)
+    hi = unpack(_weighted_count(table & mask, n, weights) // weights[target])
+    lo = unpack(_weighted_count(table & ~mask, n, weights))
     total = sum(arities)
-    hi = or_substituted_kcounts(substitute_const(func, target, 1), rest, bound=bound)
-    lo = or_substituted_kcounts(substitute_const(func, target, 0), rest, bound=bound)
     fact = [1]
     for j in range(1, total + 1):
         fact.append(fact[-1] * j)

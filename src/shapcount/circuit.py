@@ -8,16 +8,16 @@ structurally; determinism is verified exhaustively up to a bound, taken on
 faith ("assumed") above it, or certified by construction for circuits built
 by this package.
 
-Variables absent from a gate's scope are handled by scaling with powers of 2
-(or of 1+t for the size-bucketed variant) instead of materializing smoothing
-gates.
+The model count scales by powers of 2 for variables absent from a gate's
+scope instead of materializing smoothing gates; the size-bucketed count works
+in the probability basis, which needs no smoothing at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from . import reductions
@@ -48,7 +48,9 @@ class Circuit:
     topological order.  Exactly one gate (the output) feeds nothing.
     """
 
-    __slots__ = ("gates", "output", "var_count", "deterministic_by_construction", "_scopes")
+    __slots__ = (
+        "gates", "output", "var_count", "deterministic_by_construction", "_scopes", "_report"
+    )
 
     def __init__(
         self,
@@ -62,6 +64,7 @@ class Circuit:
         self.var_count = var_count
         self.deterministic_by_construction = deterministic_by_construction
         self._scopes: tuple[frozenset[int], ...] | None = None
+        self._report: ValidationReport | None = None
         self._validate()
 
     def _validate(self) -> None:
@@ -119,13 +122,7 @@ class Circuit:
 
     def certified(self) -> "Circuit":
         """Copy flagged deterministic-by-construction (caller must know)."""
-        copy = Circuit.__new__(Circuit)
-        copy.gates = self.gates
-        copy.output = self.output
-        copy.var_count = self.var_count
-        copy.deterministic_by_construction = True
-        copy._scopes = self._scopes
-        return copy
+        return Circuit(self.gates, self.output, self.var_count, True)
 
 
 class CircuitBuilder:
@@ -494,6 +491,9 @@ class ValidationReport:
 
 
 def validate(circuit: Circuit) -> ValidationReport:
+    """Decomposability and determinism report, computed once per circuit."""
+    if circuit._report is not None:
+        return circuit._report
     ok, bad = check_decomposable(circuit)
     notes: list[str] = []
     if circuit.deterministic_by_construction:
@@ -506,11 +506,12 @@ def validate(circuit: Circuit) -> ValidationReport:
                 f"determinism assumed: {circuit.var_count} variables exceed the "
                 f"exhaustive bound of {DETERMINISM_BOUND}"
             )
-    return ValidationReport(ok, bad, status, witness, tuple(notes))
+    circuit._report = ValidationReport(ok, bad, status, witness, tuple(notes))
+    return circuit._report
 
 
-def _countable(circuit: Circuit, validation: ValidationReport | None) -> ValidationReport:
-    report = validation if validation is not None else validate(circuit)
+def _countable(circuit: Circuit) -> ValidationReport:
+    report = validate(circuit)
     if not report.decomposable:
         raise RefusalError(
             f"circuit is not decomposable (AND gates {list(report.violating_and_gates)}); refusing to count"
@@ -526,13 +527,13 @@ def _countable(circuit: Circuit, validation: ValidationReport | None) -> Validat
 # Counting
 
 
-def model_count_dd(circuit: Circuit, *, validation: ValidationReport | None = None) -> int:
+def model_count_dd(circuit: Circuit) -> int:
     """Exact model count in one bottom-up pass.
 
     Each gate's count is taken over its own scope; OR children are scaled by
     2^(scope gap) and the output by 2^(unused declared variables).
     """
-    _countable(circuit, validation)
+    _countable(circuit)
     scopes = circuit.scopes()
     counts: list[int] = []
     for idx, gate in enumerate(circuit.gates):
@@ -558,29 +559,16 @@ def model_count_dd(circuit: Circuit, *, validation: ValidationReport | None = No
     return out << (circuit.var_count - len(scopes[circuit.output]))
 
 
-def _shift_poly(poly: list[int], gap: int) -> list[int]:
-    # multiply by (1+t)^gap
-    if gap == 0:
-        return poly
-    binoms = [comb(gap, j) for j in range(gap + 1)]
-    out = [0] * (len(poly) + gap)
-    for i, c in enumerate(poly):
-        if c:
-            for j, b in enumerate(binoms):
-                out[i + j] += c * b
-    return out
-
-
-def size_polynomial_count(
-    circuit: Circuit, *, validation: ValidationReport | None = None
-) -> tuple[int, ...]:
-    """Size-bucketed model counts via one bottom-up pass of generating
-    polynomials: a gate's polynomial has the number of its size-k models
-    over its scope as the t^k coefficient."""
-    _countable(circuit, validation)
-    scopes = circuit.scopes()
+def size_polynomial_count(circuit: Circuit) -> tuple[int, ...]:
+    """Size-bucketed model counts in one bottom-up pass in the probability
+    basis: a gate keeps the coefficients a_j of Pr(p) = sum a_j p^j, the
+    chance it is true when each variable is true with probability p.  NOT is
+    1 - Pr, decomposable AND the product, deterministic OR the sum, so no
+    gate needs its scope.  K(t) = sum a_j t^j (1+t)^(n-j) has the number of
+    size-k models as its t^k coefficient."""
+    _countable(circuit)
     polys: list[list[int]] = []
-    for idx, gate in enumerate(circuit.gates):
+    for gate in circuit.gates:
         if gate.kind == CONST0:
             polys.append([0])
         elif gate.kind == CONST1:
@@ -588,9 +576,8 @@ def size_polynomial_count(
         elif gate.kind == VAR:
             polys.append([0, 1])
         elif gate.kind == NOT:
-            child = gate.inputs[0]
-            width = len(scopes[child])
-            polys.append([comb(width, k) - polys[child][k] for k in range(width + 1)])
+            child = polys[gate.inputs[0]]
+            polys.append([1 - child[0]] + [-c for c in child[1:]])
         elif gate.kind == AND:
             acc = [1]
             for r in gate.inputs:
@@ -602,15 +589,16 @@ def size_polynomial_count(
                 acc = nxt
             polys.append(acc)
         else:
-            width = len(scopes[idx])
-            acc = [0] * (width + 1)
-            for r in gate.inputs:
-                lifted = _shift_poly(polys[r], width - len(scopes[r]))
-                for k, c in enumerate(lifted):
-                    acc[k] += c
-            polys.append(acc)
-    out = _shift_poly(polys[circuit.output], circuit.var_count - len(scopes[circuit.output]))
-    return tuple(out)
+            columns = zip_longest(*(polys[r] for r in gate.inputs), fillvalue=0)
+            polys.append([sum(c) for c in columns])
+    # Horner in (1+t): T_0 = a_0, T_m = (1+t) T_(m-1) + a_m t^m, K = T_n
+    coeffs = polys[circuit.output]
+    counts = [coeffs[0]]
+    for m in range(1, circuit.var_count + 1):
+        counts = [x + y for x, y in zip(counts + [0], [0] + counts)]
+        if m < len(coeffs):
+            counts[m] += coeffs[m]
+    return tuple(counts)
 
 
 def unfold(circuit: Circuit) -> BoolFunc:
@@ -762,32 +750,28 @@ def or_substitute_all(circuit: Circuit, arities: Sequence[int]) -> Circuit:
 # Pipelines
 
 
-def _certified_base(circuit: Circuit, validation: ValidationReport | None) -> Circuit:
-    report = _countable(circuit, validation)
+def _certified_base(circuit: Circuit) -> Circuit:
+    report = _countable(circuit)
     if report.determinism == "verified" and not circuit.deterministic_by_construction:
         # substitution preserves determinism, so don't re-verify the copies
         return circuit.certified()
     return circuit
 
 
-def kcounts_circuit(
-    circuit: Circuit, *, validation: ValidationReport | None = None
-) -> tuple[int, ...]:
+def kcounts_circuit(circuit: Circuit) -> tuple[int, ...]:
     """Size-bucketed counts through the count-oracle reduction: one total
     model count per uniform replacement width, then a Vandermonde solve.
     Must agree with size_polynomial_count."""
-    base = _certified_base(circuit, validation)
+    base = _certified_base(circuit)
     return reductions.kcounts_from_counts(
         circuit.var_count, lambda arities: model_count_dd(or_substitute_all(base, arities))
     )
 
 
-def shapley_circuit(
-    circuit: Circuit, *, validation: ValidationReport | None = None
-) -> tuple[Fraction, ...]:
+def shapley_circuit(circuit: Circuit) -> tuple[Fraction, ...]:
     """Exact Shapley vector through the k-count-oracle reduction; the
     variable-deleted cofactors are width-0 substitutions."""
-    base = _certified_base(circuit, validation)
+    base = _certified_base(circuit)
     return reductions.shapley_from_kcounts(
         circuit.var_count, lambda arities: size_polynomial_count(or_substitute_all(base, arities))
     )

@@ -60,12 +60,11 @@ def _digest(paths: list[str]) -> str:
     return h.hexdigest()[:16]
 
 
-def _validated_circuit(path: str) -> tuple[circuit.Circuit, circuit.ValidationReport]:
+def _validated_circuit(path: str) -> circuit.Circuit:
     parsed = circuit.parse_nnf(_read(path))
-    report = circuit.validate(parsed)
-    if report.determinism == "assumed":
+    if circuit.validate(parsed).determinism == "assumed":
         print("shapcount: note: assumed-deterministic (too many variables to verify)", file=sys.stderr)
-    return parsed, report
+    return parsed
 
 
 def _load_instance(paths: list[str]) -> tuple[lineage.Query, lineage.Database]:
@@ -106,8 +105,7 @@ def cmd_count(ns) -> str:
     if ns.kind == "formula":
         value = boolfunc.brute_count(_load_formula(_single(ns.inputs)), bound=_bound(ns))
     elif ns.kind == "circuit":
-        parsed, report = _validated_circuit(_single(ns.inputs))
-        value = circuit.model_count_dd(parsed, validation=report)
+        value = circuit.model_count_dd(_validated_circuit(_single(ns.inputs)))
     else:
         query, db = _load_instance(ns.inputs)
         compiled = _hierarchical_circuit(query, db)
@@ -132,11 +130,11 @@ def cmd_kcount(ns) -> str:
         else:
             raise InputError("--method direct needs a circuit or lineage input")
     elif ns.kind == "circuit":
-        parsed, report = _validated_circuit(_single(ns.inputs))
+        parsed = _validated_circuit(_single(ns.inputs))
         if method == "paper":
-            counts = circuit.kcounts_circuit(parsed, validation=report)
+            counts = circuit.kcounts_circuit(parsed)
         elif method == "direct":
-            counts = circuit.size_polynomial_count(parsed, validation=report)
+            counts = circuit.size_polynomial_count(parsed)
         else:
             counts = boolfunc.brute_kcounts(circuit.unfold(parsed), bound=_bound(ns))
     else:
@@ -176,9 +174,9 @@ def cmd_shapley(ns) -> str:
         else:
             values = boolfunc.brute_shapley_subsets(func, bound=_bound(ns))
     elif ns.kind == "circuit":
-        parsed, report = _validated_circuit(_single(ns.inputs))
+        parsed = _validated_circuit(_single(ns.inputs))
         if method == "reduction":
-            values = circuit.shapley_circuit(parsed, validation=report)
+            values = circuit.shapley_circuit(parsed)
         else:
             values = boolfunc.brute_shapley_subsets(circuit.unfold(parsed), bound=_bound(ns))
     else:
@@ -350,16 +348,14 @@ def _compare_formula(func: BoolFunc, bound: int) -> list[str]:
     return lines
 
 
-def _compare_circuit(
-    parsed: circuit.Circuit, report: circuit.ValidationReport, bound: int
-) -> list[str]:
+def _compare_circuit(parsed: circuit.Circuit, bound: int) -> list[str]:
     unfolded = circuit.unfold(parsed)
-    count_dd = circuit.model_count_dd(parsed, validation=report)
+    count_dd = circuit.model_count_dd(parsed)
     count_brute = boolfunc.brute_count(unfolded, bound=bound)
-    kc_direct = circuit.size_polynomial_count(parsed, validation=report)
-    kc_paper = circuit.kcounts_circuit(parsed, validation=report)
+    kc_direct = circuit.size_polynomial_count(parsed)
+    kc_paper = circuit.kcounts_circuit(parsed)
     kc_brute = boolfunc.brute_kcounts(unfolded, bound=bound)
-    sh_circ = circuit.shapley_circuit(parsed, validation=report)
+    sh_circ = circuit.shapley_circuit(parsed)
     sh_brute = boolfunc.brute_shapley_subsets(unfolded, bound=bound)
     lines = [
         f"count dd={count_dd} brute={count_brute}",
@@ -381,8 +377,7 @@ def cmd_compare(ns) -> str:
         rng = random.Random(ns.seed)
         for _ in range(ns.fuzz):
             if ns.kind == "circuit":
-                parsed = gen.random_decision_circuit(rng, max_vars=6, max_gates=25)
-                _compare_circuit(parsed, circuit.validate(parsed), bound)
+                _compare_circuit(gen.random_decision_circuit(rng, max_vars=6, max_gates=25), bound)
             else:
                 _compare_formula(gen.random_boolfunc(rng, max_vars=6), bound)
         return f"fuzz cases={ns.fuzz} seed={ns.seed} agreement ok\n"
@@ -390,7 +385,7 @@ def cmd_compare(ns) -> str:
     if ns.kind == "formula":
         lines = [header] + _compare_formula(_load_formula(_single(ns.inputs)), bound)
     elif ns.kind == "circuit":
-        lines = [header] + _compare_circuit(*_validated_circuit(_single(ns.inputs)), bound)
+        lines = [header] + _compare_circuit(_validated_circuit(_single(ns.inputs)), bound)
     else:
         query, db = _load_instance(ns.inputs)
         built = lineage.build_lineage(query, db)

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from helpers import EXAMPLE_NNF, example1_circuit
 from shapcount import circuit as ct
 from shapcount import gen
+from shapcount import lineage as lg
 from shapcount.boolfunc import (
     brute_count,
     brute_kcounts,
@@ -365,3 +367,53 @@ def test_circuit_validation_rules():
         Circuit([Gate(VAR, var=3)], 0, 2)  # variable range
     with pytest.raises(InputError):
         Circuit([Gate(VAR, var=0), Gate(AND, inputs=(0,))], 1, 1)  # unary AND
+
+
+def test_validation_is_computed_once_per_circuit():
+    c = example1_circuit()
+    assert validate(c) is validate(c)
+    certified = c.certified()
+    assert validate(certified) is not validate(c)
+    assert "determinism certified by construction" in validate(certified).notes
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_add(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    return [a + (q[i] if i < len(q) else 0) for i, a in enumerate(p)]
+
+
+def _one_plus_t(power):
+    return [comb(power, k) for k in range(power + 1)]
+
+
+def test_size_polynomial_on_a_large_hierarchical_lineage():
+    # R(x), S(x,y): an R value with b S rows fails the query when R is false,
+    # (1+t)^b ways by size, or when R is true and its S rows are all false,
+    # so K(t) = (1+t)^n - prod_x [(1+t)^b + t]
+    rng = random.Random(31)
+    blocks = [rng.randint(0, 6) for _ in range(160)]
+    schema = lg.Schema((lg.Relation("R", 1, True), lg.Relation("S", 2, True)))
+    rows = {
+        "R": [(f"x{i}",) for i in range(len(blocks))],
+        "S": [(f"x{i}", f"y{j}") for i, b in enumerate(blocks) for j in range(b)],
+    }
+    rng.shuffle(rows["S"])
+    compiled = lg.compile_hierarchical_lineage(
+        lg.parse_query("Q :- R(x), S(x,y)"), lg.Database(schema, rows)
+    )
+    n = len(blocks) + sum(blocks)
+    assert compiled.var_count == n >= 600
+    failing = [1]
+    for b in blocks:
+        failing = _poly_mul(failing, _poly_add(_one_plus_t(b), [0, 1]))
+    expected = _poly_add(_one_plus_t(n), [-c for c in failing])
+    assert size_polynomial_count(compiled) == tuple(expected)

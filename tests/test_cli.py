@@ -200,17 +200,28 @@ def test_compare_all_kinds(workspace, capsys):
 
 
 def test_lineage_compare_compiles_once(workspace, capsys, monkeypatch):
-    calls = []
+    from shapcount import circuit as ct
+
+    compiled = []
+    checked = []
     compile_lineage = lg.compile_hierarchical_lineage
+    check_decomposable = ct.check_decomposable
 
-    def counting(query, db):
-        calls.append(query)
-        return compile_lineage(query, db)
+    def compiling(query, db):
+        compiled.append(compile_lineage(query, db))
+        return compiled[-1]
 
-    monkeypatch.setattr(lg, "compile_hierarchical_lineage", counting)
+    def checking(circuit):
+        checked.append(circuit)
+        return check_decomposable(circuit)
+
+    monkeypatch.setattr(lg, "compile_hierarchical_lineage", compiling)
+    monkeypatch.setattr(ct, "check_decomposable", checking)
     code, out = run(capsys, "compare", workspace / "join.q", workspace / "join", "--kind", "lineage")
     assert code == 0 and "shapley circuit=1/4,1/4,1/4,1/4 " in out
-    assert len(calls) == 1
+    assert len(compiled) == 1
+    # every counting method reuses the compiled circuit's one validation
+    assert sum(c is compiled[0] for c in checked) == 1
 
 
 def test_compare_needs_an_input(workspace, capsys):

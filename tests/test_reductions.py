@@ -21,7 +21,7 @@ from shapcount.boolfunc import (
     shapley_oracle,
     substitute_const,
 )
-from shapcount.errors import InconsistencyError, InputError
+from shapcount.errors import InconsistencyError, InputError, RefusalError
 from shapcount.reductions import (
     CallCounter,
     coefficients,
@@ -204,6 +204,34 @@ def test_oracle_call_counts():
         shap = CallCounter(shapley_oracle(f))
         count_from_shapley(n, evaluate(f, ()), shap)
         assert shap.calls == n * n
+
+
+def test_shapley_oracle_builds_one_truth_table_per_call(monkeypatch):
+    from shapcount import boolfunc
+
+    calls = {"truth_table": 0, "substitute_const": 0}
+
+    def counted(name):
+        original = getattr(boolfunc, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(boolfunc, name, counted(name))
+    f = example1()
+    assert count_from_shapley(3, 0, shapley_oracle(f)) == 3
+    assert calls == {"truth_table": 9, "substitute_const": 0}
+
+
+def test_shapley_oracle_refuses_over_the_function_bound():
+    f = example1()
+    assert or_substituted_shapley(f, (1, 2, 2), 0, bound=3) == Fraction(13, 15)
+    with pytest.raises(RefusalError):
+        or_substituted_shapley(f, (1, 2, 2), 0, bound=2)
 
 
 def test_inconsistent_oracles_are_reported():
