@@ -36,6 +36,7 @@ from .circuit import (
     or_substitute_circuit,
     parse_nnf,
     shapley_circuit,
+    shapley_direct,
     size_polynomial_count,
     validate,
 )

@@ -10,7 +10,10 @@ by this package.
 
 The model count scales by powers of 2 for variables absent from a gate's
 scope instead of materializing smoothing gates; the size-bucketed count works
-in the probability basis, which needs no smoothing at all.
+in the probability basis, which needs no smoothing at all.  The same
+probability-basis pass, followed by one transposed pass, gives the Shapley
+value of every variable at once (`shapley_direct`); `shapley_circuit` keeps
+the paper's reduction through substituted copies.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import reductions
@@ -49,7 +54,13 @@ class Circuit:
     """
 
     __slots__ = (
-        "gates", "output", "var_count", "deterministic_by_construction", "_scopes", "_report"
+        "gates",
+        "output",
+        "var_count",
+        "deterministic_by_construction",
+        "_scopes",
+        "_last_uses",
+        "_report",
     )
 
     def __init__(
@@ -64,6 +75,7 @@ class Circuit:
         self.var_count = var_count
         self.deterministic_by_construction = deterministic_by_construction
         self._scopes: tuple[frozenset[int], ...] | None = None
+        self._last_uses: tuple[int, ...] | None = None
         self._report: ValidationReport | None = None
         self._validate()
 
@@ -119,6 +131,18 @@ class Circuit:
                     out.append(frozenset())
             self._scopes = tuple(out)
         return self._scopes
+
+    def last_uses(self) -> tuple[int, ...]:
+        """Per-gate index of the last gate that reads it; the output's own
+        index for the output.  A bottom-up pass may drop a gate's value once
+        this gate has been computed."""
+        if self._last_uses is None:
+            last = list(range(len(self.gates)))
+            for idx, gate in enumerate(self.gates):
+                for ref in gate.inputs:
+                    last[ref] = idx
+            self._last_uses = tuple(last)
+        return self._last_uses
 
     def certified(self) -> "Circuit":
         """Copy flagged deterministic-by-construction (caller must know)."""
@@ -559,16 +583,28 @@ def model_count_dd(circuit: Circuit) -> int:
     return out << (circuit.var_count - len(scopes[circuit.output]))
 
 
-def size_polynomial_count(circuit: Circuit) -> tuple[int, ...]:
-    """Size-bucketed model counts in one bottom-up pass in the probability
-    basis: a gate keeps the coefficients a_j of Pr(p) = sum a_j p^j, the
-    chance it is true when each variable is true with probability p.  NOT is
-    1 - Pr, decomposable AND the product, deterministic OR the sum, so no
-    gate needs its scope.  K(t) = sum a_j t^j (1+t)^(n-j) has the number of
-    size-k models as its t^k coefficient."""
-    _countable(circuit)
-    polys: list[list[int]] = []
-    for gate in circuit.gates:
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    if len(a) > len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + len(b)] = [o + x * y for o, y in zip(out[i : i + len(b)], b)]
+    return out
+
+
+def _probability_polys(
+    circuit: Circuit, keep: frozenset[int] = frozenset()
+) -> list[list[int] | None]:
+    """One bottom-up pass in the probability basis: a gate's list holds the
+    coefficients a_j of Pr(p) = sum a_j p^j, the chance it is true when each
+    variable is true with probability p.  NOT is 1 - Pr, decomposable AND
+    the product, deterministic OR the sum, so no gate needs its scope.  Every
+    list but the output's and those of the gates in `keep` is dropped (None)
+    once its last reader has been computed."""
+    last = circuit.last_uses()
+    polys: list[list[int] | None] = []
+    for idx, gate in enumerate(circuit.gates):
         if gate.kind == CONST0:
             polys.append([0])
         elif gate.kind == CONST1:
@@ -581,24 +617,114 @@ def size_polynomial_count(circuit: Circuit) -> tuple[int, ...]:
         elif gate.kind == AND:
             acc = [1]
             for r in gate.inputs:
-                nxt = [0] * (len(acc) + len(polys[r]) - 1)
-                for i, a in enumerate(acc):
-                    if a:
-                        for j, b in enumerate(polys[r]):
-                            nxt[i + j] += a * b
-                acc = nxt
+                acc = _convolve(acc, polys[r])
             polys.append(acc)
         else:
             columns = zip_longest(*(polys[r] for r in gate.inputs), fillvalue=0)
             polys.append([sum(c) for c in columns])
+        for r in gate.inputs:
+            if last[r] == idx and r not in keep:
+                polys[r] = None
+    return polys
+
+
+def size_polynomial_count(circuit: Circuit) -> tuple[int, ...]:
+    """Size-bucketed model counts from the probability-basis pass:
+    K(t) = sum a_j t^j (1+t)^(n-j) has the number of size-k models as its
+    t^k coefficient."""
+    _countable(circuit)
+    coeffs = _probability_polys(circuit)[circuit.output]
     # Horner in (1+t): T_0 = a_0, T_m = (1+t) T_(m-1) + a_m t^m, K = T_n
-    coeffs = polys[circuit.output]
     counts = [coeffs[0]]
     for m in range(1, circuit.var_count + 1):
         counts = [x + y for x, y in zip(counts + [0], [0] + counts)]
         if m < len(coeffs):
             counts[m] += coeffs[m]
     return tuple(counts)
+
+
+def _shapley_moments(circuit: Circuit) -> tuple[Fraction, ...]:
+    """Owen's formula Shap_v = int_0^1 df/dx_v(p, ..., p) dp for f the
+    multilinear extension, every v at once.
+
+    The forward pass gives each gate's Pr_g(p) and need[g], the highest
+    moment of its adjoint A_g(p) that any variable below it can reach (-1 at
+    constants, 0 at variables, the child's at NOT, the children's maximum at
+    OR, max_r need[r] + sum_(s != r) deg Pr_s at AND).  The reverse pass
+    carries the moments mu_g[j] = L * int_0^1 p^j A_g(p) dp, j <= need[g],
+    with L = lcm(1..need[output]+1) so they stay integers: the output starts
+    at L/(j+1), OR hands mu to every child, NOT its negation, and AND hands
+    child r the values sum_k c_k mu[j+k] for c = prod_(s != r) Pr_s.  A
+    variable gate adds its mu[0] to its variable."""
+    gates = circuit.gates
+    feeds_and = frozenset(r for g in gates if g.kind == AND for r in g.inputs)
+    polys = _probability_polys(circuit, feeds_and)
+    need: list[int] = []
+    for gate in gates:
+        if gate.kind in (CONST0, CONST1):
+            need.append(-1)
+        elif gate.kind == VAR:
+            need.append(0)
+        elif gate.kind == AND:
+            degrees = [len(polys[r]) - 1 for r in gate.inputs]
+            total = sum(degrees)
+            reach = (need[r] + total - d for r, d in zip(gate.inputs, degrees) if need[r] >= 0)
+            need.append(max(reach, default=-1))
+        else:
+            need.append(max(need[r] for r in gate.inputs))
+    top = need[circuit.output]
+    scale = lcm(*range(1, top + 2))
+    values = [0] * circuit.var_count
+    moments: list[list[int] | None] = [None] * len(gates)
+    if top >= 0:
+        moments[circuit.output] = [scale // (j + 1) for j in range(top + 1)]
+
+    def hand(r: int, mu) -> None:
+        if need[r] < 0:
+            return
+        if moments[r] is None:
+            moments[r] = list(mu[: need[r] + 1])
+        else:
+            moments[r] = [x + y for x, y in zip(moments[r], mu)]
+
+    for idx in range(len(gates) - 1, -1, -1):
+        mu, moments[idx] = moments[idx], None
+        if mu is None:
+            continue
+        gate = gates[idx]
+        if gate.kind == VAR:
+            values[gate.var] += mu[0]
+        elif gate.kind == NOT:
+            hand(gate.inputs[0], [-x for x in mu])
+        elif gate.kind == OR:
+            for r in gate.inputs:
+                hand(r, mu)
+        elif gate.kind == AND:
+            kids = gate.inputs
+            prefix = [[1]]
+            for r in kids[:-1]:
+                prefix.append(_convolve(prefix[-1], polys[r]))
+            suffix = [1]
+            for i in range(len(kids) - 1, -1, -1):
+                r = kids[i]
+                if need[r] >= 0:
+                    c = _convolve(prefix[i], suffix)
+                    hand(r, [sum(map(mul, c, mu[j : j + len(c)])) for j in range(need[r] + 1)])
+                if i:
+                    suffix = _convolve(suffix, polys[r])
+    return tuple(Fraction(v, scale) for v in values)
+
+
+def shapley_direct(circuit: Circuit) -> tuple[Fraction, ...]:
+    """Exact Shapley vector in one forward and one transposed pass (see
+    `_shapley_moments`), checked against the efficiency sum
+    sum_v Shap_v = f(1...1) - f(0...0)."""
+    _countable(circuit)
+    values = _shapley_moments(circuit)
+    n = circuit.var_count
+    if sum(values, Fraction(0)) != evaluate(circuit, range(n)) - evaluate(circuit, ()):
+        raise InconsistencyError("direct Shapley values break the efficiency sum")
+    return values
 
 
 def unfold(circuit: Circuit) -> BoolFunc:

@@ -164,29 +164,36 @@ def _shapley_csv(values, db) -> str:
 
 
 def cmd_shapley(ns) -> str:
-    method = ns.method or "reduction"
+    method = ns.method or ("direct" if ns.kind == "lineage" else "reduction")
     if ns.kind == "formula":
         func = _load_formula(_single(ns.inputs))
         if method == "reduction":
             values = reductions.shapley_from_kcounts(
                 func.var_count, boolfunc.kcount_oracle(func, bound=_bound(ns))
             )
-        else:
+        elif method == "brute":
             values = boolfunc.brute_shapley_subsets(func, bound=_bound(ns))
+        else:
+            raise InputError("--method direct needs a circuit or lineage input")
     elif ns.kind == "circuit":
         parsed = _validated_circuit(_single(ns.inputs))
         if method == "reduction":
             values = circuit.shapley_circuit(parsed)
+        elif method == "direct":
+            values = circuit.shapley_direct(parsed)
         else:
             values = boolfunc.brute_shapley_subsets(circuit.unfold(parsed), bound=_bound(ns))
     else:
         query, db = _load_instance(ns.inputs)
-        if method == "reduction":
-            values = lineage.shapley_tuples(query, db, bound=_bound(ns))
-        else:
+        compiled = _hierarchical_circuit(query, db) if method == "reduction" else None
+        if method == "brute":
             values = boolfunc.brute_shapley_subsets(
                 lineage.build_lineage(query, db).func, bound=_bound(ns)
             )
+        elif compiled is not None:
+            values = circuit.shapley_circuit(compiled)
+        else:
+            values = lineage.shapley_tuples(query, db, bound=_bound(ns))
         return _shapley_csv(values, db)
     return ",".join(_fraction(v) for v in values) + "\n"
 
@@ -356,6 +363,7 @@ def _compare_circuit(parsed: circuit.Circuit, bound: int) -> list[str]:
     kc_paper = circuit.kcounts_circuit(parsed)
     kc_brute = boolfunc.brute_kcounts(unfolded, bound=bound)
     sh_circ = circuit.shapley_circuit(parsed)
+    sh_direct = circuit.shapley_direct(parsed)
     sh_brute = boolfunc.brute_shapley_subsets(unfolded, bound=bound)
     lines = [
         f"count dd={count_dd} brute={count_brute}",
@@ -364,7 +372,52 @@ def _compare_circuit(parsed: circuit.Circuit, bound: int) -> list[str]:
         "shapley circuit=%s brute=%s"
         % tuple(",".join(_fraction(v) for v in s) for s in (sh_circ, sh_brute)),
     ]
-    if not (count_dd == count_brute and kc_direct == kc_paper == kc_brute and sh_circ == sh_brute):
+    if not (
+        count_dd == count_brute
+        and kc_direct == kc_paper == kc_brute
+        and sh_circ == sh_direct == sh_brute
+    ):
+        raise InconsistencyError("methods disagree:\n" + "\n".join(lines))
+    return lines
+
+
+def _compare_lineage(query: lineage.Query, db: lineage.Database, bound: int) -> list[str]:
+    built = lineage.build_lineage(query, db)
+    count_brute = boolfunc.brute_count(built.func, bound=bound)
+    kc_brute = boolfunc.brute_kcounts(built.func, bound=bound)
+    sh_brute = boolfunc.brute_shapley_subsets(built.func, bound=bound)
+    compiled = _hierarchical_circuit(query, db)
+    lines = [
+        f"count brute={count_brute}",
+        f"branch {'FP' if compiled is not None else 'hard'}",
+        "kcounts brute=" + ",".join(str(c) for c in kc_brute),
+        "shapley brute=" + ",".join(_fraction(v) for v in sh_brute),
+    ]
+    ok = sum(kc_brute) == count_brute
+    zero = boolfunc.evaluate(built.func, ())
+    ones = boolfunc.evaluate(built.func, range(built.func.var_count))
+    ok = ok and sum(sh_brute, Fraction(0)) == ones - zero
+    if compiled is not None:
+        count_dd = circuit.model_count_dd(compiled)
+        kc_direct = circuit.size_polynomial_count(compiled)
+        sh_circuit = circuit.shapley_circuit(compiled)
+        sh_direct = circuit.shapley_direct(compiled)
+        lines.append(f"count circuit={count_dd}")
+        lines.append(
+            "kcounts direct=%s brute=%s"
+            % tuple(",".join(str(c) for c in k) for k in (kc_direct, kc_brute))
+        )
+        lines.append(
+            "shapley circuit=%s brute=%s"
+            % tuple(",".join(_fraction(v) for v in s) for s in (sh_circuit, sh_brute))
+        )
+        ok = (
+            ok
+            and count_dd == count_brute
+            and kc_direct == kc_brute
+            and sh_circuit == sh_direct == sh_brute
+        )
+    if not ok:
         raise InconsistencyError("methods disagree:\n" + "\n".join(lines))
     return lines
 
@@ -372,55 +425,24 @@ def _compare_circuit(parsed: circuit.Circuit, bound: int) -> list[str]:
 def cmd_compare(ns) -> str:
     bound = _bound(ns)
     if ns.fuzz:
-        if ns.kind == "lineage":
-            raise InputError("--fuzz generates formulas or circuits, not lineage instances")
         rng = random.Random(ns.seed)
-        for _ in range(ns.fuzz):
+        for case in range(ns.fuzz):
             if ns.kind == "circuit":
                 _compare_circuit(gen.random_decision_circuit(rng, max_vars=6, max_gates=25), bound)
+            elif ns.kind == "lineage":
+                instance = gen.random_sjf_instance(rng, max_rows=5, hierarchical=case % 2 == 0)
+                _compare_lineage(*instance, bound)
             else:
                 _compare_formula(gen.random_boolfunc(rng, max_vars=6), bound)
         return f"fuzz cases={ns.fuzz} seed={ns.seed} agreement ok\n"
     header = f"compare kind={ns.kind} input=sha256:{_digest(ns.inputs)}"
     if ns.kind == "formula":
-        lines = [header] + _compare_formula(_load_formula(_single(ns.inputs)), bound)
+        lines = _compare_formula(_load_formula(_single(ns.inputs)), bound)
     elif ns.kind == "circuit":
-        lines = [header] + _compare_circuit(_validated_circuit(_single(ns.inputs)), bound)
+        lines = _compare_circuit(_validated_circuit(_single(ns.inputs)), bound)
     else:
-        query, db = _load_instance(ns.inputs)
-        built = lineage.build_lineage(query, db)
-        count_brute = boolfunc.brute_count(built.func, bound=bound)
-        kc_brute = boolfunc.brute_kcounts(built.func, bound=bound)
-        sh_brute = boolfunc.brute_shapley_subsets(built.func, bound=bound)
-        compiled = _hierarchical_circuit(query, db)
-        lines = [
-            header,
-            f"count brute={count_brute}",
-            f"branch {'FP' if compiled is not None else 'hard'}",
-            "kcounts brute=" + ",".join(str(c) for c in kc_brute),
-            "shapley brute=" + ",".join(_fraction(v) for v in sh_brute),
-        ]
-        ok = sum(kc_brute) == count_brute
-        zero = boolfunc.evaluate(built.func, ())
-        ones = boolfunc.evaluate(built.func, range(built.func.var_count))
-        ok = ok and sum(sh_brute, Fraction(0)) == ones - zero
-        if compiled is not None:
-            count_dd = circuit.model_count_dd(compiled)
-            kc_direct = circuit.size_polynomial_count(compiled)
-            sh_circuit = circuit.shapley_circuit(compiled)
-            lines.append(f"count circuit={count_dd}")
-            lines.append(
-                "kcounts direct=%s brute=%s"
-                % tuple(",".join(str(c) for c in k) for k in (kc_direct, kc_brute))
-            )
-            lines.append(
-                "shapley circuit=%s brute=%s"
-                % tuple(",".join(_fraction(v) for v in s) for s in (sh_circuit, sh_brute))
-            )
-            ok = ok and count_dd == count_brute and kc_direct == kc_brute and sh_circuit == sh_brute
-        if not ok:
-            raise InconsistencyError("methods disagree:\n" + "\n".join(lines))
-    return "\n".join(lines + ["agreement ok"]) + "\n"
+        lines = _compare_lineage(*_load_instance(ns.inputs), bound)
+    return "\n".join([header] + lines + ["agreement ok"]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +479,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--method",
-        choices=("reduction", "brute"),
+        choices=("direct", "reduction", "brute"),
         default=None,
-        help="reduction: via size-bucketed counts of variable-deleted copies; "
-        "brute: exhaustive enumeration",
+        help="direct: one forward and one transposed circuit pass (circuits and "
+        "lineage; the lineage default); reduction: via size-bucketed counts of "
+        "variable-deleted copies (the formula and circuit default); brute: "
+        "exhaustive enumeration",
     )
     p = sub.add_parser("stretch", help="stretch a query and database")
     common(p)
@@ -477,7 +501,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fuzz",
         type=int,
         default=0,
-        help="compare this many random formulas, or d-D circuits with --kind circuit",
+        help="compare this many random formulas, d-D circuits with --kind circuit, "
+        "or self-join-free query instances (alternately hierarchical) with --kind lineage",
     )
     return parser
 

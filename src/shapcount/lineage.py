@@ -32,7 +32,7 @@ from .boolfunc import (
     disjunction,
     dnf_from_clauses,
 )
-from .circuit import Circuit, CircuitBuilder, shapley_circuit
+from .circuit import Circuit, CircuitBuilder, shapley_direct
 from .errors import InputError, RefusalError
 
 
@@ -655,15 +655,17 @@ def shapley_tuples(
 ) -> tuple[Fraction, ...]:
     """Shapley value of every endogenous tuple, indexed like db.tuple_map.
 
-    Hierarchical queries go through the compiled circuit and stay exact at
-    any size; non-hierarchical ones fall back to exhaustive enumeration of
-    the lineage (with a warning), refusing above the bound.
+    Hierarchical queries go through the compiled circuit, whose Shapley
+    vector one forward and one transposed pass give exactly at any size
+    (`circuit.shapley_direct`); non-hierarchical ones fall back to
+    exhaustive enumeration of the lineage (with a warning), refusing above
+    the bound.
     """
     if not is_self_join_free(query):
         raise InputError("the dichotomy pipeline handles self-join-free queries only")
     hierarchical, _ = is_hierarchical(query)
     if hierarchical:
-        return shapley_circuit(compile_hierarchical_lineage(query, db))
+        return shapley_direct(compile_hierarchical_lineage(query, db))
     lineage = build_lineage(query, db)
     if db.var_count > bound:
         raise RefusalError(

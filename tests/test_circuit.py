@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -36,6 +37,7 @@ from shapcount.circuit import (
     or_substitute_circuit,
     parse_nnf,
     shapley_circuit,
+    shapley_direct,
     size_polynomial_count,
     to_nnf_text,
     unfold,
@@ -358,6 +360,63 @@ def test_shapley_circuit_random():
         assert shapley_circuit(c) == brute_shapley_permutations(unfold(c))
 
 
+def test_shapley_direct_matches_the_reduction_on_random_circuits():
+    rng = random.Random(81)
+    for _ in range(1000):
+        c = gen.random_decision_circuit(rng, max_vars=rng.randint(1, 7), max_gates=25)
+        assert shapley_direct(c) == shapley_circuit(c)
+
+
+def test_shapley_direct_edge_cases():
+    assert shapley_direct(example1_circuit()) == (Fraction(5, 6), Fraction(1, 3), Fraction(-1, 6))
+    for kind in (CONST0, CONST1):
+        b = CircuitBuilder(2)
+        assert shapley_direct(b.build(b.add(kind))) == (Fraction(0), Fraction(0))
+        assert shapley_direct(Circuit([Gate(kind)], 0, 0)) == ()
+    # x0 or (not x0 and x2); variables 1 and 3 are declared but no gate reads them
+    b = CircuitBuilder(4)
+    c = b.build(b.add(OR, inputs=(b.var(0), b.add(AND, inputs=(b.negate(b.var(0)), b.var(2))))))
+    assert shapley_direct(c) == (Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0))
+    # a NOT above an AND at the output: not(x0 and x1)
+    b = CircuitBuilder(2)
+    c = b.build(b.add(NOT, inputs=(b.add(AND, inputs=(b.var(0), b.var(1))),)))
+    assert shapley_direct(c) == (Fraction(-1, 2), Fraction(-1, 2))
+    # an AND with a constant child
+    for kind, value in ((CONST1, 1), (CONST0, 0)):
+        c = Circuit([Gate(VAR, var=0), Gate(kind), Gate(AND, inputs=(0, 1))], 2, 1)
+        assert shapley_direct(c) == (Fraction(value),)
+
+
+def test_shapley_direct_checks_the_efficiency_sum(monkeypatch):
+    c = example1_circuit()
+    monkeypatch.setattr(
+        ct, "_shapley_moments", lambda circuit: (Fraction(1), Fraction(1), Fraction(0))
+    )
+    with pytest.raises(InconsistencyError, match="efficiency"):
+        shapley_direct(c)
+
+
+def test_shapley_direct_refuses_what_counting_refuses():
+    b = CircuitBuilder(1)
+    x = b.var(0)
+    with pytest.raises(RefusalError):
+        shapley_direct(b.build(b.add(AND, inputs=(x, b.negate(x)))))
+    with pytest.raises(RefusalError):
+        shapley_direct(b.build(b.add(OR, inputs=(x, b.const(1)))))
+
+
+def test_bottom_up_passes_drop_values_after_their_last_reader():
+    c = parse_nnf(EXAMPLE_NNF)
+    last = c.last_uses()
+    assert c.last_uses() is last and last[c.output] == c.output
+    assert all(last[r] >= i for i, g in enumerate(c.gates) for r in g.inputs)
+    polys = ct._probability_polys(c)
+    assert [i for i, p in enumerate(polys) if p is not None] == [c.output]
+    feeds_and = frozenset(r for g in c.gates if g.kind == AND for r in g.inputs)
+    polys = ct._probability_polys(c, feeds_and)
+    assert {i for i, p in enumerate(polys) if p is not None} == feeds_and | {c.output}
+
+
 def test_circuit_validation_rules():
     with pytest.raises(InputError):
         Circuit([Gate(VAR, var=0), Gate(VAR, var=1)], 1, 2)  # two sinks
@@ -417,3 +476,44 @@ def test_size_polynomial_on_a_large_hierarchical_lineage():
         failing = _poly_mul(failing, _poly_add(_one_plus_t(b), [0, 1]))
     expected = _poly_add(_one_plus_t(n), [-c for c in failing])
     assert size_polynomial_count(compiled) == tuple(expected)
+
+
+def test_shapley_direct_on_a_large_hierarchical_lineage():
+    # Shap_v = sum_k k!(n-1-k)!/n! d_k, with d(t) the size polynomial of the
+    # cofactor at v minus the one at not v.  Only v's block changes: its
+    # failing polynomial (1+t)^b + t becomes 1 or (1+t)^b for an R tuple, and
+    # (1+t)^(b-1) or (1+t)^(b-1) + t for one of its S tuples, so
+    # d = others * ((1+t)^b - 1) and d = others * t, where others is the
+    # product of the other blocks' failing polynomials.
+    rng = random.Random(32)
+    blocks = [rng.randint(0, 6) for _ in range(180)]
+    schema = lg.Schema((lg.Relation("R", 1, True), lg.Relation("S", 2, True)))
+    rows = {
+        "R": [(f"x{i}",) for i in range(len(blocks))],
+        "S": [(f"x{i}", f"y{j}") for i, b in enumerate(blocks) for j in range(b)],
+    }
+    rng.shuffle(rows["S"])
+    compiled = lg.compile_hierarchical_lineage(
+        lg.parse_query("Q :- R(x), S(x,y)"), lg.Database(schema, rows)
+    )
+    n = len(blocks) + sum(blocks)
+    assert compiled.var_count == n >= 600
+    failing = {b: _poly_add(_one_plus_t(b), [0, 1]) for b in set(blocks)}
+    # all but one block of each size, then the rest but one of size b
+    shared = [1]
+    for b, m in Counter(blocks).items():
+        for _ in range(m - 1):
+            shared = _poly_mul(shared, failing[b])
+    weights = [Fraction(factorial(k) * factorial(n - 1 - k), factorial(n)) for k in range(n)]
+    value = {}
+    for b in failing:
+        others = shared
+        for b2 in failing:
+            if b2 != b:
+                others = _poly_mul(others, failing[b2])
+        for is_r, diff in ((True, _poly_add(_one_plus_t(b), [-1])), (False, [0, 1])):
+            d = _poly_mul(others, diff)
+            value[is_r, b] = sum((w * x for w, x in zip(weights, d)), Fraction(0))
+    expected = [value[True, b] for b in blocks]
+    expected += [value[False, blocks[int(x[1:])]] for x, _ in rows["S"]]
+    assert shapley_direct(compiled) == tuple(expected)

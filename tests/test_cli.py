@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from helpers import EXAMPLE_NNF
@@ -101,6 +103,47 @@ def test_shapley_lineage_csv(workspace, capsys):
     code, out = run(capsys, "shapley", workspace / "join.q", workspace / "join", "--kind", "lineage")
     assert code == 0
     assert out == "R1,0,1,4\nR1,1,1,4\nR2,0,1,4\nR2,1,1,4\n"
+    for method in ("direct", "reduction", "brute"):
+        code, same = run(
+            capsys,
+            "shapley", workspace / "join.q", workspace / "join",
+            "--kind", "lineage", "--method", method,
+        )
+        assert code == 0 and same == out
+    hard = [workspace / "rst.q", workspace / "rst", "--kind", "lineage", "--method"]
+    code, brute = run(capsys, "shapley", *hard, "brute")
+    assert code == 0
+    for method in ("direct", "reduction"):
+        with pytest.warns(UserWarning, match="exhaustive enumeration"):
+            code, same = run(capsys, "shapley", *hard, method)
+        assert code == 0 and same == brute
+
+
+def test_shapley_direct_method(workspace, capsys):
+    circuit = [workspace / "ex.nnf", "--kind", "circuit"]
+    code, out = run(capsys, "shapley", *circuit, "--method", "direct")
+    assert code == 0 and out == "0/1,1/2,1/2\n"
+    code, out = run(capsys, "shapley", workspace / "ex1.bf", "--method", "direct")
+    assert code == 2 and out == ""
+
+
+def test_lineage_shapley_takes_the_direct_pass(workspace, capsys, monkeypatch):
+    from shapcount import circuit as ct
+
+    called = []
+
+    def refuse(name):
+        def fail(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"{name} called")
+
+        return fail
+
+    monkeypatch.setattr(ct, "or_substitute_all", refuse("or_substitute_all"))
+    monkeypatch.setattr(ct, "size_polynomial_count", refuse("size_polynomial_count"))
+    code, out = run(capsys, "shapley", workspace / "join.q", workspace / "join", "--kind", "lineage")
+    assert called == []
+    assert code == 0 and out == "R1,0,1,4\nR1,1,1,4\nR2,0,1,4\nR2,1,1,4\n"
 
 
 def test_shapley_hard_branch_refusal_exit_code(workspace, capsys):
@@ -239,6 +282,20 @@ def test_compare_exits_4_on_disagreement(workspace, capsys, monkeypatch):
     assert code == 4
 
 
+def test_compare_exits_4_when_the_direct_shapley_pass_disagrees(workspace, capsys, monkeypatch):
+    from shapcount import cli as cli_module
+
+    monkeypatch.setattr(
+        cli_module.circuit, "shapley_direct", lambda parsed: (Fraction(1),) * parsed.var_count
+    )
+    code, out = run(capsys, "compare", workspace / "ex.nnf", "--kind", "circuit")
+    assert code == 4 and out == ""
+    code, _ = run(capsys, "compare", workspace / "join.q", workspace / "join", "--kind", "lineage")
+    assert code == 4
+    code, _ = run(capsys, "compare", "--fuzz", "4", "--kind", "lineage", "--seed", "2")
+    assert code == 4
+
+
 def test_compare_fuzz_deterministic(workspace, capsys):
     code, first = run(capsys, "compare", "--fuzz", "4", "--seed", "11")
     assert code == 0 and first == "fuzz cases=4 seed=11 agreement ok\n"
@@ -249,8 +306,6 @@ def test_compare_fuzz_deterministic(workspace, capsys):
 def test_compare_fuzz_circuits(workspace, capsys, monkeypatch):
     code, out = run(capsys, "compare", "--fuzz", "3", "--kind", "circuit", "--seed", "5")
     assert code == 0 and out == "fuzz cases=3 seed=5 agreement ok\n"
-    code, _ = run(capsys, "compare", "--fuzz", "3", "--kind", "lineage")
-    assert code == 2
     from shapcount import cli as cli_module
 
     monkeypatch.setattr(
@@ -260,6 +315,22 @@ def test_compare_fuzz_circuits(workspace, capsys, monkeypatch):
     )
     code, _ = run(capsys, "compare", "--fuzz", "3", "--kind", "circuit")
     assert code == 4
+
+
+def test_compare_fuzz_lineage(workspace, capsys, monkeypatch):
+    from shapcount import gen
+
+    drawn = []
+    draw = gen.random_sjf_instance
+
+    def drawing(rng, **kw):
+        drawn.append(kw["hierarchical"])
+        return draw(rng, **kw)
+
+    monkeypatch.setattr(gen, "random_sjf_instance", drawing)
+    code, out = run(capsys, "compare", "--fuzz", "6", "--kind", "lineage", "--seed", "2")
+    assert code == 0 and out == "fuzz cases=6 seed=2 agreement ok\n"
+    assert drawn == [True, False] * 3
 
 
 def test_outputs_are_byte_identical(workspace, capsys):

@@ -12,6 +12,7 @@ from shapcount.boolfunc import (
     brute_count,
     brute_kcounts,
     brute_shapley_permutations,
+    brute_shapley_subsets,
     dnf_distribute,
     or_substitute,
     positive_dnf_clauses,
@@ -245,6 +246,32 @@ def test_shapley_tuples_hierarchical():
     values = lg.shapley_tuples(q, db)
     assert values == (Fraction(1, 4),) * 4
     assert values == brute_shapley_permutations(lg.build_lineage(q, db).func)
+
+
+def test_shapley_tuples_fp_branch_is_the_direct_pass(monkeypatch):
+    rng = random.Random(204)
+    instances = [gen.random_sjf_instance(rng, max_rows=5, hierarchical=True) for _ in range(60)]
+    expected = []
+    for q, db in instances:
+        compiled = lg.compile_hierarchical_lineage(q, db)
+        expected.append(ct.shapley_circuit(compiled))
+        assert expected[-1] == brute_shapley_subsets(lg.build_lineage(q, db).func)
+    # the FP branch rebuilds no substituted copy and runs no size pass
+    monkeypatch.setattr(ct, "or_substitute_all", None)
+    monkeypatch.setattr(ct, "size_polynomial_count", None)
+    assert [lg.shapley_tuples(q, db) for q, db in instances] == expected
+
+
+def test_shapley_tuples_agrees_with_the_reduction_on_a_mid_size_join():
+    schema = lg.Schema((lg.Relation("R", 1, True), lg.Relation("S", 2, True)))
+    rows = {
+        "R": [(f"x{i}",) for i in range(12)],
+        "S": [(f"x{i % 12}", f"y{i}") for i in range(36)],
+    }
+    q, db = lg.parse_query("Q :- R(x), S(x,y)"), lg.Database(schema, rows)
+    values = lg.shapley_tuples(q, db)
+    assert len(values) == 48 and sum(values) == 1
+    assert values == ct.shapley_circuit(lg.compile_hierarchical_lineage(q, db))
 
 
 def test_shapley_tuples_empty_lineage():
