@@ -59,7 +59,6 @@ class Circuit:
         "var_count",
         "deterministic_by_construction",
         "_scopes",
-        "_last_uses",
         "_report",
     )
 
@@ -75,7 +74,6 @@ class Circuit:
         self.var_count = var_count
         self.deterministic_by_construction = deterministic_by_construction
         self._scopes: tuple[frozenset[int], ...] | None = None
-        self._last_uses: tuple[int, ...] | None = None
         self._report: ValidationReport | None = None
         self._validate()
 
@@ -131,18 +129,6 @@ class Circuit:
                     out.append(frozenset())
             self._scopes = tuple(out)
         return self._scopes
-
-    def last_uses(self) -> tuple[int, ...]:
-        """Per-gate index of the last gate that reads it; the output's own
-        index for the output.  A bottom-up pass may drop a gate's value once
-        this gate has been computed."""
-        if self._last_uses is None:
-            last = list(range(len(self.gates)))
-            for idx, gate in enumerate(self.gates):
-                for ref in gate.inputs:
-                    last[ref] = idx
-            self._last_uses = tuple(last)
-        return self._last_uses
 
     def certified(self) -> "Circuit":
         """Copy flagged deterministic-by-construction (caller must know)."""
@@ -602,7 +588,10 @@ def _probability_polys(
     the product, deterministic OR the sum, so no gate needs its scope.  Every
     list but the output's and those of the gates in `keep` is dropped (None)
     once its last reader has been computed."""
-    last = circuit.last_uses()
+    last = list(range(len(circuit.gates)))
+    for idx, gate in enumerate(circuit.gates):
+        for ref in gate.inputs:
+            last[ref] = idx
     polys: list[list[int] | None] = []
     for idx, gate in enumerate(circuit.gates):
         if gate.kind == CONST0:

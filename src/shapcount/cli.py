@@ -164,36 +164,29 @@ def _shapley_csv(values, db) -> str:
 
 
 def cmd_shapley(ns) -> str:
-    method = ns.method or ("direct" if ns.kind == "lineage" else "reduction")
+    method = ns.method or "reduction"
     if ns.kind == "formula":
         func = _load_formula(_single(ns.inputs))
         if method == "reduction":
             values = reductions.shapley_from_kcounts(
                 func.var_count, boolfunc.kcount_oracle(func, bound=_bound(ns))
             )
-        elif method == "brute":
-            values = boolfunc.brute_shapley_subsets(func, bound=_bound(ns))
         else:
-            raise InputError("--method direct needs a circuit or lineage input")
+            values = boolfunc.brute_shapley_subsets(func, bound=_bound(ns))
     elif ns.kind == "circuit":
         parsed = _validated_circuit(_single(ns.inputs))
         if method == "reduction":
             values = circuit.shapley_circuit(parsed)
-        elif method == "direct":
-            values = circuit.shapley_direct(parsed)
         else:
             values = boolfunc.brute_shapley_subsets(circuit.unfold(parsed), bound=_bound(ns))
     else:
         query, db = _load_instance(ns.inputs)
-        compiled = _hierarchical_circuit(query, db) if method == "reduction" else None
-        if method == "brute":
+        if method == "reduction":
+            values = lineage.shapley_tuples(query, db, bound=_bound(ns))
+        else:
             values = boolfunc.brute_shapley_subsets(
                 lineage.build_lineage(query, db).func, bound=_bound(ns)
             )
-        elif compiled is not None:
-            values = circuit.shapley_circuit(compiled)
-        else:
-            values = lineage.shapley_tuples(query, db, bound=_bound(ns))
         return _shapley_csv(values, db)
     return ",".join(_fraction(v) for v in values) + "\n"
 
@@ -479,12 +472,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--method",
-        choices=("direct", "reduction", "brute"),
+        choices=("reduction", "brute"),
         default=None,
-        help="direct: one forward and one transposed circuit pass (circuits and "
-        "lineage; the lineage default); reduction: via size-bucketed counts of "
-        "variable-deleted copies (the formula and circuit default); brute: "
-        "exhaustive enumeration",
+        help="reduction: via size-bucketed counts of variable-deleted copies; "
+        "brute: exhaustive enumeration",
     )
     p = sub.add_parser("stretch", help="stretch a query and database")
     common(p)

@@ -103,28 +103,17 @@ def test_shapley_lineage_csv(workspace, capsys):
     code, out = run(capsys, "shapley", workspace / "join.q", workspace / "join", "--kind", "lineage")
     assert code == 0
     assert out == "R1,0,1,4\nR1,1,1,4\nR2,0,1,4\nR2,1,1,4\n"
-    for method in ("direct", "reduction", "brute"):
-        code, same = run(
-            capsys,
-            "shapley", workspace / "join.q", workspace / "join",
-            "--kind", "lineage", "--method", method,
-        )
-        assert code == 0 and same == out
-    hard = [workspace / "rst.q", workspace / "rst", "--kind", "lineage", "--method"]
-    code, brute = run(capsys, "shapley", *hard, "brute")
+    code, brute = run(
+        capsys,
+        "shapley", workspace / "join.q", workspace / "join", "--kind", "lineage", "--method", "brute",
+    )
+    assert code == 0 and brute == out
+    hard = [workspace / "rst.q", workspace / "rst", "--kind", "lineage"]
+    code, brute = run(capsys, "shapley", *hard, "--method", "brute")
     assert code == 0
-    for method in ("direct", "reduction"):
-        with pytest.warns(UserWarning, match="exhaustive enumeration"):
-            code, same = run(capsys, "shapley", *hard, method)
-        assert code == 0 and same == brute
-
-
-def test_shapley_direct_method(workspace, capsys):
-    circuit = [workspace / "ex.nnf", "--kind", "circuit"]
-    code, out = run(capsys, "shapley", *circuit, "--method", "direct")
-    assert code == 0 and out == "0/1,1/2,1/2\n"
-    code, out = run(capsys, "shapley", workspace / "ex1.bf", "--method", "direct")
-    assert code == 2 and out == ""
+    with pytest.warns(UserWarning, match="exhaustive enumeration"):
+        code, same = run(capsys, "shapley", *hard)
+    assert code == 0 and same == brute
 
 
 def test_lineage_shapley_takes_the_direct_pass(workspace, capsys, monkeypatch):
