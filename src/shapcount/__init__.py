@@ -33,7 +33,6 @@ from .circuit import (
     check_deterministic_exhaustive,
     kcounts_circuit,
     model_count_dd,
-    or_substitute_circuit,
     parse_nnf,
     shapley_circuit,
     shapley_direct,

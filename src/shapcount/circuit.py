@@ -130,10 +130,6 @@ class Circuit:
             self._scopes = tuple(out)
         return self._scopes
 
-    def certified(self) -> "Circuit":
-        """Copy flagged deterministic-by-construction (caller must know)."""
-        return Circuit(self.gates, self.output, self.var_count, True)
-
 
 class CircuitBuilder:
     """Bottom-up gate assembly; references must point at existing gates."""
@@ -208,6 +204,16 @@ class CircuitBuilder:
         if len(kept) == 1:
             return kept[0]
         return self.add(OR, inputs=kept)
+
+    def exclusive_or(self, branches: Sequence[int]) -> int:
+        """The chain b1 or (not b1 and (b2 or (not b2 and ...))): true when
+        some branch is, with no valuation satisfying two children of an OR."""
+        if not branches:
+            return self.const(0)
+        acc = branches[-1]
+        for branch in reversed(branches[:-1]):
+            acc = self.add(OR, inputs=(branch, self.add(AND, inputs=(self.negate(branch), acc))))
+        return acc
 
     def build(self, output: int, *, deterministic_by_construction: bool = False) -> Circuit:
         keep = set()
@@ -385,15 +391,6 @@ def to_nnf_text(circuit: Circuit) -> str:
         line_of[idx] = len(lines) - 1
     header = f"nnf {len(lines)} {edge_total} {circuit.var_count}"
     return "\n".join([header] + lines) + "\n"
-
-
-def is_leaf_nnf(circuit: Circuit) -> bool:
-    """True when every NOT gate sits directly above a variable gate."""
-    return all(
-        circuit.gates[g.inputs[0]].kind == VAR
-        for g in circuit.gates
-        if g.kind == NOT
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -741,42 +738,31 @@ def unfold(circuit: Circuit) -> BoolFunc:
 
 
 def literal_occurrences(circuit: Circuit, var: int) -> int:
-    """Number of edges into gates representing the variable or its negation
-    (the output counts as one edge)."""
-    literal_gates = set()
-    for idx, gate in enumerate(circuit.gates):
-        if gate.kind == VAR and gate.var == var:
-            literal_gates.add(idx)
-        elif gate.kind == NOT and gate.inputs[0] in literal_gates:
-            literal_gates.add(idx)
-    count = 1 if circuit.output in literal_gates else 0
-    for gate in circuit.gates:
-        count += sum(1 for r in gate.inputs if r in literal_gates)
-    return count
-
-
-@dataclass(frozen=True, eq=False)
-class CircuitSubstitution:
-    circuit: Circuit
-    old_to_new: dict[int, int]
-    fresh: tuple[int, ...]
+    """Number of edges into the variable's gates (the output counts as one
+    edge): the k_v of the substitution growth bound."""
+    gates = circuit.gates
+    edges = [r for g in gates for r in g.inputs] + [circuit.output]
+    return sum(gates[r].kind == VAR and gates[r].var == var for r in edges)
 
 
 def _or_substitute(circuit: Circuit, widths: dict[int, int]) -> Circuit:
     """Replace each variable v in `widths` by a disjunction of widths[v]
     fresh variables in one pass, keeping determinism and decomposability.
 
-    Positive occurrences of v become the exclusive chain
+    Each replaced variable becomes the exclusive chain (built once)
 
         D(Z_i..Z_l) = Z_i or (not Z_i and D(Z_(i+1)..Z_l))
 
-    and negated ones `not Z_1 and ... and not Z_l`; width 0 gives the
-    constants 0 and 1.  Each chain is built once.  Negation must sit directly
-    above variable gates on every path that contains a replaced variable.
+    with width 0 giving the constant 0; every other gate, NOT included, is
+    rebuilt over its rebuilt inputs.  A substitution maps valuations of the
+    fresh variables onto valuations of the old ones and keeps scopes
+    disjoint, so OR children stay exclusive and AND children independent
+    wherever negation sits.  The copy is certified deterministic exactly
+    when the base's determinism is verified (checked or certified).
     Survivors are numbered densely first, then come the fresh blocks in
     ascending order of the replaced variables.  The paper's growth bound,
-    gates added <= 6 * sum of k_v * l_v for k_v literal occurrences, is
-    checked on the result.
+    gates added <= 6 * sum of k_v * l_v for k_v the edges into v's gates,
+    is checked on the result.
     """
     n = circuit.var_count
     for var, ell in widths.items():
@@ -784,70 +770,40 @@ def _or_substitute(circuit: Circuit, widths: dict[int, int]) -> Circuit:
             raise InputError(f"no variable {var} to substitute")
         if ell < 0:
             raise InputError("the replacement width must be nonnegative")
-    for idx, gate in enumerate(circuit.gates):
-        if gate.kind == NOT:
-            child = gate.inputs[0]
-            if circuit.gates[child].kind != VAR and not circuit.scopes()[child].isdisjoint(widths):
-                raise InputError(
-                    f"gate {idx}: negation above a non-variable gate on the substituted "
-                    "variable's path; push negation to the leaves first"
-                )
 
     renumbered = {v: i for i, v in enumerate(v for v in range(n) if v not in widths)}
     builder = CircuitBuilder(len(renumbered) + sum(widths.values()))
-    roots: dict[int, tuple[int, int]] = {}  # variable -> (positive, negated) replacement
+    roots: dict[int, int] = {}
     fresh = len(renumbered)
     for var in sorted(widths):
-        zs = [builder.add(VAR, var=z) for z in range(fresh, fresh + widths[var])]
-        fresh += len(zs)
-        negs = [builder.add(NOT, inputs=(z,)) for z in zs]
-        chain = zs[-1] if zs else builder.const(0)
-        for i in range(len(zs) - 2, -1, -1):
-            chain = builder.add(OR, inputs=(zs[i], builder.add(AND, inputs=(negs[i], chain))))
-        roots[var] = (chain, builder.and_(negs))
+        roots[var] = builder.exclusive_or(
+            [builder.add(VAR, var=z) for z in range(fresh, fresh + widths[var])]
+        )
+        fresh += widths[var]
 
-    # literal gate -> its replaced variable; edges into these are the k_v
-    literal_of: dict[int, int] = {}
-    occurrences = dict.fromkeys(widths, 0)
     mapping: list[int] = []
-    for idx, gate in enumerate(circuit.gates):
-        for ref in gate.inputs:
-            if ref in literal_of:
-                occurrences[literal_of[ref]] += 1
-        if gate.kind == VAR and gate.var in widths:
-            literal_of[idx] = gate.var
-            mapping.append(roots[gate.var][0])
-        elif gate.kind == VAR:
-            mapping.append(builder.add(VAR, var=renumbered[gate.var]))
-        elif gate.kind == NOT and gate.inputs[0] in literal_of:
-            literal_of[idx] = literal_of[gate.inputs[0]]
-            mapping.append(roots[literal_of[idx]][1])
-        else:
+    for gate in circuit.gates:
+        if gate.kind != VAR:
             mapping.append(builder.add(gate.kind, inputs=tuple(mapping[r] for r in gate.inputs)))
-    if circuit.output in literal_of:
-        occurrences[literal_of[circuit.output]] += 1
+        elif gate.var in widths:
+            mapping.append(roots[gate.var])
+        else:
+            mapping.append(builder.add(VAR, var=renumbered[gate.var]))
 
     result = builder.build(
         mapping[circuit.output],
-        deterministic_by_construction=circuit.deterministic_by_construction,
+        deterministic_by_construction=validate(circuit).determinism == "verified",
     )
     grown = result.size() - circuit.size()
-    bound = 6 * sum(k * widths[var] for var, k in occurrences.items())
+    edges = [r for g in circuit.gates for r in g.inputs] + [circuit.output]
+    bound = 6 * sum(
+        widths.get(circuit.gates[r].var, 0) for r in edges if circuit.gates[r].kind == VAR
+    )
     if grown > bound:
         raise InconsistencyError(
             f"substitution added {grown} gates, over the bound 6*sum(k*l) = {bound}"
         )
     return result
-
-
-def or_substitute_circuit(circuit: Circuit, var: int, ell: int) -> CircuitSubstitution:
-    """Replace one variable by a disjunction of `ell` fresh variables (see
-    `_or_substitute`).  Survivors are re-densified (old j maps to j-1 for
-    j > var); the fresh variables take the last `ell` indices."""
-    result = _or_substitute(circuit, {var: ell})
-    n = circuit.var_count
-    old_to_new = {y: (y if y < var else y - 1) for y in range(n) if y != var}
-    return CircuitSubstitution(result, old_to_new, tuple(range(n - 1, n - 1 + ell)))
 
 
 def or_substitute_all(circuit: Circuit, arities: Sequence[int]) -> Circuit:
@@ -865,28 +821,21 @@ def or_substitute_all(circuit: Circuit, arities: Sequence[int]) -> Circuit:
 # Pipelines
 
 
-def _certified_base(circuit: Circuit) -> Circuit:
-    report = _countable(circuit)
-    if report.determinism == "verified" and not circuit.deterministic_by_construction:
-        # substitution preserves determinism, so don't re-verify the copies
-        return circuit.certified()
-    return circuit
-
-
 def kcounts_circuit(circuit: Circuit) -> tuple[int, ...]:
     """Size-bucketed counts through the count-oracle reduction: one total
     model count per uniform replacement width, then a Vandermonde solve.
     Must agree with size_polynomial_count."""
-    base = _certified_base(circuit)
+    _countable(circuit)
     return reductions.kcounts_from_counts(
-        circuit.var_count, lambda arities: model_count_dd(or_substitute_all(base, arities))
+        circuit.var_count, lambda arities: model_count_dd(or_substitute_all(circuit, arities))
     )
 
 
 def shapley_circuit(circuit: Circuit) -> tuple[Fraction, ...]:
     """Exact Shapley vector through the k-count-oracle reduction; the
     variable-deleted cofactors are width-0 substitutions."""
-    base = _certified_base(circuit)
+    _countable(circuit)
     return reductions.shapley_from_kcounts(
-        circuit.var_count, lambda arities: size_polynomial_count(or_substitute_all(base, arities))
+        circuit.var_count,
+        lambda arities: size_polynomial_count(or_substitute_all(circuit, arities)),
     )

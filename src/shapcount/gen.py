@@ -170,12 +170,15 @@ def random_sjf_instance(
     max_endo_vars: int = 12,
     hierarchical: bool | None = None,
 ) -> tuple[Query, Database]:
-    """A self-join-free query plus database; optionally resample until the
-    query lands on the requested side of the hierarchy split."""
-    from .lineage import is_hierarchical
+    """A self-join-free query plus database whose lineage is not constant;
+    optionally resample until the query lands on the requested side of the
+    hierarchy split."""
+    from .lineage import build_lineage, is_hierarchical
 
     while True:
         query, schema = random_query(rng, max_atoms=max_atoms, max_arity=max_arity)
         if hierarchical is not None and is_hierarchical(query)[0] != hierarchical:
             continue
-        return query, random_database(rng, schema, max_rows=max_rows, max_endo_vars=max_endo_vars)
+        db = random_database(rng, schema, max_rows=max_rows, max_endo_vars=max_endo_vars)
+        if any(build_lineage(query, db).clauses):
+            return query, db

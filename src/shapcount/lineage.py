@@ -499,8 +499,8 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
 
         D(a_i..) = branch(a_i) or (not branch(a_i) and D(a_(i+1)..))
 
-    Complements are built alongside each subcircuit, so negation only ever
-    touches variable gates and the result stays in leaf-negation form.
+    built by `CircuitBuilder.exclusive_or`, so each subcircuit is one gate
+    and negation sits above whole branches.
     """
     _check_query(query, db.schema)
     if not is_self_join_free(query):
@@ -512,32 +512,6 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
             "use brute force on the lineage"
         )
     builder = CircuitBuilder(db.var_count)
-    Pair = tuple[int, int]  # (gate, complement gate)
-
-    def negate_chain(pairs: list[Pair]) -> int:
-        # complement of a conjunction as an exclusive chain:
-        # not(A B ...) = notA or (A and not(B ...))
-        acc = pairs[-1][1]
-        for pos, neg in reversed(pairs[:-1]):
-            acc = builder.or_([neg, builder.and_([pos, acc])])
-        return acc
-
-    def conjoin(pairs: list[Pair]) -> Pair:
-        if not pairs:
-            return (builder.const(1), builder.const(0))
-        if len(pairs) == 1:
-            return pairs[0]
-        return (builder.and_([p for p, _ in pairs]), negate_chain(pairs))
-
-    def chain(branches: list[Pair]) -> Pair:
-        if not branches:
-            return (builder.const(0), builder.const(1))
-        pos, neg = branches[-1]
-        for bpos, bneg in reversed(branches[:-1]):
-            pos = builder.or_([bpos, builder.and_([bneg, pos])])
-            neg = builder.and_([bneg, neg])
-        return (pos, neg)
-
     # an atom in flight: (relation, current args, surviving row indices)
     State = tuple[Relation, tuple[Term, ...], tuple[int, ...]]
 
@@ -575,8 +549,8 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
         )
         return restrict((rel, new_args, candidates))
 
-    def compile_states(states: list[State]) -> Pair:
-        parts: list[Pair] = []
+    def compile_states(states: list[State]) -> int:
+        parts: list[int] = []
         pending: list[State] = []
         for state in states:
             rel, args, candidates = state
@@ -584,11 +558,10 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
                 pending.append(state)
                 continue
             if not candidates:
-                return (builder.const(0), builder.const(1))
+                return builder.const(0)
             if rel.endogenous:
                 # deduplicated rows make the fully ground match unique
-                v = db.var_of(rel.name, candidates[0])
-                parts.append((builder.var(v), builder.negate(builder.var(v))))
+                parts.append(builder.var(db.var_of(rel.name, candidates[0])))
         # split what is left into connected components over shared variables
         remaining = list(pending)
         while remaining:
@@ -603,9 +576,9 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
                         remaining.remove(other)
                         grabbed = True
             parts.append(compile_component(component))
-        return conjoin(parts)
+        return builder.and_(parts)
 
-    def compile_component(states: list[State]) -> Pair:
+    def compile_component(states: list[State]) -> int:
         occurrences: dict[str, int] = {}
         for state in states:
             for name in unbound_vars(state):
@@ -629,21 +602,21 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
             bound = [bind(s, root, value) for s in states]
             if any(not s[2] for s in bound):
                 continue
-            pair = compile_states(bound)
-            if builder.const_value(pair[0]) == 0:
+            branch = compile_states(bound)
+            constant = builder.const_value(branch)
+            if constant == 0:
                 continue
-            branches.append(pair)
-        return chain(branches)
+            branches.append(branch)
+            if constant == 1:
+                break  # the chain never reaches the later values
+        return builder.exclusive_or(branches)
 
     initial = [
         restrict((db.schema.get(a.relation), a.args, tuple(range(len(db.rows[a.relation])))))
         for a in query.atoms
     ]
-    if any(not s[2] for s in initial):
-        root_pair = (builder.const(0), builder.const(1))
-    else:
-        root_pair = compile_states(initial)
-    return builder.build(root_pair[0], deterministic_by_construction=True)
+    root = builder.const(0) if any(not s[2] for s in initial) else compile_states(initial)
+    return builder.build(root, deterministic_by_construction=True)
 
 
 # ---------------------------------------------------------------------------

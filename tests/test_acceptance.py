@@ -19,12 +19,7 @@ from shapcount import gen
 from shapcount import lineage as lg
 from shapcount import reductions as rd
 from shapcount.boolfunc import (
-    And,
     BoolFunc,
-    Node,
-    Not,
-    Or,
-    Var,
     and_count_oracle,
     brute_count,
     brute_kcounts,
@@ -52,21 +47,6 @@ def _finish(number: int, label: str, started: float, budget: float) -> None:
     elapsed = time.perf_counter() - started
     assert elapsed < budget, f"criterion {number} took {elapsed:.1f}s, budget {budget}s"
     print(f"PASS criterion {number}: {label} ({elapsed:.2f}s)")
-
-
-def _rename(func: BoolFunc, mapping: dict[int, int], var_count: int) -> BoolFunc:
-    def walk(node: Node) -> Node:
-        if isinstance(node, Var):
-            return Var(mapping[node.index])
-        if isinstance(node, Not):
-            return Not(walk(node.child))
-        if isinstance(node, And):
-            return And(tuple(walk(c) for c in node.children))
-        if isinstance(node, Or):
-            return Or(tuple(walk(c) for c in node.children))
-        return node
-
-    return BoolFunc(walk(func.root), var_count)
 
 
 def test_criterion_01_worked_example_every_pathway():
@@ -142,28 +122,21 @@ def test_criterion_04_substitution_preserves_circuit_properties():
         n = circ.var_count
         x = rng.randrange(n)
         ell = rng.randint(0, 3)
-        sub = ct.or_substitute_circuit(circ, x, ell)
+        widths = tuple(ell if i == x else 1 for i in range(n))
+        sub = ct.or_substitute_all(circ, widths)
 
-        ok, bad = ct.check_decomposable(sub.circuit)
+        ok, bad = ct.check_decomposable(sub)
         assert ok, bad
-        assert ct.check_deterministic_exhaustive(sub.circuit) == ("verified", None)
+        assert ct.check_deterministic_exhaustive(sub) == ("verified", None)
 
-        fn = or_substitute(ct.unfold(circ), tuple(ell if i == x else 1 for i in range(n)))
-        mapping = {}
-        for old in range(n):
-            if old != x:
-                mapping[sub.old_to_new[old]] = fn.groups[old][0]
-        for j, z in enumerate(sub.fresh):
-            mapping[z] = fn.groups[x][j]
-        total = n - 1 + ell
-        renamed = _rename(ct.unfold(sub.circuit), mapping, total)
-        assert truth_table(renamed) == truth_table(fn.func)
+        fn = or_substitute(ct.unfold(circ), widths)
+        assert truth_table(ct.unfold(sub)) == truth_table(fn.func)
 
         k = ct.literal_occurrences(circ, x)
         if k and ell:
-            assert sub.circuit.size() <= circ.size() + GROWTH_CONSTANT * k * ell
+            assert sub.size() <= circ.size() + GROWTH_CONSTANT * k * ell
         else:
-            assert sub.circuit.size() <= circ.size() + 2
+            assert sub.size() <= circ.size() + 2
     _finish(4, "variable replacement keeps circuits exclusive and disjoint", started, 60.0)
 
 

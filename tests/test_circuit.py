@@ -29,12 +29,10 @@ from shapcount.circuit import (
     Gate,
     check_decomposable,
     check_deterministic_exhaustive,
-    is_leaf_nnf,
     kcounts_circuit,
     literal_occurrences,
     model_count_dd,
     or_substitute_all,
-    or_substitute_circuit,
     parse_nnf,
     shapley_circuit,
     shapley_direct,
@@ -72,7 +70,6 @@ def test_parse_example_circuit():
     assert size_polynomial_count(c) == (0, 1, 2, 1)
     report = validate(c)
     assert report.decomposable and report.determinism == "verified"
-    assert is_leaf_nnf(c)
 
 
 @pytest.mark.parametrize(
@@ -190,8 +187,7 @@ def test_size_polynomial_examples():
 
 
 def test_interior_negation_counts_by_complement():
-    # not(x0 and x1) has 3 models; counting tolerates inner negation even
-    # though substitution does not
+    # not(x0 and x1) has 3 models; negation may sit above any gate
     b = CircuitBuilder(2)
     a = b.add(AND, inputs=(b.add(VAR, var=0), b.add(VAR, var=1)))
     c = b.build(b.add(NOT, inputs=(a,)))
@@ -209,47 +205,72 @@ def test_unfold_matches_circuit():
 
 def test_or_substitute_single_variable():
     c = single_var()
-    sub = or_substitute_circuit(c, 0, 2)
-    assert sub.circuit.var_count == 2
-    assert model_count_dd(sub.circuit) == 3
-    assert check_deterministic_exhaustive(sub.circuit) == ("verified", None)
+    sub = or_substitute_all(c, (2,))
+    assert sub.var_count == 2
+    assert model_count_dd(sub) == 3
+    assert check_deterministic_exhaustive(sub) == ("verified", None)
 
-    iso = or_substitute_circuit(c, 0, 1)
-    assert model_count_dd(iso.circuit) == 1 and iso.circuit.var_count == 1
+    iso = or_substitute_all(c, (1,))
+    assert model_count_dd(iso) == 1 and iso.var_count == 1
 
 
 def test_or_substitute_example_circuit():
     c = parse_nnf(EXAMPLE_NNF)
-    sub = or_substitute_circuit(c, 0, 2)
+    sub = or_substitute_all(c, (2, 1, 1))
     # (not(z0 or z1) and x1) or ((z0 or z1) and x2): 8 of 16 valuations
-    assert sub.circuit.var_count == 4
-    assert model_count_dd(sub.circuit) == 8
-    assert check_decomposable(sub.circuit)[0]
-    assert check_deterministic_exhaustive(sub.circuit) == ("verified", None)
+    assert sub.var_count == 4
+    assert model_count_dd(sub) == 8
+    assert check_decomposable(sub)[0]
+    assert check_deterministic_exhaustive(sub) == ("verified", None)
 
 
 def test_or_substitute_zero_width():
     c = parse_nnf(EXAMPLE_NNF)
-    sub = or_substitute_circuit(c, 0, 0)
+    sub = or_substitute_all(c, (0, 1, 1))
     # x0 := 0 leaves (not 0 and x1): the x1 half over the two survivors
-    assert sub.circuit.var_count == 2
-    assert model_count_dd(sub.circuit) == 2
-    assert sub.circuit.size() <= c.size() + 2
+    assert sub.var_count == 2
+    assert model_count_dd(sub) == 2
+    assert sub.size() <= c.size() + 2
 
 
-def test_or_substitute_requires_leaf_negation_on_target_paths():
-    b = CircuitBuilder(2)
-    a = b.add(AND, inputs=(b.add(VAR, var=0), b.add(VAR, var=1)))
-    c = b.build(b.add(NOT, inputs=(a,)))
-    with pytest.raises(InputError, match="negation above"):
-        or_substitute_circuit(c, 0, 2)
-    # a negation elsewhere is fine when the substituted variable avoids it
-    b = CircuitBuilder(3)
-    left = b.add(AND, inputs=(b.add(VAR, var=0), b.add(VAR, var=1)))
-    guard = b.add(NOT, inputs=(left,))
-    c = b.build(b.add(AND, inputs=(guard, b.add(VAR, var=2))))
-    sub = or_substitute_circuit(c, 2, 2)
-    assert model_count_dd(sub.circuit) == brute_count(or_substitute(unfold(c), (1, 1, 2)).func)
+def _negate_inside(rng: random.Random, c: Circuit) -> Circuit:
+    """`c` with NOT put over random non-literal AND children and over the
+    output.  Decision circuits separate OR children by their literals, which
+    stay untouched, so the result is still deterministic and decomposable."""
+    b = CircuitBuilder(c.var_count)
+    mapping = []
+    for gate in c.gates:
+        inputs = [mapping[r] for r in gate.inputs]
+        if gate.kind == AND:
+            inputs = [
+                b.negate(i) if c.gates[r].kind in (AND, OR) and rng.random() < 0.5 else i
+                for r, i in zip(gate.inputs, inputs)
+            ]
+        mapping.append(b.add(gate.kind, gate.var, inputs))
+    return b.build(b.negate(mapping[c.output]))
+
+
+def test_or_substitute_under_interior_negation():
+    rng = random.Random(82)
+    done = inner = 0
+    while done < 60:
+        c = _negate_inside(rng, gen.random_decision_circuit(rng, max_vars=6, max_gates=30))
+        widths = tuple(rng.randint(0, 3) for _ in range(c.var_count))
+        if sum(widths) > 12:
+            continue
+        done += 1
+        inner += any(g.kind == NOT and c.gates[g.inputs[0]].kind != VAR for g in c.gates)
+        assert check_decomposable(c)[0]
+        assert check_deterministic_exhaustive(c) == ("verified", None)
+        sub = or_substitute_all(c, widths)
+        fn = or_substitute(unfold(c), widths).func
+        assert model_count_dd(sub) == brute_count(fn)
+        assert size_polynomial_count(sub) == brute_kcounts(fn)
+        assert check_decomposable(sub)[0]
+        assert check_deterministic_exhaustive(sub) == ("verified", None)
+        growth = sum(literal_occurrences(c, v) * m for v, m in enumerate(widths))
+        assert sub.size() - c.size() <= 6 * growth
+    assert inner > 40
 
 
 def test_or_substitute_equivalence_and_preservation():
@@ -259,26 +280,19 @@ def test_or_substitute_equivalence_and_preservation():
         n = c.var_count
         x = rng.randrange(n)
         ell = rng.randint(0, 3)
-        sub = or_substitute_circuit(c, x, ell)
         arities = tuple(ell if i == x else 1 for i in range(n))
+        sub = or_substitute_all(c, arities)
         fn = or_substitute(unfold(c), arities)
-        perm = {}
-        for old in range(n):
-            if old != x:
-                perm[sub.old_to_new[old]] = fn.groups[old][0]
-        for j, z in enumerate(sub.fresh):
-            perm[z] = fn.groups[x][j]
-        total = n - 1 + ell
-        for mask in range(1 << total):
-            trues = [v for v in range(total) if mask >> v & 1]
-            assert ct.evaluate(sub.circuit, trues) == feval(fn.func, [perm[v] for v in trues])
-        assert check_decomposable(sub.circuit)[0]
-        assert check_deterministic_exhaustive(sub.circuit)[0] == "verified"
+        for mask in range(1 << sub.var_count):
+            trues = [v for v in range(sub.var_count) if mask >> v & 1]
+            assert ct.evaluate(sub, trues) == feval(fn.func, trues)
+        assert check_decomposable(sub)[0]
+        assert check_deterministic_exhaustive(sub)[0] == "verified"
         k = literal_occurrences(c, x)
         if ell and k:
-            assert sub.circuit.size() <= c.size() + 6 * k * ell
+            assert sub.size() <= c.size() + 6 * k * ell
         else:
-            assert sub.circuit.size() <= c.size() + 2
+            assert sub.size() <= c.size() + 2
 
 
 def test_substitution_over_the_growth_bound_is_an_inconsistency(monkeypatch):
@@ -292,7 +306,7 @@ def test_substitution_over_the_growth_bound_is_an_inconsistency(monkeypatch):
     monkeypatch.setattr(CircuitBuilder, "build", padded)
     # width 1 on one occurrence allows 6 new gates
     with pytest.raises(InconsistencyError, match="over the bound"):
-        or_substitute_circuit(single_var(), 0, 1)
+        or_substitute_all(single_var(), (1,))
 
 
 def test_uniform_substitution_counts():
@@ -428,9 +442,19 @@ def test_circuit_validation_rules():
 def test_validation_is_computed_once_per_circuit():
     c = example1_circuit()
     assert validate(c) is validate(c)
-    certified = c.certified()
+    certified = Circuit(c.gates, c.output, c.var_count, deterministic_by_construction=True)
     assert validate(certified) is not validate(c)
     assert "determinism certified by construction" in validate(certified).notes
+
+
+def test_substituted_copy_is_certified_only_from_a_verified_base():
+    certified = "determinism certified by construction"
+    c = parse_nnf(EXAMPLE_NNF)
+    assert validate(c).determinism == "verified" and certified not in validate(c).notes
+    assert certified in validate(or_substitute_all(c, (2, 1, 1))).notes
+    overlapping = parse_nnf("nnf 3 2 2\nL 1\nL 2\nO 0 2 0 1\n")  # x0 or x1
+    copy = validate(or_substitute_all(overlapping, (2, 1)))
+    assert copy.determinism == "refuted" and certified not in copy.notes
 
 
 def _poly_mul(p, q):
