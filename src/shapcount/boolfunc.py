@@ -600,23 +600,29 @@ def or_substituted_shapley(
 
 def count_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     """Count oracle for the reductions: arities -> model count of the
-    disjunctive group replacement, by base-space enumeration."""
+    disjunctive group replacement, by base-space enumeration.  Like the
+    other oracles here, it refuses above the bound when made, before a
+    reduction spends time on its first call."""
+    _check_bound(func.var_count, bound, "exhaustive enumeration")
     return lambda arities: or_substituted_count(func, arities, bound=bound)
 
 
 def and_count_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     """As count_oracle, for conjunctive group replacements."""
+    _check_bound(func.var_count, bound, "exhaustive enumeration")
     return lambda arities: and_substituted_count(func, arities, bound=bound)
 
 
 def kcount_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     """Size-bucketed count oracle for disjunctive group replacements."""
+    _check_bound(func.var_count, bound, "exhaustive enumeration")
     return lambda arities: or_substituted_kcounts(func, arities, bound=bound)
 
 
 def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     """Shapley oracle: (arities, target) -> Shapley value of the fresh
     variable standing in for `target` under the group replacement."""
+    _check_bound(func.var_count, bound, "exhaustive enumeration")
     return lambda arities, target: or_substituted_shapley(func, arities, target, bound=bound)
 
 

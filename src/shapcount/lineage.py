@@ -278,36 +278,53 @@ def build_lineage(query: Query, db: Database) -> Lineage:
     database.  One clause per homomorphism (exogenous atoms contribute no
     literal); duplicates collapse, and a match using only exogenous atoms
     makes the lineage the constant 1.
+
+    Atoms are joined left to right.  The variables bound before an atom are
+    always those of the atoms to its left, so each atom is probed on fixed
+    positions (its constants and those variables): one hash index per atom,
+    from the values at those positions to row indices, built once, makes
+    each step a lookup instead of a scan of the relation.
     """
     _check_query(query, db.schema)
     clauses: set[frozenset[int]] = set()
+    # per atom: (relation, probe terms, free (position, variable) pairs, index)
+    plans = []
+    seen: set[str] = set()
+    for atom in query.atoms:
+        probe = [
+            i for i, t in enumerate(atom.args) if isinstance(t, QueryConst) or t.name in seen
+        ]
+        free = [(i, t.name) for i, t in enumerate(atom.args) if i not in probe]
+        index: dict[tuple[str, ...], list[int]] = {}
+        for row_index, row in enumerate(db.rows[atom.relation]):
+            index.setdefault(tuple(row[i] for i in probe), []).append(row_index)
+        plans.append(
+            (db.schema.get(atom.relation), [atom.args[i] for i in probe], free, index)
+        )
+        seen.update(name for _, name in free)
 
     def extend(atom_index: int, binding: dict[str, str], literals: frozenset[int]) -> bool:
-        if atom_index == len(query.atoms):
+        if atom_index == len(plans):
             clauses.add(literals)
             return literals == frozenset()
-        atom = query.atoms[atom_index]
-        rel = db.schema.get(atom.relation)
-        for row_index, row in enumerate(db.rows[atom.relation]):
+        rel, probe, free, index = plans[atom_index]
+        key = tuple(t.value if isinstance(t, QueryConst) else binding[t.name] for t in probe)
+        rows = db.rows[rel.name]
+        for row_index in index.get(key, ()):
+            row = rows[row_index]
             new_binding = dict(binding)
             ok = True
-            for term, value in zip(atom.args, row):
-                if isinstance(term, QueryConst):
-                    if term.value != value:
-                        ok = False
-                        break
-                else:
-                    bound = new_binding.get(term.name)
-                    if bound is None:
-                        new_binding[term.name] = value
-                    elif bound != value:
-                        ok = False
-                        break
+            for position, name in free:
+                # a variable repeated inside the atom must take one value
+                bound = new_binding.setdefault(name, row[position])
+                if bound != row[position]:
+                    ok = False
+                    break
             if not ok:
                 continue
             lits = literals
             if rel.endogenous:
-                lits = literals | {db.var_of(atom.relation, row_index)}
+                lits = literals | {db.var_of(rel.name, row_index)}
             if extend(atom_index + 1, new_binding, lits):
                 return True
         return False
@@ -501,6 +518,11 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
 
     built by `CircuitBuilder.exclusive_or`, so each subcircuit is one gate
     and negation sits above whole branches.
+
+    Each component partitions its atoms' rows by their value at the root
+    variable in one pass, and every branch binds and restricts only its own
+    value's rows, so a row is touched once per level of the query and the
+    compilation takes time linear in the data.
     """
     _check_query(query, db.schema)
     if not is_self_join_free(query):
@@ -517,9 +539,10 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
 
     def restrict(state: State) -> State:
         rel, args, candidates = state
+        rows = db.rows[rel.name]
         kept = []
         for row_index in candidates:
-            row = db.rows[rel.name][row_index]
+            row = rows[row_index]
             positions: dict[str, str] = {}
             ok = True
             for term, value in zip(args, row):
@@ -590,16 +613,24 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
                 break
         if root is None:
             raise RefusalError("no root variable: the query is not hierarchical")
-        values: set[str] | None = None
+        # one pass partitions each atom's rows by their value at the root
+        groups: list[dict[str, list[int]]] = []
         for rel, args, candidates in states:
             position = next(
                 i for i, t in enumerate(args) if isinstance(t, QueryVar) and t.name == root
             )
-            here = {db.rows[rel.name][r][position] for r in candidates}
-            values = here if values is None else values & here
+            rows = db.rows[rel.name]
+            by_value: dict[str, list[int]] = {}
+            for r in candidates:
+                by_value.setdefault(rows[r][position], []).append(r)
+            groups.append(by_value)
+        values = set(groups[0]).intersection(*groups[1:])
         branches = []
-        for value in sorted(values or ()):
-            bound = [bind(s, root, value) for s in states]
+        for value in sorted(values):
+            bound = [
+                bind((rel, args, tuple(group[value])), root, value)
+                for (rel, args, _), group in zip(states, groups)
+            ]
             if any(not s[2] for s in bound):
                 continue
             branch = compile_states(bound)

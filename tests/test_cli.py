@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -346,6 +347,56 @@ def test_bound_refusal_exit_code(workspace, capsys):
     wide.write_text("(vars 30 (or x0 x29))")
     code, _ = run(capsys, "count", wide, "--max-vars", "8")
     assert code == 3
+
+
+@pytest.mark.parametrize("verb", ["count", "kcount", "shapley", "compare"])
+def test_formula_refusal_above_the_bound_is_immediate(workspace, capsys, verb):
+    # the reductions must not build per-variable tables before the oracle refuses
+    wide = workspace / "wide.bf"
+    wide.write_text("(vars 20000 (and x0 (not x0)))")
+    start = time.perf_counter()
+    code = main([verb, str(wide)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "exhaustive enumeration over 20000 variables exceeds the bound of 24" in err
+    assert elapsed < 5.0, f"{verb} took {elapsed:.1f} s to refuse"
+
+
+# one small example of every input the parsers read
+TRUNCATION_EXAMPLES = {
+    "sexpr": ("formula.bf", "(vars 4 (or (and x0 (not x1)) (and x2 x3) 1))\n"),
+    "cnf": ("formula.cnf", "c example\np cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n"),
+    "dnf": ("formula.dnf", "p dnf 3 2\n1 2 0\n-1 3 0\n"),
+    "nnf": ("circuit.nnf", EXAMPLE_NNF),
+    "query": ("rst.q", "Q :- R(x), S(x,y), T(y, 'b1')\n"),
+    "schema": ("rst/schema.txt", "R 1 endo\nS 2 exo\nT 2 endo\n"),
+    "csv": ("rst/S.csv", "a1,b1\na2,b2\na1,b2\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATION_EXAMPLES))
+def test_every_truncated_input_exits_cleanly(tmp_path, capsys, name):
+    (tmp_path / "rst").mkdir()
+    for path, text in TRUNCATION_EXAMPLES.values():
+        (tmp_path / path).write_text(text)
+    (tmp_path / "rst" / "R.csv").write_text("a1\na2\n")
+    (tmp_path / "rst" / "T.csv").write_text("b1,b1\nb2,b1\n")
+    target, text = TRUNCATION_EXAMPLES[name]
+    if name in ("query", "schema", "csv"):
+        argv = ["count", tmp_path / "rst.q", tmp_path / "rst", "--kind", "lineage"]
+    else:
+        argv = ["count", tmp_path / target]
+        if name == "nnf":
+            argv += ["--kind", "circuit"]
+    data = text.encode()
+    codes = []
+    for cut in range(len(data) + 1):
+        (tmp_path / target).write_bytes(data[:cut])
+        codes.append(main([str(a) for a in argv]))
+        capsys.readouterr()
+    assert set(codes) <= {0, 2, 3}
+    assert codes[-1] == 0  # the whole example is read
 
 
 def test_output_file_flag(workspace, capsys):
