@@ -58,7 +58,6 @@ class Circuit:
         "output",
         "var_count",
         "deterministic_by_construction",
-        "_scopes",
         "_report",
     )
 
@@ -73,7 +72,6 @@ class Circuit:
         self.output = output
         self.var_count = var_count
         self.deterministic_by_construction = deterministic_by_construction
-        self._scopes: tuple[frozenset[int], ...] | None = None
         self._report: ValidationReport | None = None
         self._validate()
 
@@ -112,24 +110,6 @@ class Circuit:
 
     def size(self) -> int:
         return len(self.gates)
-
-    def scopes(self) -> tuple[frozenset[int], ...]:
-        """Per-gate sets of variables reachable below the gate."""
-        if self._scopes is None:
-            out: list[frozenset[int]] = []
-            for gate in self.gates:
-                if gate.kind == VAR:
-                    out.append(frozenset((gate.var,)))
-                elif gate.inputs:
-                    scope = out[gate.inputs[0]]
-                    for ref in gate.inputs[1:]:
-                        scope |= out[ref]
-                    out.append(scope)
-                else:
-                    out.append(frozenset())
-            self._scopes = tuple(out)
-        return self._scopes
-
 
 class CircuitBuilder:
     """Bottom-up gate assembly; references must point at existing gates."""
@@ -449,17 +429,34 @@ def gate_tables(circuit: Circuit) -> list[int]:
     return tables
 
 
+def _scopes(circuit: Circuit) -> list[int]:
+    """Per-gate scope bitmasks: bit v is set when variable v lies below the
+    gate.  Built in one pass for the caller's own pass and dropped with it;
+    an int per gate costs a bit per variable where a set of ints cost tens
+    of bytes per member."""
+    masks: list[int] = []
+    for gate in circuit.gates:
+        if gate.kind == VAR:
+            masks.append(1 << gate.var)
+        else:
+            acc = 0
+            for r in gate.inputs:
+                acc |= masks[r]
+            masks.append(acc)
+    return masks
+
+
 def check_decomposable(circuit: Circuit) -> tuple[bool, tuple[int, ...]]:
     """Structural check: each AND's children must have pairwise disjoint
-    scopes.  Returns the offending gate indices."""
-    scopes = circuit.scopes()
-    bad = []
-    for idx, gate in enumerate(circuit.gates):
-        if gate.kind != AND:
-            continue
-        union = scopes[idx]
-        if sum(len(scopes[r]) for r in gate.inputs) != len(union):
-            bad.append(idx)
+    scopes, which holds exactly when their scope sizes sum to the size of
+    the AND's own scope.  Returns the offending gate indices."""
+    scopes = _scopes(circuit)
+    bad = [
+        idx
+        for idx, gate in enumerate(circuit.gates)
+        if gate.kind == AND
+        and sum(scopes[r].bit_count() for r in gate.inputs) != scopes[idx].bit_count()
+    ]
     return (not bad, tuple(bad))
 
 
@@ -541,7 +538,7 @@ def model_count_dd(circuit: Circuit) -> int:
     2^(scope gap) and the output by 2^(unused declared variables).
     """
     _countable(circuit)
-    scopes = circuit.scopes()
+    widths = [mask.bit_count() for mask in _scopes(circuit)]
     counts: list[int] = []
     for idx, gate in enumerate(circuit.gates):
         if gate.kind == CONST0:
@@ -550,20 +547,18 @@ def model_count_dd(circuit: Circuit) -> int:
             counts.append(1)
         elif gate.kind == NOT:
             child = gate.inputs[0]
-            counts.append((1 << len(scopes[child])) - counts[child])
+            counts.append((1 << widths[child]) - counts[child])
         elif gate.kind == AND:
             acc = 1
             for r in gate.inputs:
                 acc *= counts[r]
             counts.append(acc)
         else:
-            width = len(scopes[idx])
             acc = 0
             for r in gate.inputs:
-                acc += counts[r] << (width - len(scopes[r]))
+                acc += counts[r] << (widths[idx] - widths[r])
             counts.append(acc)
-    out = counts[circuit.output]
-    return out << (circuit.var_count - len(scopes[circuit.output]))
+    return counts[circuit.output] << (circuit.var_count - widths[circuit.output])
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:

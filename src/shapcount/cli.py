@@ -35,15 +35,8 @@ def _fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-
-
 def _load_formula(path: str) -> BoolFunc:
-    return formats.parse_function(_read(path))
+    return formats.parse_function(Path(path).read_text())
 
 
 def _digest(paths: list[str]) -> str:
@@ -61,7 +54,7 @@ def _digest(paths: list[str]) -> str:
 
 
 def _validated_circuit(path: str) -> circuit.Circuit:
-    parsed = circuit.parse_nnf(_read(path))
+    parsed = circuit.parse_nnf(Path(path).read_text())
     if circuit.validate(parsed).determinism == "assumed":
         print("shapcount: note: assumed-deterministic (too many variables to verify)", file=sys.stderr)
     return parsed
@@ -70,7 +63,7 @@ def _validated_circuit(path: str) -> circuit.Circuit:
 def _load_instance(paths: list[str]) -> tuple[lineage.Query, lineage.Database]:
     if len(paths) != 2:
         raise InputError("--kind lineage takes a query file and a database directory")
-    query = lineage.parse_query(_read(paths[0]))
+    query = lineage.parse_query(Path(paths[0]).read_text())
     return query, lineage.load_database(paths[1])
 
 
@@ -78,13 +71,6 @@ def _single(paths: list[str]) -> str:
     if len(paths) != 1:
         raise InputError("this input kind takes exactly one file")
     return paths[0]
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _bound(ns) -> int:
@@ -192,7 +178,7 @@ def cmd_shapley(ns) -> str:
 
 
 def cmd_check(ns) -> str:
-    query = lineage.parse_query(_read(_single(ns.inputs)))
+    query = lineage.parse_query(Path(_single(ns.inputs)).read_text())
     hierarchical, witness = lineage.is_hierarchical(query)
     sjf = lineage.is_self_join_free(query)
     lines = [
@@ -261,7 +247,7 @@ def cmd_lineage(ns) -> str:
 
 
 def cmd_pp2dnf(ns) -> str:
-    text = _read(_single(ns.inputs))
+    text = Path(_single(ns.inputs)).read_text()
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -518,7 +504,12 @@ def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         output = _HANDLERS[ns.verb](ns)
-    except InputError as exc:
+        if ns.out and ns.verb not in _DIRECTORY_VERBS:
+            Path(ns.out).write_text(output)
+            return 0
+    except (InputError, OSError, UnicodeDecodeError) as exc:
+        # a path that cannot be read, decoded or written is bad input; an
+        # OSError's message names its path
         print(f"shapcount: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RefusalError as exc:
@@ -527,10 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistencyError as exc:
         print(f"shapcount: inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    if ns.verb in _DIRECTORY_VERBS:
-        sys.stdout.write(output)
-    else:
-        _emit(output, ns.out)
+    sys.stdout.write(output)
     return 0
 
 

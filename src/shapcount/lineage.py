@@ -519,10 +519,19 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
     built by `CircuitBuilder.exclusive_or`, so each subcircuit is one gate
     and negation sits above whole branches.
 
-    Each component partitions its atoms' rows by their value at the root
-    variable in one pass, and every branch binds and restricts only its own
-    value's rows, so a row is touched once per level of the query and the
-    compilation takes time linear in the data.
+    Every atom's rows are restricted once, up front, to those matching its
+    constants and agreeing on its repeated variables.  A component then
+    partitions its atoms' rows by their value at the root variable in one
+    pass; a row grouped under value v already holds v at every position of
+    the root, so binding the root substitutes the constant into the atom's
+    arguments with no second scan.  A row is touched once per level of the
+    query and the compilation takes time linear in the data.
+
+    In a hierarchical query the atom sets of any two variables are nested
+    or disjoint, and stay so as variables are bound.  So two atoms that
+    each share a variable with a third share one with each other, and a
+    connected component is simply the pending atoms sharing a variable with
+    the first pending atom.
     """
     _check_query(query, db.schema)
     if not is_self_join_free(query):
@@ -537,102 +546,63 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
     # an atom in flight: (relation, current args, surviving row indices)
     State = tuple[Relation, tuple[Term, ...], tuple[int, ...]]
 
-    def restrict(state: State) -> State:
-        rel, args, candidates = state
-        rows = db.rows[rel.name]
+    def restrict(atom: Atom) -> State:
+        rel = db.schema.get(atom.relation)
         kept = []
-        for row_index in candidates:
-            row = rows[row_index]
+        for row_index, row in enumerate(db.rows[atom.relation]):
             positions: dict[str, str] = {}
-            ok = True
-            for term, value in zip(args, row):
+            for term, value in zip(atom.args, row):
                 if isinstance(term, QueryConst):
                     if term.value != value:
-                        ok = False
                         break
-                else:
-                    seen = positions.get(term.name)
-                    if seen is None:
-                        positions[term.name] = value
-                    elif seen != value:
-                        ok = False
-                        break
-            if ok:
+                elif positions.setdefault(term.name, value) != value:
+                    break
+            else:
                 kept.append(row_index)
-        return (rel, args, tuple(kept))
+        return (rel, atom.args, tuple(kept))
 
     def unbound_vars(state: State) -> set[str]:
         return {t.name for t in state[1] if isinstance(t, QueryVar)}
-
-    def bind(state: State, name: str, value: str) -> State:
-        rel, args, candidates = state
-        new_args = tuple(
-            QueryConst(value) if isinstance(t, QueryVar) and t.name == name else t
-            for t in args
-        )
-        return restrict((rel, new_args, candidates))
 
     def compile_states(states: list[State]) -> int:
         parts: list[int] = []
         pending: list[State] = []
         for state in states:
-            rel, args, candidates = state
+            rel, _, candidates = state
             if unbound_vars(state):
                 pending.append(state)
-                continue
-            if not candidates:
-                return builder.const(0)
-            if rel.endogenous:
+            elif rel.endogenous:
                 # deduplicated rows make the fully ground match unique
                 parts.append(builder.var(db.var_of(rel.name, candidates[0])))
-        # split what is left into connected components over shared variables
-        remaining = list(pending)
-        while remaining:
-            component = [remaining.pop(0)]
-            grabbed = True
-            while grabbed:
-                grabbed = False
-                covered = set().union(*(unbound_vars(s) for s in component))
-                for other in list(remaining):
-                    if unbound_vars(other) & covered:
-                        component.append(other)
-                        remaining.remove(other)
-                        grabbed = True
-            parts.append(compile_component(component))
+        while pending:
+            shared = unbound_vars(pending[0])
+            parts.append(compile_component([s for s in pending if unbound_vars(s) & shared]))
+            pending = [s for s in pending if not unbound_vars(s) & shared]
         return builder.and_(parts)
 
     def compile_component(states: list[State]) -> int:
-        occurrences: dict[str, int] = {}
-        for state in states:
-            for name in unbound_vars(state):
-                occurrences[name] = occurrences.get(name, 0) + 1
-        root = None
-        for name in sorted(occurrences):
-            if occurrences[name] == len(states):
-                root = name
-                break
-        if root is None:
+        common = set.intersection(*(unbound_vars(s) for s in states))
+        if not common:
             raise RefusalError("no root variable: the query is not hierarchical")
+        root = min(common)
+        var = QueryVar(root)
         # one pass partitions each atom's rows by their value at the root
         groups: list[dict[str, list[int]]] = []
         for rel, args, candidates in states:
-            position = next(
-                i for i, t in enumerate(args) if isinstance(t, QueryVar) and t.name == root
-            )
+            position = args.index(var)
             rows = db.rows[rel.name]
             by_value: dict[str, list[int]] = {}
             for r in candidates:
                 by_value.setdefault(rows[r][position], []).append(r)
             groups.append(by_value)
-        values = set(groups[0]).intersection(*groups[1:])
         branches = []
-        for value in sorted(values):
+        # every group holds each value of the intersection, so no branch is empty
+        for value in sorted(set(groups[0]).intersection(*groups[1:])):
+            const = QueryConst(value)
             bound = [
-                bind((rel, args, tuple(group[value])), root, value)
+                (rel, tuple(const if t == var else t for t in args), tuple(group[value]))
                 for (rel, args, _), group in zip(states, groups)
             ]
-            if any(not s[2] for s in bound):
-                continue
             branch = compile_states(bound)
             constant = builder.const_value(branch)
             if constant == 0:
@@ -642,10 +612,7 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
                 break  # the chain never reaches the later values
         return builder.exclusive_or(branches)
 
-    initial = [
-        restrict((db.schema.get(a.relation), a.args, tuple(range(len(db.rows[a.relation])))))
-        for a in query.atoms
-    ]
+    initial = [restrict(a) for a in query.atoms]
     root = builder.const(0) if any(not s[2] for s in initial) else compile_states(initial)
     return builder.build(root, deterministic_by_construction=True)
 
@@ -663,10 +630,13 @@ def shapley_tuples(
     vector one forward and one transposed pass give exactly at any size
     (`circuit.shapley_direct`); non-hierarchical ones fall back to
     exhaustive enumeration of the lineage (with a warning), refusing above
-    the bound.
+    the bound.  A query with a self-join is outside the dichotomy and is
+    refused: only brute force answers it.
     """
     if not is_self_join_free(query):
-        raise InputError("the dichotomy pipeline handles self-join-free queries only")
+        raise RefusalError(
+            "the dichotomy pipeline handles self-join-free queries only; pass --method brute"
+        )
     hierarchical, _ = is_hierarchical(query)
     if hierarchical:
         return shapley_direct(compile_hierarchical_lineage(query, db))

@@ -146,6 +146,39 @@ def test_check_decomposable():
     assert check_decomposable(nested)[0]
 
 
+def test_check_decomposable_matches_scope_sets_on_random_circuits():
+    def reference(c):
+        scopes = []
+        for gate in c.gates:
+            scope = frozenset((gate.var,)) if gate.kind == VAR else frozenset()
+            scopes.append(scope.union(*(scopes[r] for r in gate.inputs)))
+        bad = tuple(
+            idx
+            for idx, gate in enumerate(c.gates)
+            if gate.kind == AND and sum(len(scopes[r]) for r in gate.inputs) != len(scopes[idx])
+        )
+        return (not bad, bad)
+
+    rng = random.Random(9)
+    violating = 0
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        b = CircuitBuilder(n)
+        nodes = [b.add(VAR, var=v) for v in range(n)]
+        for _ in range(rng.randint(1, 12)):
+            kind = rng.choice((AND, AND, OR, NOT))
+            if kind == NOT:
+                nodes.append(b.add(NOT, inputs=(rng.choice(nodes),)))
+            else:
+                # children drawn with replacement, so ANDs over shared variables are common
+                nodes.append(b.add(kind, inputs=rng.choices(nodes, k=rng.randint(2, 3))))
+        c = b.build(nodes[-1])
+        want = reference(c)
+        assert check_decomposable(c) == want
+        violating += len(want[1])
+    assert violating > 500
+
+
 def test_check_deterministic():
     assert check_deterministic_exhaustive(parse_nnf(EXAMPLE_NNF)) == ("verified", None)
 

@@ -145,6 +145,15 @@ def test_shapley_hard_branch_refusal_exit_code(workspace, capsys):
     assert code == 3
 
 
+def test_shapley_self_join_refusal_exit_code(workspace, capsys):
+    (workspace / "sj.q").write_text("Q :- R1(x), R1(y)\n")
+    argv = ["shapley", workspace / "sj.q", workspace / "join", "--kind", "lineage"]
+    code = main([str(a) for a in argv])
+    assert code == 3 and "--method brute" in capsys.readouterr().err
+    code, out = run(capsys, *argv, "--method", "brute")
+    assert code == 0 and out == "R1,0,1,2\nR1,1,1,2\nR2,0,0,1\nR2,1,0,1\n"
+
+
 def test_check_classifications(workspace, capsys):
     code, out = run(capsys, "check", workspace / "rst.q")
     assert code == 0
@@ -340,6 +349,25 @@ def test_parse_error_exit_code(workspace, capsys):
     assert code == 2
     code, _ = run(capsys, "count", workspace / "missing.bf")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", "{ws}/missing.bf"),
+        ("count", "{ws}/join.q", "{ws}/emptydb", "--kind", "lineage"),
+        ("count", "{ws}/undecodable.bf"),
+        ("compare", "{ws}/undecodable.bf"),
+        ("count", "{ws}/ex1.bf", "--out", "{ws}/nodir/out.txt"),
+    ],
+)
+def test_unreadable_undecodable_or_unwritable_paths_exit_2(workspace, capsys, argv):
+    (workspace / "emptydb").mkdir()  # no schema.txt
+    (workspace / "undecodable.bf").write_bytes(b"\xff(and x0 x1)")
+    code = main([a.format(ws=workspace) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "input error" in captured.err
 
 
 def test_bound_refusal_exit_code(workspace, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -150,30 +151,6 @@ def test_indexed_build_constant_lineages():
         assert built.func.root == Const(0)
 
 
-def _count_over_all_variables(circuit: ct.Circuit) -> int:
-    """Model count of a d-D circuit with every gate counted over all the
-    declared variables.  It needs no per-gate scope sets: those of
-    `Circuit.scopes`, which `model_count_dd` reads, grow quadratically along
-    an exclusive chain and take over 1 GB on the join below."""
-    full = 1 << circuit.var_count
-    counts: list[int] = []
-    for gate in circuit.gates:
-        if gate.kind in (ct.CONST0, ct.CONST1):
-            counts.append(full if gate.kind == ct.CONST1 else 0)
-        elif gate.kind == ct.VAR:
-            counts.append(full >> 1)
-        elif gate.kind == ct.NOT:
-            counts.append(full - counts[gate.inputs[0]])
-        elif gate.kind == ct.AND:
-            acc = full
-            for r in gate.inputs:  # independent children: each product is a count
-                acc = acc * counts[r] >> circuit.var_count
-            counts.append(acc)
-        else:
-            counts.append(sum(counts[r] for r in gate.inputs))
-    return counts[circuit.output]
-
-
 def test_relational_layer_scales_linearly():
     # R(x), S(x,y) with 4 S rows per R value: n = 5k variables
     k = 2500
@@ -200,14 +177,37 @@ def test_relational_layer_scales_linearly():
     )
     start = time.perf_counter()
     built = lg.build_lineage(join_q, join_db)
-    circuit = lg.compile_hierarchical_lineage(join_q, join_db)
+    count = ct.model_count_dd(lg.compile_hierarchical_lineage(join_q, join_db))
     chain = lg.build_lineage(lg.parse_query("Q :- R(x), S(x,y), T(y)"), chain_db)
     elapsed = time.perf_counter() - start
     # the quadratic construction took 20 s and more on a 2-vCPU host, the linear one 0.3 s
-    assert elapsed < 5.0, f"build and compile took {elapsed:.1f} s"
+    assert elapsed < 5.0, f"build, compile and count took {elapsed:.1f} s"
     assert len(built.clauses) == 4 * k and len(chain.clauses) == m
     # each R value's block r and (s1 or ... or s4) fails on 17 of its 32 assignments
-    assert _count_over_all_variables(circuit) == 2 ** (5 * k) - 17**k
+    assert count == 2 ** (5 * k) - 17**k
+
+
+def test_counting_the_compiled_join_takes_little_memory():
+    # R(x), S(x,y) with 4 S rows per R value, n = 4000: a cached set of
+    # variables per gate grew along the exclusive chain to 135 MiB here
+    k = 800
+    schema = lg.Schema((lg.Relation("R", 1, True), lg.Relation("S", 2, True)))
+    db = lg.Database(
+        schema,
+        {
+            "R": [(f"a{i}",) for i in range(k)],
+            "S": [(f"a{i}", f"b{j}") for i in range(k) for j in range(4)],
+        },
+    )
+    circuit = lg.compile_hierarchical_lineage(lg.parse_query("Q :- R(x), S(x,y)"), db)
+    tracemalloc.start()
+    try:
+        count = ct.model_count_dd(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2 ** (5 * k) - 17**k
+    assert peak < 32 * 2**20, f"counting peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_lineage_matches_active_domain_recursion():
@@ -445,7 +445,7 @@ def test_shapley_tuples_hard_branch_refuses_above_bound():
     q, db = chain_instance()
     with pytest.raises(RefusalError, match="non-hierarchical"):
         lg.shapley_tuples(q, db, bound=3)
-    with pytest.raises(InputError):
+    with pytest.raises(RefusalError, match="--method brute"):
         lg.shapley_tuples(lg.parse_query("Q :- R(x), R(y)"), db)
 
 
