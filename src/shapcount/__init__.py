@@ -1,10 +1,10 @@
 """Exact Shapley values for Boolean functions via model counting.
 
-The package has four layers: function trees with brute-force ground-truth
-oracles (boolfunc), the rational-arithmetic reductions tying Shapley values
-to model counting (reductions), deterministic-decomposable circuits
-(circuit), and conjunctive-query lineage with the hierarchical dichotomy
-(lineage).  The cli module wires them into a command-line tool.
+The package has four layers: Boolean functions as gate DAGs with
+brute-force ground-truth oracles (boolfunc), the rational-arithmetic
+reductions tying Shapley values to model counting (reductions),
+deterministic-decomposable circuits (circuit), and conjunctive-query lineage
+with the hierarchical dichotomy (lineage).  The cli module wires them into a command-line tool.
 """
 
 from .boolfunc import (

@@ -1,15 +1,11 @@
-"""Boolean function trees with exact enumeration oracles.
+"""Boolean functions as gate DAGs, with exact enumeration oracles.
 
-Functions are finite expression trees (shared subtrees allowed) over a dense
-variable index space 0..n-1, built from constants, variables, negation and
-n-ary connectives.  Everything is immutable and exact: model counts are
-Python ints, Shapley values are Fractions.
-
-Constructing a BoolFunc validates its nodes and records each distinct node
-once, children first; every operation here is a loop over that order.  So
-any nesting depth is accepted, shared subtrees are walked once (an
-operation costs time linear in the distinct subterms) and results keep the
-input's sharing.
+Functions are built from expression nodes (shared subterms allowed) over a
+dense variable index space 0..n-1.  A BoolFunc validates its nodes and
+lowers them to the gate array a `circuit.Circuit` holds, one `Gate` per
+distinct node, children first; every walker here reads only that array, so
+it takes circuits too, accepts any nesting depth and walks shared subterms
+once.  Everything is exact: counts are ints, Shapley values Fractions.
 
 The brute-force routines in this module are the ground truth the rest of the
 package is checked against.  They enumerate the full valuation space as big
@@ -23,12 +19,30 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, RefusalError
 
+if TYPE_CHECKING:
+    from .circuit import Circuit
+
 ENUMERATION_BOUND = 24
 PERMUTATION_BOUND = 10
+
+CONST0 = "const0"
+CONST1 = "const1"
+VAR = "var"
+NOT = "not"
+AND = "and"
+OR = "or"
+
+
+class Gate(NamedTuple):
+    """One gate of a DAG; inputs are indices of earlier gates."""
+
+    kind: str
+    var: int = -1
+    inputs: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -84,119 +98,118 @@ def disjunction(children: Sequence[Node]) -> Node:
 
 @dataclass(frozen=True)
 class BoolFunc:
-    """A Boolean function: expression tree plus its declared variable count.
+    """A Boolean function: expression nodes lowered to a gate array, plus
+    its declared variable count.
 
     Variables carry dense indices 0..var_count-1; not every index has to
-    occur in the tree.  Optional labels, when given, must be unique and
-    cover every index.
+    occur.  `gates` holds one gate per distinct node (by identity), children
+    first, so the root is the last gate, `output`.  Equality, hashing and
+    repr read the flat gates, never the nodes, so they do not recurse: two
+    functions are equal when they are the same DAG.
     """
 
-    root: Node
+    root: Node = field(compare=False, repr=False)
     var_count: int
-    labels: tuple[str, ...] | None = None
-    # every distinct node (by identity) once, children before parents
-    _order: tuple[Node, ...] = field(init=False, repr=False, compare=False)
+    gates: tuple[Gate, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.var_count < 0:
             raise InputError("variable count must be nonnegative")
-        order: list[Node] = []
-        seen: set[int] = set()
+        gates: list[Gate] = []
+        index: dict[int, int] = {}  # id(node) -> its gate; -1 until its children have one
         stack: list[tuple[Node, bool]] = [(self.root, False)]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
+            node, children_done = stack.pop()
+            if not children_done and id(node) in index:
                 continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
             if isinstance(node, Const):
                 if node.value not in (0, 1):
                     raise InputError(f"constant must be 0 or 1, got {node.value!r}")
+                gate = Gate(CONST1 if node.value else CONST0)
             elif isinstance(node, Var):
                 if not 0 <= node.index < self.var_count:
                     raise InputError(
                         f"variable index {node.index} out of range for {self.var_count} variables"
                     )
-            elif isinstance(node, Not):
-                stack.append((node.child, False))
-            elif isinstance(node, (And, Or)):
-                if len(node.children) < 2:
-                    raise InputError("n-ary connectives need at least two children")
-                stack.extend((c, False) for c in reversed(node.children))
-            else:
+                gate = Gate(VAR, node.index)
+            elif not isinstance(node, (Not, And, Or)):
                 raise InputError(f"not a function node: {node!r}")
-        object.__setattr__(self, "_order", tuple(order))
-        if self.labels is not None:
-            if len(self.labels) != self.var_count:
-                raise InputError("label count must equal variable count")
-            if len(set(self.labels)) != len(self.labels):
-                raise InputError("variable labels must be unique")
+            elif children_done:
+                if isinstance(node, Not):
+                    gate = Gate(NOT, inputs=(index[id(node.child)],))
+                else:
+                    inputs = tuple([index[id(c)] for c in node.children])
+                    gate = Gate(AND if isinstance(node, And) else OR, inputs=inputs)
+            else:
+                children = (node.child,) if isinstance(node, Not) else node.children
+                if len(children) < 2 and not isinstance(node, Not):
+                    raise InputError("n-ary connectives need at least two children")
+                index[id(node)] = -1
+                stack.append((node, True))
+                stack.extend([(c, False) for c in reversed(children)])
+                continue
+            index[id(node)] = len(gates)
+            gates.append(gate)
+        object.__setattr__(self, "gates", tuple(gates))
+
+    @property
+    def output(self) -> int:
+        return len(self.gates) - 1
 
     def size(self) -> int:
         """Number of variable occurrences and connectives (constants free)."""
-        sizes: dict[int, int] = {}
-        for node in self._order:
-            if isinstance(node, Const):
-                val = 0
-            elif isinstance(node, Var):
-                val = 1
-            elif isinstance(node, Not):
-                val = 1 + sizes[id(node.child)]
-            else:
-                val = 1 + sum(sizes[id(c)] for c in node.children)
-            sizes[id(node)] = val
-        return sizes[id(self.root)]
+        sizes: list[int] = []
+        for gate in self.gates:
+            free = gate.kind in (CONST0, CONST1)
+            sizes.append(0 if free else 1 + sum(sizes[r] for r in gate.inputs))
+        return sizes[-1]
 
 
-def _rebuild(func: BoolFunc, replace: Callable[[Var], Node]) -> Node:
-    """The root of `func` with each variable node replaced by replace(node).
+def _rebuild(func: BoolFunc | Circuit, replace: Callable[[int], Node]) -> Node:
+    """The output of `func` as nodes, each variable gate replaced by
+    replace(its variable index).
 
-    Connectives are rebuilt as they are, constants kept, and every distinct
-    node is rebuilt once, so shared subterms stay shared.
+    Connectives are rebuilt as they are, constants kept, and every gate is
+    rebuilt once, so shared subterms stay shared.
     """
-    out: dict[int, Node] = {}
-    for node in func._order:
-        if isinstance(node, Const):
-            new: Node = node
-        elif isinstance(node, Var):
-            new = replace(node)
-        elif isinstance(node, Not):
-            new = Not(out[id(node.child)])
-        elif isinstance(node, And):
-            new = And(tuple(out[id(c)] for c in node.children))
+    nodes: list[Node] = []
+    for gate in func.gates:
+        if gate.kind == VAR:
+            nodes.append(replace(gate.var))
+        elif gate.kind == NOT:
+            nodes.append(Not(nodes[gate.inputs[0]]))
+        elif gate.kind == AND:
+            nodes.append(And(tuple(nodes[r] for r in gate.inputs)))
+        elif gate.kind == OR:
+            nodes.append(Or(tuple(nodes[r] for r in gate.inputs)))
         else:
-            new = Or(tuple(out[id(c)] for c in node.children))
-        out[id(node)] = new
-    return out[id(func.root)]
+            nodes.append(TRUE if gate.kind == CONST1 else FALSE)
+    return nodes[func.output]
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and exhaustive truth tables
+# Evaluation and exhaustive truth tables, for functions and circuits alike
 
 
-def evaluate(func: BoolFunc, true_vars: Iterable[int]) -> int:
+def evaluate(func: BoolFunc | Circuit, true_vars: Iterable[int]) -> int:
     """Value of the function under the valuation setting exactly `true_vars`."""
     trues = frozenset(true_vars)
     for v in trues:
         if not 0 <= v < func.var_count:
             raise InputError(f"valuation mentions variable {v}, function has {func.var_count}")
-    values: dict[int, int] = {}
-    for node in func._order:
-        if isinstance(node, Const):
-            val = node.value
-        elif isinstance(node, Var):
-            val = 1 if node.index in trues else 0
-        elif isinstance(node, Not):
-            val = 1 - values[id(node.child)]
-        elif isinstance(node, And):
-            val = int(all(values[id(c)] for c in node.children))
+    vals: list[int] = []
+    for gate in func.gates:
+        if gate.kind == VAR:
+            vals.append(1 if gate.var in trues else 0)
+        elif gate.kind == NOT:
+            vals.append(1 - vals[gate.inputs[0]])
+        elif gate.kind == AND:
+            vals.append(int(all(vals[r] for r in gate.inputs)))
+        elif gate.kind == OR:
+            vals.append(int(any(vals[r] for r in gate.inputs)))
         else:
-            val = int(any(values[id(c)] for c in node.children))
-        values[id(node)] = val
-    return values[id(func.root)]
+            vals.append(1 if gate.kind == CONST1 else 0)
+    return vals[func.output]
 
 
 _MASK_CACHE: dict[int, tuple[int, ...]] = {}
@@ -243,42 +256,50 @@ def _check_bound(n: int, bound: int, what: str) -> None:
         raise RefusalError(f"{what} over {n} variables exceeds the bound of {bound}")
 
 
-def truth_table(func: BoolFunc, *, bound: int = ENUMERATION_BOUND) -> int:
-    """All 2^n values as a bitmask; bit i is the value on valuation index i."""
+def gate_tables(func: BoolFunc | Circuit) -> list[int]:
+    """Truth table bitmask of every gate over the full variable space."""
     n = func.var_count
-    _check_bound(n, bound, "exhaustive enumeration")
     full = (1 << (1 << n)) - 1
     masks = _variable_masks(n)
-    tables: dict[int, int] = {}
-    for node in func._order:
-        if isinstance(node, Const):
-            val = full if node.value else 0
-        elif isinstance(node, Var):
-            val = masks[node.index]
-        elif isinstance(node, Not):
-            val = full ^ tables[id(node.child)]
-        elif isinstance(node, And):
-            val = full
-            for c in node.children:
-                val &= tables[id(c)]
+    tables: list[int] = []
+    for gate in func.gates:
+        if gate.kind == VAR:
+            tables.append(masks[gate.var])
+        elif gate.kind == NOT:
+            tables.append(full ^ tables[gate.inputs[0]])
+        elif gate.kind == AND:
+            acc = full
+            for r in gate.inputs:
+                acc &= tables[r]
+            tables.append(acc)
+        elif gate.kind == OR:
+            acc = 0
+            for r in gate.inputs:
+                acc |= tables[r]
+            tables.append(acc)
         else:
-            val = 0
-            for c in node.children:
-                val |= tables[id(c)]
-        tables[id(node)] = val
-    return tables[id(func.root)]
+            tables.append(full if gate.kind == CONST1 else 0)
+    return tables
+
+
+def truth_table(func: BoolFunc | Circuit, *, bound: int = ENUMERATION_BOUND) -> int:
+    """All 2^n values as a bitmask; bit i is the value on valuation index i."""
+    _check_bound(func.var_count, bound, "exhaustive enumeration")
+    return gate_tables(func)[func.output]
 
 
 # ---------------------------------------------------------------------------
 # Brute-force counting and Shapley oracles
 
 
-def brute_count(func: BoolFunc, *, bound: int = ENUMERATION_BOUND) -> int:
+def brute_count(func: BoolFunc | Circuit, *, bound: int = ENUMERATION_BOUND) -> int:
     """Model count by full enumeration."""
     return truth_table(func, bound=bound).bit_count()
 
 
-def brute_kcounts(func: BoolFunc, *, bound: int = ENUMERATION_BOUND) -> tuple[int, ...]:
+def brute_kcounts(
+    func: BoolFunc | Circuit, *, bound: int = ENUMERATION_BOUND
+) -> tuple[int, ...]:
     """Model counts bucketed by valuation size, by full enumeration."""
     table = truth_table(func, bound=bound)
     weights = _weight_masks(func.var_count)
@@ -286,7 +307,7 @@ def brute_kcounts(func: BoolFunc, *, bound: int = ENUMERATION_BOUND) -> tuple[in
 
 
 def brute_shapley_permutations(
-    func: BoolFunc, *, bound: int = PERMUTATION_BOUND
+    func: BoolFunc | Circuit, *, bound: int = PERMUTATION_BOUND
 ) -> tuple[Fraction, ...]:
     """Shapley vector by averaging marginal contributions over all n! orders."""
     n = func.var_count
@@ -308,21 +329,29 @@ def brute_shapley_permutations(
 
 
 def brute_shapley_subsets(
-    func: BoolFunc, *, bound: int = ENUMERATION_BOUND
+    func: BoolFunc | Circuit, *, bound: int = ENUMERATION_BOUND
 ) -> tuple[Fraction, ...]:
     """Shapley vector from size-bucketed counts of the two cofactors per
-    variable; must agree exactly with the permutation average."""
+    variable, all read off one truth table T: the k-subsets S of the other
+    variables with f(S + x_i) true number |T & x_i & W_(k+1)|, those with
+    f(S) true |T & ~x_i & W_k|, for W_k the valuations of size k.  Must
+    agree exactly with the permutation average."""
     n = func.var_count
     _check_bound(n, bound, "subset enumeration")
     if n == 0:
         return ()
+    table = truth_table(func, bound=bound)
+    sizes = _weight_masks(n)
     denom = factorial(n)
     weights = [factorial(k) * factorial(n - 1 - k) for k in range(n)]
     values = []
-    for i in range(n):
-        hi = brute_kcounts(substitute_const(func, i, 1), bound=bound)
-        lo = brute_kcounts(substitute_const(func, i, 0), bound=bound)
-        num = sum(w * (a - b) for w, a, b in zip(weights, hi, lo))
+    for mask in _variable_masks(n):
+        hi = table & mask
+        lo = table ^ hi
+        num = sum(
+            w * ((hi & sizes[k + 1]).bit_count() - (lo & sizes[k]).bit_count())
+            for k, w in enumerate(weights)
+        )
         values.append(Fraction(num, denom))
     return tuple(values)
 
@@ -343,10 +372,10 @@ def substitute_const(func: BoolFunc, var: int, value: int) -> BoolFunc:
         raise InputError("cofactor value must be 0 or 1")
     pinned = Const(value)
 
-    def replace(node: Var) -> Node:
-        if node.index == var:
+    def replace(index: int) -> Node:
+        if index == var:
             return pinned
-        return Var(node.index - 1) if node.index > var else node
+        return Var(index - 1 if index > var else index)
 
     return BoolFunc(_rebuild(func, replace), func.var_count - 1)
 
@@ -354,23 +383,25 @@ def substitute_const(func: BoolFunc, var: int, value: int) -> BoolFunc:
 def constant_fold(func: BoolFunc) -> BoolFunc:
     """Simplify away constants.  Never applied implicitly by any other
     operation here, so expression sizes stay predictable."""
-    out: dict[int, Node] = {}
-    for node in func._order:
-        if isinstance(node, (Const, Var)):
-            new: Node = node
-        elif isinstance(node, Not):
-            child = out[id(node.child)]
+    nodes: list[Node] = []
+    for gate in func.gates:
+        if gate.kind == VAR:
+            new: Node = Var(gate.var)
+        elif gate.kind == NOT:
+            child = nodes[gate.inputs[0]]
             new = Const(1 - child.value) if isinstance(child, Const) else Not(child)
-        else:
-            kids = [out[id(c)] for c in node.children]
-            absorbing = FALSE if isinstance(node, And) else TRUE
+        elif gate.kind in (AND, OR):
+            kids = [nodes[r] for r in gate.inputs]
+            absorbing = FALSE if gate.kind == AND else TRUE
             if any(isinstance(k, Const) and k.value == absorbing.value for k in kids):
                 new = absorbing
             else:
                 kids = [k for k in kids if not isinstance(k, Const)]
-                new = conjunction(kids) if isinstance(node, And) else disjunction(kids)
-        out[id(node)] = new
-    return BoolFunc(out[id(func.root)], func.var_count)
+                new = conjunction(kids) if gate.kind == AND else disjunction(kids)
+        else:
+            new = TRUE if gate.kind == CONST1 else FALSE
+        nodes.append(new)
+    return BoolFunc(nodes[-1], func.var_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,13 +436,13 @@ def apply_substitution(func: BoolFunc, mapping: Mapping[int, BoolFunc]) -> Subst
     for old in sorted(mapping):
         m = mapping[old].var_count
         fresh[old] = tuple(range(offset, offset + m))
-        shifted[old] = _rebuild(mapping[old], lambda node, delta=offset: Var(node.index + delta))
+        shifted[old] = _rebuild(mapping[old], lambda index, delta=offset: Var(index + delta))
         offset += m
 
-    def replace(node: Var) -> Node:
-        if node.index in shifted:
-            return shifted[node.index]
-        return Var(old_to_new[node.index])
+    def replace(index: int) -> Node:
+        if index in shifted:
+            return shifted[index]
+        return Var(old_to_new[index])
 
     return SubstitutionResult(BoolFunc(_rebuild(func, replace), offset), old_to_new, fresh)
 
@@ -442,7 +473,7 @@ def _grouped_substitute(func: BoolFunc, arities: Sequence[int], connective) -> G
         offset += m
     # one replacement node per variable, shared by all of its occurrences
     replacements = [connective([Var(z) for z in group]) for group in groups]
-    root = _rebuild(func, lambda node: replacements[node.index])
+    root = _rebuild(func, lambda index: replacements[index])
     return GroupedSubstitution(BoolFunc(root, offset), tuple(groups))
 
 

@@ -1,12 +1,14 @@
 """Deterministic and decomposable circuits.
 
 A circuit is an indexed DAG of gates (constants, variables, NOT, n-ary
-AND/OR) with a single output gate.  Counting is linear once two properties
-hold: every AND combines subcircuits over disjoint variables, and no
-valuation satisfies two children of the same OR.  Decomposability is checked
-structurally; determinism is verified exhaustively up to a bound, taken on
-faith ("assumed") above it, or certified by construction for circuits built
-by this package.
+AND/OR) with a single output gate, the last one: the same `boolfunc.Gate`
+array a `BoolFunc` lowers to, so `boolfunc`'s evaluator, truth tables and
+brute-force routines take circuits as they are.  Counting is linear once
+two properties hold: every AND combines subcircuits over disjoint variables,
+and no valuation satisfies two children of the same OR.  Decomposability is
+checked structurally; determinism is verified exhaustively up to a bound,
+taken on faith ("assumed") above it, or certified by construction for
+circuits built by this package.
 
 The model count scales by powers of 2 for variables absent from a gate's
 scope instead of materializing smoothing gates; the size-bucketed count works
@@ -26,31 +28,19 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from . import reductions
-from .boolfunc import BoolFunc, Const, Node, Not as FNot, And as FAnd, Or as FOr, Var as FVar
+from .boolfunc import AND, CONST0, CONST1, NOT, OR, VAR, BoolFunc, Gate, Var
+from .boolfunc import _rebuild, evaluate, gate_tables
 from .errors import InconsistencyError, InputError, RefusalError
 
-CONST0 = "const0"
-CONST1 = "const1"
-VAR = "var"
-NOT = "not"
-AND = "and"
-OR = "or"
-
 DETERMINISM_BOUND = 20
-
-
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    var: int = -1
-    inputs: tuple[int, ...] = ()
 
 
 class Circuit:
     """Immutable-by-convention gate DAG with one output.
 
     Gate inputs always point at smaller indices, so index order is a
-    topological order.  Exactly one gate (the output) feeds nothing.
+    topological order.  Exactly one gate (the output) feeds nothing; as
+    nothing can read the last gate, that is the last one.
     """
 
     __slots__ = (
@@ -374,59 +364,7 @@ def to_nnf_text(circuit: Circuit) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and validation
-
-
-def evaluate(circuit: Circuit, true_vars: Iterable[int]) -> int:
-    trues = frozenset(true_vars)
-    for v in trues:
-        if not 0 <= v < circuit.var_count:
-            raise InputError(f"valuation mentions variable {v}")
-    vals: list[int] = []
-    for gate in circuit.gates:
-        if gate.kind == CONST0:
-            vals.append(0)
-        elif gate.kind == CONST1:
-            vals.append(1)
-        elif gate.kind == VAR:
-            vals.append(1 if gate.var in trues else 0)
-        elif gate.kind == NOT:
-            vals.append(1 - vals[gate.inputs[0]])
-        elif gate.kind == AND:
-            vals.append(int(all(vals[r] for r in gate.inputs)))
-        else:
-            vals.append(int(any(vals[r] for r in gate.inputs)))
-    return vals[circuit.output]
-
-
-def gate_tables(circuit: Circuit) -> list[int]:
-    """Truth table bitmask of every gate over the full variable space."""
-    from .boolfunc import _variable_masks
-
-    n = circuit.var_count
-    full = (1 << (1 << n)) - 1
-    masks = _variable_masks(n)
-    tables: list[int] = []
-    for gate in circuit.gates:
-        if gate.kind == CONST0:
-            tables.append(0)
-        elif gate.kind == CONST1:
-            tables.append(full)
-        elif gate.kind == VAR:
-            tables.append(masks[gate.var])
-        elif gate.kind == NOT:
-            tables.append(full ^ tables[gate.inputs[0]])
-        elif gate.kind == AND:
-            acc = full
-            for r in gate.inputs:
-                acc &= tables[r]
-            tables.append(acc)
-        else:
-            acc = 0
-            for r in gate.inputs:
-                acc |= tables[r]
-            tables.append(acc)
-    return tables
+# Validation
 
 
 def _scopes(circuit: Circuit) -> list[int]:
@@ -709,23 +647,9 @@ def shapley_direct(circuit: Circuit) -> tuple[Fraction, ...]:
 
 
 def unfold(circuit: Circuit) -> BoolFunc:
-    """The circuit as a function tree (subtrees shared, so this stays small
-    even for heavily shared DAGs)."""
-    nodes: list[Node] = []
-    for gate in circuit.gates:
-        if gate.kind == CONST0:
-            nodes.append(Const(0))
-        elif gate.kind == CONST1:
-            nodes.append(Const(1))
-        elif gate.kind == VAR:
-            nodes.append(FVar(gate.var))
-        elif gate.kind == NOT:
-            nodes.append(FNot(nodes[gate.inputs[0]]))
-        elif gate.kind == AND:
-            nodes.append(FAnd(tuple(nodes[r] for r in gate.inputs)))
-        else:
-            nodes.append(FOr(tuple(nodes[r] for r in gate.inputs)))
-    return BoolFunc(nodes[circuit.output], circuit.var_count)
+    """The circuit as function nodes, one per gate, so shared gates stay
+    shared and the result is as small as the circuit."""
+    return BoolFunc(_rebuild(circuit, Var), circuit.var_count)
 
 
 # ---------------------------------------------------------------------------

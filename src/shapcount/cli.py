@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import boolfunc, circuit, formats, gen, lineage, reductions
 from .boolfunc import BoolFunc
-from .errors import InconsistencyError, InputError, RefusalError
+from .errors import InconsistencyError, InputError, RefusalError, read_input
 
 EXIT_INPUT = 2
 EXIT_REFUSAL = 3
@@ -36,7 +36,7 @@ def _fraction(value: Fraction) -> str:
 
 
 def _load_formula(path: str) -> BoolFunc:
-    return formats.parse_function(Path(path).read_text())
+    return formats.parse_function(read_input(path))
 
 
 def _digest(paths: list[str]) -> str:
@@ -54,7 +54,7 @@ def _digest(paths: list[str]) -> str:
 
 
 def _validated_circuit(path: str) -> circuit.Circuit:
-    parsed = circuit.parse_nnf(Path(path).read_text())
+    parsed = circuit.parse_nnf(read_input(path))
     if circuit.validate(parsed).determinism == "assumed":
         print("shapcount: note: assumed-deterministic (too many variables to verify)", file=sys.stderr)
     return parsed
@@ -63,7 +63,7 @@ def _validated_circuit(path: str) -> circuit.Circuit:
 def _load_instance(paths: list[str]) -> tuple[lineage.Query, lineage.Database]:
     if len(paths) != 2:
         raise InputError("--kind lineage takes a query file and a database directory")
-    query = lineage.parse_query(Path(paths[0]).read_text())
+    query = lineage.parse_query(read_input(paths[0]))
     return query, lineage.load_database(paths[1])
 
 
@@ -122,7 +122,7 @@ def cmd_kcount(ns) -> str:
         elif method == "direct":
             counts = circuit.size_polynomial_count(parsed)
         else:
-            counts = boolfunc.brute_kcounts(circuit.unfold(parsed), bound=_bound(ns))
+            counts = boolfunc.brute_kcounts(parsed, bound=_bound(ns))
     else:
         query, db = _load_instance(ns.inputs)
         compiled = _hierarchical_circuit(query, db)
@@ -164,7 +164,7 @@ def cmd_shapley(ns) -> str:
         if method == "reduction":
             values = circuit.shapley_circuit(parsed)
         else:
-            values = boolfunc.brute_shapley_subsets(circuit.unfold(parsed), bound=_bound(ns))
+            values = boolfunc.brute_shapley_subsets(parsed, bound=_bound(ns))
     else:
         query, db = _load_instance(ns.inputs)
         if method == "reduction":
@@ -178,7 +178,7 @@ def cmd_shapley(ns) -> str:
 
 
 def cmd_check(ns) -> str:
-    query = lineage.parse_query(Path(_single(ns.inputs)).read_text())
+    query = lineage.parse_query(read_input(_single(ns.inputs)))
     hierarchical, witness = lineage.is_hierarchical(query)
     sjf = lineage.is_self_join_free(query)
     lines = [
@@ -247,7 +247,7 @@ def cmd_lineage(ns) -> str:
 
 
 def cmd_pp2dnf(ns) -> str:
-    text = Path(_single(ns.inputs)).read_text()
+    text = read_input(_single(ns.inputs))
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -335,15 +335,14 @@ def _compare_formula(func: BoolFunc, bound: int) -> list[str]:
 
 
 def _compare_circuit(parsed: circuit.Circuit, bound: int) -> list[str]:
-    unfolded = circuit.unfold(parsed)
     count_dd = circuit.model_count_dd(parsed)
-    count_brute = boolfunc.brute_count(unfolded, bound=bound)
+    count_brute = boolfunc.brute_count(parsed, bound=bound)
     kc_direct = circuit.size_polynomial_count(parsed)
     kc_paper = circuit.kcounts_circuit(parsed)
-    kc_brute = boolfunc.brute_kcounts(unfolded, bound=bound)
+    kc_brute = boolfunc.brute_kcounts(parsed, bound=bound)
     sh_circ = circuit.shapley_circuit(parsed)
     sh_direct = circuit.shapley_direct(parsed)
-    sh_brute = boolfunc.brute_shapley_subsets(unfolded, bound=bound)
+    sh_brute = boolfunc.brute_shapley_subsets(parsed, bound=bound)
     lines = [
         f"count dd={count_dd} brute={count_brute}",
         "kcounts direct=%s paper=%s brute=%s"
@@ -507,9 +506,9 @@ def main(argv: list[str] | None = None) -> int:
         if ns.out and ns.verb not in _DIRECTORY_VERBS:
             Path(ns.out).write_text(output)
             return 0
-    except (InputError, OSError, UnicodeDecodeError) as exc:
-        # a path that cannot be read, decoded or written is bad input; an
-        # OSError's message names its path
+    except (InputError, OSError) as exc:
+        # a path that cannot be read or written is bad input; an OSError's
+        # message names its path
         print(f"shapcount: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RefusalError as exc:

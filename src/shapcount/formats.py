@@ -17,6 +17,11 @@ from __future__ import annotations
 import re
 
 from .boolfunc import (
+    AND,
+    CONST1,
+    NOT,
+    OR,
+    VAR,
     And,
     BoolFunc,
     Const,
@@ -126,20 +131,19 @@ def format_sexpr(func: BoolFunc) -> str:
     # each node's text is a tuple of pieces holding its children's tuples, so
     # it costs O(1) to build; one join at the end keeps time and memory
     # linear in the output at any depth
-    pieces: dict[int, tuple] = {}
-    for node in func._order:
-        if isinstance(node, Const):
-            piece: tuple = (str(node.value),)
-        elif isinstance(node, Var):
-            piece = (f"x{node.index}",)
-        elif isinstance(node, Not):
-            piece = ("(not ", pieces[id(node.child)], ")")
+    pieces: list[tuple] = []
+    for gate in func.gates:
+        if gate.kind == VAR:
+            pieces.append((f"x{gate.var}",))
+        elif gate.kind == NOT:
+            pieces.append(("(not ", pieces[gate.inputs[0]], ")"))
+        elif gate.kind in (AND, OR):
+            head = "(and" if gate.kind == AND else "(or"
+            pieces.append((head, *(p for r in gate.inputs for p in (" ", pieces[r])), ")"))
         else:
-            head = "(and" if isinstance(node, And) else "(or"
-            piece = (head, *(p for c in node.children for p in (" ", pieces[id(c)])), ")")
-        pieces[id(node)] = piece
+            pieces.append(("1" if gate.kind == CONST1 else "0",))
     out: list[str] = []
-    stack: list = [pieces[id(func.root)]]
+    stack: list = [pieces[func.output]]
     while stack:
         item = stack.pop()
         if isinstance(item, str):

@@ -33,7 +33,7 @@ from .boolfunc import (
     dnf_from_clauses,
 )
 from .circuit import Circuit, CircuitBuilder, shapley_direct
-from .errors import InputError, RefusalError
+from .errors import InputError, RefusalError, read_input
 
 
 @dataclass(frozen=True)
@@ -227,13 +227,16 @@ def query_text(query: Query) -> str:
 
 def load_database(directory: str | Path) -> Database:
     base = Path(directory)
-    schema = parse_schema((base / "schema.txt").read_text())
+    schema = parse_schema(read_input(base / "schema.txt"))
     rows: dict[str, list[tuple[str, ...]]] = {}
     for rel in schema.relations:
         path = base / f"{rel.name}.csv"
         if path.exists():
-            with path.open(newline="") as handle:
+            handle = io.StringIO(read_input(path, newline=""), newline="")
+            try:
                 rows[rel.name] = [tuple(row) for row in csv.reader(handle) if row]
+            except csv.Error as exc:
+                raise InputError(f"{path}: {exc}") from None
         else:
             rows[rel.name] = []
     return Database(schema, rows)

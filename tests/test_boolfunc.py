@@ -48,8 +48,6 @@ def test_node_validation():
         BoolFunc(And((Var(0),)), 1)
     with pytest.raises(InputError):
         BoolFunc(Const(2), 0)
-    with pytest.raises(InputError):
-        BoolFunc(Var(0), 2, labels=("a", "a"))
 
 
 def test_size_counts_variables_and_connectives():
@@ -146,6 +144,29 @@ def test_shared_dag_operations_are_linear():
     assert spread_nodes == 1 + tower_nodes
     grouped_nodes = distinct_nodes(or_substitute(many, (3,)).func)
     assert grouped_nodes == 1 + 4
+
+
+def test_equality_hash_and_repr_read_the_gates():
+    # the generated dataclass methods would recurse through the nodes: past
+    # the recursion limit on the chain, through a 1.5e13-node tree on the tower
+    chain = Var(0)
+    for _ in range(3000):
+        chain = Not(chain)
+    tower = shared_tower(BoolFunc(Or((Var(0), Not(Var(1)))), 2), 41)
+    for root, n, gates in ((chain, 1, 3001), (tower.root, 2, 4 + 41)):
+        a, b = BoolFunc(root, n), BoolFunc(root, n)
+        start = time.perf_counter()
+        same, hashes, text = a == b, hash(a) == hash(b), repr(a)
+        assert time.perf_counter() - start < 1.0
+        assert same and hashes and len(a.gates) == gates and a.output == gates - 1
+        assert text.startswith(f"BoolFunc(var_count={n}, gates=(Gate(")
+    assert BoolFunc(chain, 2) != BoolFunc(chain, 1)
+    # equal means the same DAG: the same tree with less sharing differs
+    x0 = Var(0)
+    shared = BoolFunc(And((x0, Or((x0, Var(1))))), 2)
+    unshared = BoolFunc(And((Var(0), Or((Var(0), Var(1))))), 2)
+    assert len(shared.gates) == 4 and len(unshared.gates) == 5
+    assert shared != unshared and truth_table(shared) == truth_table(unshared)
 
 
 def test_or_substitute_shapes():

@@ -13,6 +13,7 @@ from shapcount.boolfunc import (
     brute_count,
     brute_kcounts,
     brute_shapley_permutations,
+    brute_shapley_subsets,
     evaluate as feval,
     or_substitute,
     truth_table,
@@ -234,6 +235,17 @@ def test_unfold_matches_circuit():
     for mask in range(8):
         trues = [v for v in range(3) if mask >> v & 1]
         assert feval(f, trues) == ct.evaluate(c, trues)
+
+
+def test_brute_force_takes_circuits_as_they_are():
+    rng = random.Random(42)
+    for _ in range(200):
+        c = gen.random_decision_circuit(rng, max_vars=6, max_gates=25)
+        f = unfold(c)
+        assert brute_count(c) == brute_count(f) == model_count_dd(c)
+        assert brute_kcounts(c) == brute_kcounts(f)
+        shapley = brute_shapley_subsets(c)
+        assert shapley == brute_shapley_subsets(f) == brute_shapley_permutations(f)
 
 
 def test_or_substitute_single_variable():

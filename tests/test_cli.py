@@ -10,6 +10,10 @@ from shapcount.cli import main
 EX1 = "(and x0 (or x1 (not x2)))"
 # 3000 levels: 1500 times (and (not g) x1) around x0, which is x0 and x1
 DEEP = "(and (not " * 1500 + "x0" + ") x1)" * 1500
+# 3000 levels of (g and 1) around x0, which is x0
+DEEP_NNF = "nnf 6001 6000 1\nL 1\n" + "".join(
+    f"T\nA 2 {2 * i} {2 * i + 1}\n" for i in range(3000)
+)
 
 
 @pytest.fixture()
@@ -427,6 +431,36 @@ def test_every_truncated_input_exits_cleanly(tmp_path, capsys, name):
     assert codes[-1] == 0  # the whole example is read
 
 
+def test_malformed_relation_csv_exits_2(workspace, capsys):
+    # every Python rejects a field over the csv module's size limit; only
+    # Python 3.10 rejects a NUL byte, later versions read it as data
+    relation = workspace / "join" / "R1.csv"
+    for text, codes in (("a" * 200000 + "\n", {2}), ("a1\0\n", {0, 2})):
+        relation.write_text(text)
+        argv = ["count", workspace / "join.q", workspace / "join", "--kind", "lineage"]
+        code = main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert code in codes and "Traceback" not in err
+        if code == 2:
+            assert f"input error: {relation}: " in err
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("bad.bf", ("count", "{ws}/bad.bf")),
+        ("join/R2.csv", ("count", "{ws}/join.q", "{ws}/join", "--kind", "lineage")),
+    ],
+)
+def test_undecodable_input_error_names_the_file(workspace, capsys, target, argv):
+    path = workspace / target
+    path.write_bytes(b"\xffa1\n")
+    code = main([a.format(ws=workspace) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"input error: {path}: " in captured.err
+
+
 def test_output_file_flag(workspace, capsys):
     target = workspace / "result.txt"
     code, out = run(capsys, "count", workspace / "ex1.bf", "--out", target)
@@ -456,3 +490,26 @@ def test_deeply_nested_formula(workspace, capsys, verb, want):
     cut.write_text(DEEP[: len(DEEP) // 2])
     code, out = run(capsys, verb[0], cut, *verb[1:])
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "verb, want",
+    [
+        (("count",), "1\n"),
+        (("kcount", "--method", "paper"), "0,1\n"),
+        (("kcount", "--method", "direct"), "0,1\n"),
+        (("kcount", "--method", "brute"), "0,1\n"),
+        (("shapley", "--method", "reduction"), "1/1\n"),
+        (("shapley", "--method", "brute"), "1/1\n"),
+        (("compare",), None),
+    ],
+)
+def test_deep_circuit(workspace, capsys, verb, want):
+    deep = workspace / "deep.nnf"
+    deep.write_text(DEEP_NNF)
+    code, out = run(capsys, verb[0], deep, "--kind", "circuit", *verb[1:])
+    assert code == 0
+    if want is None:
+        assert out.rstrip().endswith("agreement ok")
+    else:
+        assert out == want
