@@ -14,8 +14,10 @@ The model count scales by powers of 2 for variables absent from a gate's
 scope instead of materializing smoothing gates; the size-bucketed count works
 in the probability basis, which needs no smoothing at all.  The same
 probability-basis pass, followed by one transposed pass, gives the Shapley
-value of every variable at once (`shapley_direct`); `shapley_circuit` keeps
-the paper's reduction through substituted copies.
+value of every variable at once (`shapley_direct`).  `kcounts_circuit` and
+`shapley_circuit` keep the paper's reductions; each oracle query, a count of
+the circuit with variables replaced by disjunctions of fresh ones, is a
+weighted pass over the circuit itself, with no substituted copy built.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import comb, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -469,20 +471,60 @@ def _countable(circuit: Circuit) -> ValidationReport:
 # Counting
 
 
-def model_count_dd(circuit: Circuit) -> int:
-    """Exact model count in one bottom-up pass.
+def _arities(circuit: Circuit, arities: Sequence[int] | None) -> tuple[int, ...]:
+    if arities is None:
+        return (1,) * circuit.var_count
+    if len(arities) != circuit.var_count:
+        raise InputError(f"need one arity per variable of {circuit.var_count}, got {len(arities)}")
+    if any(ell < 0 for ell in arities):
+        raise InputError("the replacement width must be nonnegative")
+    return tuple(arities)
 
-    Each gate's count is taken over its own scope; OR children are scaled by
-    2^(scope gap) and the output by 2^(unused declared variables).
-    """
+
+def _widths(scopes: list[int], arities: Sequence[int]) -> list[int]:
+    """Per gate, the arities summed over its scope: the first arity times
+    the scope's popcount, corrected by one masked popcount for each other
+    arity, so a uniform query costs one popcount per gate."""
+    base = arities[0] if arities else 0
+    widths = [base * mask.bit_count() for mask in scopes]
+    for ell in set(arities) - {base}:
+        group = sum(1 << var for var, a in enumerate(arities) if a == ell)
+        widths = [w + (ell - base) * (m & group).bit_count() for w, m in zip(widths, scopes)]
+    return widths
+
+
+def _last_readers(circuit: Circuit) -> list[int]:
+    """The index of each gate's last reader (its own for the output)."""
+    last = list(range(len(circuit.gates)))
+    for idx, gate in enumerate(circuit.gates):
+        for ref in gate.inputs:
+            last[ref] = idx
+    return last
+
+
+def model_count_dd(circuit: Circuit, arities: Sequence[int] | None = None) -> int:
+    """Exact model count in one bottom-up pass; with `arities`, that of
+    C[x_v <- z_1 or ... or z_l], l = arities[v], over sum(arities) fresh
+    variables, counted on C itself."""
     _countable(circuit)
-    widths = [mask.bit_count() for mask in _scopes(circuit)]
-    counts: list[int] = []
+    arities = _arities(circuit, arities)
+    return _count(circuit, _widths(_scopes(circuit), arities), arities)
+
+
+def _count(circuit: Circuit, widths: list[int], arities: Sequence[int]) -> int:
+    """Each gate's count is taken over its width, the arities summed over
+    its scope: a variable is true on 2^l - 1 of its 2^l assignments, OR
+    children are scaled by 2^(width gap), and the output by 2^(sum(arities)
+    - its width).  Counts are dropped after their last reader."""
+    last = _last_readers(circuit)
+    counts: list[int | None] = []
     for idx, gate in enumerate(circuit.gates):
         if gate.kind == CONST0:
             counts.append(0)
-        elif gate.kind in (CONST1, VAR):
+        elif gate.kind == CONST1:
             counts.append(1)
+        elif gate.kind == VAR:
+            counts.append((1 << arities[gate.var]) - 1)
         elif gate.kind == NOT:
             child = gate.inputs[0]
             counts.append((1 << widths[child]) - counts[child])
@@ -496,7 +538,10 @@ def model_count_dd(circuit: Circuit) -> int:
             for r in gate.inputs:
                 acc += counts[r] << (widths[idx] - widths[r])
             counts.append(acc)
-    return counts[circuit.output] << (circuit.var_count - widths[circuit.output])
+        for r in gate.inputs:
+            if last[r] == idx:
+                counts[r] = None
+    return counts[circuit.output] << (sum(arities) - widths[circuit.output])
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
@@ -510,18 +555,17 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 
 
 def _probability_polys(
-    circuit: Circuit, keep: frozenset[int] = frozenset()
+    circuit: Circuit, keep: frozenset[int] = frozenset(), arities: Sequence[int] | None = None
 ) -> list[list[int] | None]:
     """One bottom-up pass in the probability basis: a gate's list holds the
     coefficients a_j of Pr(p) = sum a_j p^j, the chance it is true when each
     variable is true with probability p.  NOT is 1 - Pr, decomposable AND
-    the product, deterministic OR the sum, so no gate needs its scope.  Every
-    list but the output's and those of the gates in `keep` is dropped (None)
-    once its last reader has been computed."""
-    last = list(range(len(circuit.gates)))
-    for idx, gate in enumerate(circuit.gates):
-        for ref in gate.inputs:
-            last[ref] = idx
+    the product, deterministic OR the sum, so no gate needs its scope.  With
+    `arities`, variable v stands for a disjunction of arities[v] fresh ones,
+    true with probability 1 - (1-p)^l.  Every list but the output's and
+    those of the gates in `keep` is dropped (None) once its last reader has
+    been computed."""
+    last = _last_readers(circuit)
     polys: list[list[int] | None] = []
     for idx, gate in enumerate(circuit.gates):
         if gate.kind == CONST0:
@@ -529,7 +573,8 @@ def _probability_polys(
         elif gate.kind == CONST1:
             polys.append([1])
         elif gate.kind == VAR:
-            polys.append([0, 1])
+            ell = 1 if arities is None else arities[gate.var]
+            polys.append([0] + [(-1) ** (j + 1) * comb(ell, j) for j in range(1, ell + 1)])
         elif gate.kind == NOT:
             child = polys[gate.inputs[0]]
             polys.append([1 - child[0]] + [-c for c in child[1:]])
@@ -547,15 +592,22 @@ def _probability_polys(
     return polys
 
 
-def size_polynomial_count(circuit: Circuit) -> tuple[int, ...]:
+def size_polynomial_count(
+    circuit: Circuit, arities: Sequence[int] | None = None
+) -> tuple[int, ...]:
     """Size-bucketed model counts from the probability-basis pass:
     K(t) = sum a_j t^j (1+t)^(n-j) has the number of size-k models as its
-    t^k coefficient."""
+    t^k coefficient; with `arities`, those of the substitution that
+    model_count_dd counts, over n = sum(arities) fresh variables."""
     _countable(circuit)
-    coeffs = _probability_polys(circuit)[circuit.output]
+    return _kcounts(circuit, _arities(circuit, arities))
+
+
+def _kcounts(circuit: Circuit, arities: Sequence[int]) -> tuple[int, ...]:
+    coeffs = _probability_polys(circuit, arities=arities)[circuit.output]
     # Horner in (1+t): T_0 = a_0, T_m = (1+t) T_(m-1) + a_m t^m, K = T_n
     counts = [coeffs[0]]
-    for m in range(1, circuit.var_count + 1):
+    for m in range(1, sum(arities) + 1):
         counts = [x + y for x, y in zip(counts + [0], [0] + counts)]
         if m < len(coeffs):
             counts[m] += coeffs[m]
@@ -664,11 +716,13 @@ def literal_occurrences(circuit: Circuit, var: int) -> int:
     return sum(gates[r].kind == VAR and gates[r].var == var for r in edges)
 
 
-def _or_substitute(circuit: Circuit, widths: dict[int, int]) -> Circuit:
-    """Replace each variable v in `widths` by a disjunction of widths[v]
-    fresh variables in one pass, keeping determinism and decomposability.
+def or_substitute_all(circuit: Circuit, arities: Sequence[int]) -> Circuit:
+    """Replace variable v by a disjunction of arities[v] fresh variables in
+    one rebuild, keeping determinism and decomposability.  Variable v's
+    fresh block follows those of variables 0..v-1, the numbering of
+    `boolfunc.or_substitute`.
 
-    Each replaced variable becomes the exclusive chain (built once)
+    Each variable becomes the exclusive chain (built once)
 
         D(Z_i..Z_l) = Z_i or (not Z_i and D(Z_(i+1)..Z_l))
 
@@ -677,37 +731,25 @@ def _or_substitute(circuit: Circuit, widths: dict[int, int]) -> Circuit:
     fresh variables onto valuations of the old ones and keeps scopes
     disjoint, so OR children stay exclusive and AND children independent
     wherever negation sits.  The copy is certified deterministic exactly
-    when the base's determinism is verified (checked or certified).
-    Survivors are numbered densely first, then come the fresh blocks in
-    ascending order of the replaced variables.  The paper's growth bound,
-    gates added <= 6 * sum of k_v * l_v for k_v the edges into v's gates,
-    is checked on the result.
+    when the base's determinism is verified (checked or certified).  The
+    paper's growth bound, gates added <= 6 * sum of k_v * l_v for k_v the
+    edges into v's gates, is checked on the result.
     """
-    n = circuit.var_count
-    for var, ell in widths.items():
-        if not 0 <= var < n:
-            raise InputError(f"no variable {var} to substitute")
-        if ell < 0:
-            raise InputError("the replacement width must be nonnegative")
-
-    renumbered = {v: i for i, v in enumerate(v for v in range(n) if v not in widths)}
-    builder = CircuitBuilder(len(renumbered) + sum(widths.values()))
-    roots: dict[int, int] = {}
-    fresh = len(renumbered)
-    for var in sorted(widths):
-        roots[var] = builder.exclusive_or(
-            [builder.add(VAR, var=z) for z in range(fresh, fresh + widths[var])]
-        )
-        fresh += widths[var]
+    arities = _arities(circuit, arities)
+    builder = CircuitBuilder(sum(arities))
+    roots: list[int] = []
+    fresh = 0
+    for ell in arities:
+        block = [builder.add(VAR, var=z) for z in range(fresh, fresh + ell)]
+        roots.append(builder.exclusive_or(block))
+        fresh += ell
 
     mapping: list[int] = []
     for gate in circuit.gates:
-        if gate.kind != VAR:
-            mapping.append(builder.add(gate.kind, inputs=tuple(mapping[r] for r in gate.inputs)))
-        elif gate.var in widths:
+        if gate.kind == VAR:
             mapping.append(roots[gate.var])
         else:
-            mapping.append(builder.add(VAR, var=renumbered[gate.var]))
+            mapping.append(builder.add(gate.kind, inputs=tuple(mapping[r] for r in gate.inputs)))
 
     result = builder.build(
         mapping[circuit.output],
@@ -715,25 +757,12 @@ def _or_substitute(circuit: Circuit, widths: dict[int, int]) -> Circuit:
     )
     grown = result.size() - circuit.size()
     edges = [r for g in circuit.gates for r in g.inputs] + [circuit.output]
-    bound = 6 * sum(
-        widths.get(circuit.gates[r].var, 0) for r in edges if circuit.gates[r].kind == VAR
-    )
+    bound = 6 * sum(arities[circuit.gates[r].var] for r in edges if circuit.gates[r].kind == VAR)
     if grown > bound:
         raise InconsistencyError(
             f"substitution added {grown} gates, over the bound 6*sum(k*l) = {bound}"
         )
     return result
-
-
-def or_substitute_all(circuit: Circuit, arities: Sequence[int]) -> Circuit:
-    """Replace variable i by a disjunction of arities[i] fresh variables, all
-    in one rebuild.  Variable i's fresh block follows those of variables
-    0..i-1, the numbering of `boolfunc.or_substitute`."""
-    if len(arities) != circuit.var_count:
-        raise InputError(
-            f"need one arity per variable: got {len(arities)} for {circuit.var_count}"
-        )
-    return _or_substitute(circuit, dict(enumerate(arities)))
 
 
 # ---------------------------------------------------------------------------
@@ -745,8 +774,9 @@ def kcounts_circuit(circuit: Circuit) -> tuple[int, ...]:
     model count per uniform replacement width, then a Vandermonde solve.
     Must agree with size_polynomial_count."""
     _countable(circuit)
+    scopes = _scopes(circuit)
     return reductions.kcounts_from_counts(
-        circuit.var_count, lambda arities: model_count_dd(or_substitute_all(circuit, arities))
+        circuit.var_count, lambda arities: _count(circuit, _widths(scopes, arities), arities)
     )
 
 
@@ -755,6 +785,5 @@ def shapley_circuit(circuit: Circuit) -> tuple[Fraction, ...]:
     variable-deleted cofactors are width-0 substitutions."""
     _countable(circuit)
     return reductions.shapley_from_kcounts(
-        circuit.var_count,
-        lambda arities: size_polynomial_count(or_substitute_all(circuit, arities)),
+        circuit.var_count, lambda arities: _kcounts(circuit, arities)
     )

@@ -334,13 +334,30 @@ def _compare_formula(func: BoolFunc, bound: int) -> list[str]:
     return lines
 
 
+def _witnessed(reduction, parsed: circuit.Circuit, count):
+    """The reduction run with an oracle that answers each query by `count`
+    on the circuit itself and on the copy `or_substitute_all` builds (the
+    paper's closure witness, growth bound checked), and requires the two
+    answers to agree."""
+
+    def oracle(arities):
+        answer = count(parsed, arities)
+        if count(circuit.or_substitute_all(parsed, arities)) != answer:
+            raise InconsistencyError(f"the substituted copy for arities {arities} counts otherwise")
+        return answer
+
+    return reduction(parsed.var_count, oracle)
+
+
 def _compare_circuit(parsed: circuit.Circuit, bound: int) -> list[str]:
     count_dd = circuit.model_count_dd(parsed)
     count_brute = boolfunc.brute_count(parsed, bound=bound)
     kc_direct = circuit.size_polynomial_count(parsed)
     kc_paper = circuit.kcounts_circuit(parsed)
+    kc_witness = _witnessed(reductions.kcounts_from_counts, parsed, circuit.model_count_dd)
     kc_brute = boolfunc.brute_kcounts(parsed, bound=bound)
     sh_circ = circuit.shapley_circuit(parsed)
+    sh_witness = _witnessed(reductions.shapley_from_kcounts, parsed, circuit.size_polynomial_count)
     sh_direct = circuit.shapley_direct(parsed)
     sh_brute = boolfunc.brute_shapley_subsets(parsed, bound=bound)
     lines = [
@@ -352,8 +369,8 @@ def _compare_circuit(parsed: circuit.Circuit, bound: int) -> list[str]:
     ]
     if not (
         count_dd == count_brute
-        and kc_direct == kc_paper == kc_brute
-        and sh_circ == sh_direct == sh_brute
+        and kc_direct == kc_paper == kc_witness == kc_brute
+        and sh_circ == sh_witness == sh_direct == sh_brute
     ):
         raise InconsistencyError("methods disagree:\n" + "\n".join(lines))
     return lines
@@ -379,6 +396,9 @@ def _compare_lineage(query: lineage.Query, db: lineage.Database, bound: int) -> 
         count_dd = circuit.model_count_dd(compiled)
         kc_direct = circuit.size_polynomial_count(compiled)
         sh_circuit = circuit.shapley_circuit(compiled)
+        sh_witness = _witnessed(
+            reductions.shapley_from_kcounts, compiled, circuit.size_polynomial_count
+        )
         sh_direct = circuit.shapley_direct(compiled)
         lines.append(f"count circuit={count_dd}")
         lines.append(
@@ -393,7 +413,7 @@ def _compare_lineage(query: lineage.Query, db: lineage.Database, bound: int) -> 
             ok
             and count_dd == count_brute
             and kc_direct == kc_brute
-            and sh_circuit == sh_direct == sh_brute
+            and sh_circuit == sh_witness == sh_direct == sh_brute
         )
     if not ok:
         raise InconsistencyError("methods disagree:\n" + "\n".join(lines))
@@ -459,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("reduction", "brute"),
         default=None,
-        help="reduction: via size-bucketed counts of variable-deleted copies; "
+        help="reduction: via size-bucketed counts of the variable-deleted cofactors; "
         "brute: exhaustive enumeration",
     )
     p = sub.add_parser("stretch", help="stretch a query and database")
@@ -501,7 +521,14 @@ _DIRECTORY_VERBS = ("stretch", "pp2dnf", "lineage")
 
 def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
+    # exact answers may exceed CPython's cap on int-to-str conversion (4300
+    # digits by default), which is lifted for the call
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        if min(ns.max_vars or 0, getattr(ns, "fuzz", 0)) < 0:
+            raise InputError("--max-vars and --fuzz take nonnegative counts")
         output = _HANDLERS[ns.verb](ns)
         if ns.out and ns.verb not in _DIRECTORY_VERBS:
             Path(ns.out).write_text(output)
@@ -517,6 +544,9 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistencyError as exc:
         print(f"shapcount: inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     sys.stdout.write(output)
     return 0
 

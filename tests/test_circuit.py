@@ -390,6 +390,34 @@ def test_mixed_substitution_matches_function_substitution():
         or_substitute_all(single_var(), (1, 1))
 
 
+def test_implicit_oracles_equal_counts_of_the_substituted_copy():
+    rng = random.Random(83)
+    b = CircuitBuilder(2)
+    circuits = [
+        parse_nnf("nnf 1 0 3\nL 2\n"),  # declared but unused variables
+        parse_nnf("nnf 1 0 2\nT\n"),
+        b.build(b.add(CONST0)),
+        parse_nnf("nnf 1 0 0\nF\n"),  # n = 0
+        Circuit([Gate(CONST1)], 0, 0),
+    ]
+    for _ in range(80):
+        c = gen.random_decision_circuit(rng, max_vars=6, max_gates=30)
+        circuits.append(_negate_inside(rng, c) if rng.random() < 0.5 else c)
+    inner = 0
+    for c in circuits:
+        inner += any(g.kind == NOT and c.gates[g.inputs[0]].kind != VAR for g in c.gates)
+        for _ in range(3):
+            arities = tuple(rng.randint(0, 3) for _ in range(c.var_count))
+            copy = or_substitute_all(c, arities)
+            assert model_count_dd(c, arities) == model_count_dd(copy)
+            assert size_polynomial_count(c, arities) == size_polynomial_count(copy)
+    assert inner > 20
+    with pytest.raises(InputError, match="one arity per variable"):
+        model_count_dd(single_var(), (1, 1))
+    with pytest.raises(InputError, match="nonnegative"):
+        size_polynomial_count(single_var(), (-1,))
+
+
 def test_kcounts_circuit_agrees_with_direct():
     for c in (example1_circuit(), parse_nnf(EXAMPLE_NNF)):
         assert kcounts_circuit(c) == size_polynomial_count(c)

@@ -1,4 +1,6 @@
+import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -138,6 +140,25 @@ def test_lineage_shapley_takes_the_direct_pass(workspace, capsys, monkeypatch):
     code, out = run(capsys, "shapley", workspace / "join.q", workspace / "join", "--kind", "lineage")
     assert called == []
     assert code == 0 and out == "R1,0,1,4\nR1,1,1,4\nR2,0,1,4\nR2,1,1,4\n"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("kcount", "{ws}/ex.nnf", "--kind", "circuit"), "0,1,2,1\n"),
+        (("kcount", "{ws}/join.q", "{ws}/join", "--kind", "lineage"), "0,0,2,4,1\n"),
+        (("shapley", "{ws}/ex.nnf", "--kind", "circuit"), "0/1,1/2,1/2\n"),
+    ],
+)
+def test_circuit_pipelines_build_no_substituted_copy(workspace, capsys, monkeypatch, argv, want):
+    from shapcount import circuit as ct
+
+    def refuse(*args):
+        raise AssertionError("or_substitute_all called")
+
+    monkeypatch.setattr(ct, "or_substitute_all", refuse)
+    code, out = run(capsys, *[a.format(ws=workspace) for a in argv])
+    assert code == 0 and out == want
 
 
 def test_shapley_hard_branch_refusal_exit_code(workspace, capsys):
@@ -299,6 +320,27 @@ def test_compare_exits_4_when_the_direct_shapley_pass_disagrees(workspace, capsy
     assert code == 4
 
 
+def test_compare_exits_4_when_a_substituted_copy_counts_otherwise(
+    workspace, capsys, monkeypatch
+):
+    from shapcount import circuit as ct
+
+    substitute = ct.or_substitute_all
+
+    def one_too_many(circuit, arities):
+        return substitute(circuit, (arities[0] + 1,) + tuple(arities[1:]))
+
+    monkeypatch.setattr(ct, "or_substitute_all", one_too_many)
+    for argv in (
+        ("compare", workspace / "ex.nnf", "--kind", "circuit"),
+        ("compare", workspace / "join.q", workspace / "join", "--kind", "lineage"),
+    ):
+        code = main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "substituted copy" in captured.err
+
+
 def test_compare_fuzz_deterministic(workspace, capsys):
     code, first = run(capsys, "compare", "--fuzz", "4", "--seed", "11")
     assert code == 0 and first == "fuzz cases=4 seed=11 agreement ok\n"
@@ -344,6 +386,36 @@ def test_outputs_are_byte_identical(workspace, capsys):
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+def test_outputs_of_any_size_print_exactly(tmp_path, capsys):
+    # R(x), S(x,y) with 4 S rows per R value, 15000 tuples: the count has
+    # 4516 digits, past CPython's default cap on int-to-str conversion
+    k = 3000
+    schema = lg.Schema((lg.Relation("R", 1, True), lg.Relation("S", 2, True)))
+    rows = {
+        "R": [(f"a{i}",) for i in range(k)],
+        "S": [(f"a{i}", f"b{j}") for i in range(k) for j in range(4)],
+    }
+    lg.write_database(lg.Database(schema, rows), tmp_path / "db")
+    (tmp_path / "q.txt").write_text("Q :- R(x), S(x,y)\n")
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out = run(capsys, "count", tmp_path / "q.txt", tmp_path / "db", "--kind", "lineage")
+    assert code == 0
+    # Decimal parses past the cap, which main restores on return
+    assert int(Decimal(out)) == 2 ** (5 * k) - 17**k
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "argv", [("compare", "--fuzz", "-5"), ("count", "{ws}/ex1.bf", "--max-vars", "-3")]
+)
+def test_negative_counts_are_input_errors(workspace, capsys, argv):
+    code = main([a.format(ws=workspace) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "input error: --max-vars and --fuzz take nonnegative counts" in captured.err
 
 
 def test_parse_error_exit_code(workspace, capsys):
