@@ -15,16 +15,12 @@ from .boolfunc import (
     Or,
     Var,
     and_substitute,
-    apply_substitution,
     brute_count,
     brute_kcounts,
     brute_shapley_permutations,
     brute_shapley_subsets,
-    constant_fold,
-    dnf_distribute,
     evaluate,
     or_substitute,
-    substitute_const,
 )
 from .circuit import (
     Circuit,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InputError, RefusalError
 
@@ -360,93 +360,6 @@ def brute_shapley_subsets(
 # Substitutions
 
 
-def substitute_const(func: BoolFunc, var: int, value: int) -> BoolFunc:
-    """Cofactor: pin one variable to a constant and re-densify the rest.
-
-    Surviving variables keep their relative order, so old index j maps to
-    j - 1 for j > var and stays j otherwise.
-    """
-    if not 0 <= var < func.var_count:
-        raise InputError(f"no variable {var} to substitute")
-    if value not in (0, 1):
-        raise InputError("cofactor value must be 0 or 1")
-    pinned = Const(value)
-
-    def replace(index: int) -> Node:
-        if index == var:
-            return pinned
-        return Var(index - 1 if index > var else index)
-
-    return BoolFunc(_rebuild(func, replace), func.var_count - 1)
-
-
-def constant_fold(func: BoolFunc) -> BoolFunc:
-    """Simplify away constants.  Never applied implicitly by any other
-    operation here, so expression sizes stay predictable."""
-    nodes: list[Node] = []
-    for gate in func.gates:
-        if gate.kind == VAR:
-            new: Node = Var(gate.var)
-        elif gate.kind == NOT:
-            child = nodes[gate.inputs[0]]
-            new = Const(1 - child.value) if isinstance(child, Const) else Not(child)
-        elif gate.kind in (AND, OR):
-            kids = [nodes[r] for r in gate.inputs]
-            absorbing = FALSE if gate.kind == AND else TRUE
-            if any(isinstance(k, Const) and k.value == absorbing.value for k in kids):
-                new = absorbing
-            else:
-                kids = [k for k in kids if not isinstance(k, Const)]
-                new = conjunction(kids) if gate.kind == AND else disjunction(kids)
-        else:
-            new = TRUE if gate.kind == CONST1 else FALSE
-        nodes.append(new)
-    return BoolFunc(nodes[-1], func.var_count)
-
-
-@dataclass(frozen=True, eq=False)
-class SubstitutionResult:
-    """Outcome of a general substitution, with the index bookkeeping.
-
-    The result's variable space lists the surviving originals first (in
-    their old order), then one block of fresh variables per replaced
-    original (in old-index order).
-    """
-
-    func: BoolFunc
-    old_to_new: dict[int, int]
-    fresh: dict[int, tuple[int, ...]]
-
-
-def apply_substitution(func: BoolFunc, mapping: Mapping[int, BoolFunc]) -> SubstitutionResult:
-    """Replace selected variables by functions over fresh variables.
-
-    Each replacement is expressed over its own private index space; its
-    variables become fresh variables of the result, so they can never
-    collide with the survivors.
-    """
-    for key in mapping:
-        if not 0 <= key < func.var_count:
-            raise InputError(f"substitution targets unknown variable {key}")
-    survivors = [i for i in range(func.var_count) if i not in mapping]
-    old_to_new = {old: new for new, old in enumerate(survivors)}
-    fresh: dict[int, tuple[int, ...]] = {}
-    shifted: dict[int, Node] = {}
-    offset = len(survivors)
-    for old in sorted(mapping):
-        m = mapping[old].var_count
-        fresh[old] = tuple(range(offset, offset + m))
-        shifted[old] = _rebuild(mapping[old], lambda index, delta=offset: Var(index + delta))
-        offset += m
-
-    def replace(index: int) -> Node:
-        if index in shifted:
-            return shifted[index]
-        return Var(old_to_new[index])
-
-    return SubstitutionResult(BoolFunc(_rebuild(func, replace), offset), old_to_new, fresh)
-
-
 @dataclass(frozen=True, eq=False)
 class GroupedSubstitution:
     """Function after replacing every variable by a group of fresh ones.
@@ -459,13 +372,16 @@ class GroupedSubstitution:
     groups: tuple[tuple[int, ...], ...]
 
 
-def _grouped_substitute(func: BoolFunc, arities: Sequence[int], connective) -> GroupedSubstitution:
-    if len(arities) != func.var_count:
-        raise InputError(
-            f"need one arity per variable: got {len(arities)} for {func.var_count}"
-        )
+def _check_arities(arities: Sequence[int], var_count: int) -> None:
+    """Every substitution takes one nonnegative width per variable."""
+    if len(arities) != var_count:
+        raise InputError(f"need one arity per variable of {var_count}, got {len(arities)}")
     if any(m < 0 for m in arities):
         raise InputError("arities must be nonnegative")
+
+
+def _grouped_substitute(func: BoolFunc, arities: Sequence[int], connective) -> GroupedSubstitution:
+    _check_arities(arities, func.var_count)
     groups = []
     offset = 0
     for m in arities:
@@ -563,8 +479,7 @@ def or_substituted_count(
 ) -> int:
     """Model count of the function after replacing variable i by a
     disjunction of arities[i] fresh variables."""
-    if len(arities) != func.var_count:
-        raise InputError("need one arity per variable")
+    _check_arities(arities, func.var_count)
     table = truth_table(func, bound=bound)
     return _weighted_count(table, func.var_count, [(1 << m) - 1 for m in arities])
 
@@ -574,8 +489,7 @@ def and_substituted_count(
 ) -> int:
     """Model count after replacing variable i by a conjunction of arities[i]
     fresh variables (false groups have 2^m - 1 assignments, true groups one)."""
-    if len(arities) != func.var_count:
-        raise InputError("need one arity per variable")
+    _check_arities(arities, func.var_count)
     table = truth_table(func, bound=bound)
     # negate every input: swap the halves each variable splits the table into
     for i, mask in enumerate(_variable_masks(func.var_count)):
@@ -588,8 +502,7 @@ def or_substituted_kcounts(
 ) -> tuple[int, ...]:
     """Size-bucketed model counts of the function under a disjunctive
     group replacement, indexed 0..sum(arities)."""
-    if len(arities) != func.var_count:
-        raise InputError("need one arity per variable")
+    _check_arities(arities, func.var_count)
     table = truth_table(func, bound=bound)
     weights, unpack = _size_digits(arities)
     return unpack(_weighted_count(table, func.var_count, weights))
@@ -605,8 +518,7 @@ def or_substituted_shapley(
     """Shapley value of the single fresh variable standing in for `target`
     after the disjunctive group replacement (arities[target] must be 1)."""
     n = func.var_count
-    if len(arities) != n:
-        raise InputError("need one arity per variable")
+    _check_arities(arities, n)
     if not 0 <= target < n:
         raise InputError(f"no variable {target}")
     if arities[target] != 1:
@@ -658,32 +570,7 @@ def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
 
 
 # ---------------------------------------------------------------------------
-# Positive DNF utilities
-
-
-def positive_dnf_clauses(func: BoolFunc) -> frozenset[frozenset[int]]:
-    """Clause set of a positive-DNF-shaped function.
-
-    The constant 1 is the DNF containing the empty clause; the constant 0
-    is the empty DNF.  Anything with negation or nesting is rejected.
-    """
-
-    def literal(node: Node) -> int:
-        if isinstance(node, Var):
-            return node.index
-        raise InputError("positive DNF admits only plain variables in clauses")
-
-    def clause(node: Node) -> frozenset[int]:
-        if isinstance(node, And):
-            return frozenset(literal(c) for c in node.children)
-        return frozenset((literal(node),))
-
-    root = func.root
-    if isinstance(root, Const):
-        return frozenset((frozenset(),)) if root.value else frozenset()
-    if isinstance(root, Or):
-        return frozenset(clause(c) for c in root.children)
-    return frozenset((clause(root),))
+# Positive DNF
 
 
 def dnf_from_clauses(clauses: Iterable[frozenset[int]], var_count: int) -> BoolFunc:
@@ -699,66 +586,3 @@ def dnf_from_clauses(clauses: Iterable[frozenset[int]], var_count: int) -> BoolF
     ordered = sorted(clause_set, key=lambda c: tuple(sorted(c)))
     terms = [conjunction([Var(v) for v in sorted(c)]) for c in ordered]
     return BoolFunc(disjunction(terms), var_count)
-
-
-def dnf_distribute(func: BoolFunc, *, max_clauses: int | None = None) -> BoolFunc:
-    """Flatten a disjunction of conjunctions-of-disjunctions-of-variables
-    into positive DNF by distributing the inner disjunctions.
-
-    This is the shape a positive DNF takes after replacing each variable by
-    a disjunction of fresh variables; the output has at most the product of
-    the inner disjunction widths many clauses per input clause.  The
-    optional max_clauses guard refuses blowups past the given size.
-    """
-    root = func.root
-    if isinstance(root, Const):
-        return BoolFunc(root, func.var_count)
-
-    def group(node: Node) -> list[int] | None:
-        # one conjunct of a clause: a disjunction of variables, a single
-        # variable, or a constant (None = constant 0, [] = constant 1)
-        if isinstance(node, Var):
-            return [node.index]
-        if isinstance(node, Const):
-            return None if node.value == 0 else []
-        if isinstance(node, Or):
-            out = []
-            for c in node.children:
-                if not isinstance(c, Var):
-                    raise InputError("inner disjunctions may only hold variables")
-                out.append(c.index)
-            return out
-        raise InputError("clause conjuncts must be variables or disjunctions of variables")
-
-    clause_nodes = root.children if isinstance(root, Or) else (root,)
-    clauses: set[frozenset[int]] = set()
-    for cnode in clause_nodes:
-        parts = cnode.children if isinstance(cnode, And) else (cnode,)
-        groups = []
-        dead = False
-        for p in parts:
-            g = group(p)
-            if g is None:
-                dead = True
-                break
-            if g == []:
-                continue  # a true conjunct drops out
-            groups.append(g)
-        if dead:
-            continue
-        width = 1
-        for g in groups:
-            width *= len(g)
-        if max_clauses is not None and width > max_clauses:
-            raise RefusalError(
-                f"distribution would produce {width} clauses, above the guard of {max_clauses}"
-            )
-        chosen = [frozenset()]
-        for g in groups:
-            chosen = [c | {v} for c in chosen for v in g]
-        clauses.update(chosen)
-        if max_clauses is not None and len(clauses) > max_clauses:
-            raise RefusalError(
-                f"distribution exceeded the clause guard of {max_clauses}"
-            )
-    return dnf_from_clauses(clauses, func.var_count)

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from . import reductions
 from .boolfunc import AND, CONST0, CONST1, NOT, OR, VAR, BoolFunc, Gate, Var
-from .boolfunc import _rebuild, evaluate, gate_tables
+from .boolfunc import _check_arities, _rebuild, evaluate, gate_tables
 from .errors import InconsistencyError, InputError, RefusalError
 
 DETERMINISM_BOUND = 20
@@ -474,10 +474,7 @@ def _countable(circuit: Circuit) -> ValidationReport:
 def _arities(circuit: Circuit, arities: Sequence[int] | None) -> tuple[int, ...]:
     if arities is None:
         return (1,) * circuit.var_count
-    if len(arities) != circuit.var_count:
-        raise InputError(f"need one arity per variable of {circuit.var_count}, got {len(arities)}")
-    if any(ell < 0 for ell in arities):
-        raise InputError("the replacement width must be nonnegative")
+    _check_arities(arities, circuit.var_count)
     return tuple(arities)
 
 

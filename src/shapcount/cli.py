@@ -78,7 +78,7 @@ def _bound(ns) -> int:
 
 
 def _hierarchical_circuit(query, db):
-    if not lineage.is_self_join_free(query) or not lineage.is_hierarchical(query)[0]:
+    if lineage.dichotomy_branch(query) != "FP":
         return None
     return lineage.compile_hierarchical_lineage(query, db)
 
@@ -189,10 +189,7 @@ def cmd_check(ns) -> str:
     ]
     if witness:
         lines.append(f"witness: {witness[0]},{witness[1]}")
-    if not sjf:
-        lines.append("branch: outside the dichotomy (self-join)")
-    else:
-        lines.append(f"branch: {'FP' if hierarchical else 'hard'}")
+    lines.append(f"branch: {lineage.dichotomy_branch(query)}")
     return "\n".join(lines) + "\n"
 
 
@@ -384,7 +381,7 @@ def _compare_lineage(query: lineage.Query, db: lineage.Database, bound: int) -> 
     compiled = _hierarchical_circuit(query, db)
     lines = [
         f"count brute={count_brute}",
-        f"branch {'FP' if compiled is not None else 'hard'}",
+        f"branch {lineage.dichotomy_branch(query)}",
         "kcounts brute=" + ",".join(str(c) for c in kc_brute),
         "shapley brute=" + ",".join(_fraction(v) for v in sh_brute),
     ]

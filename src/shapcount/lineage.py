@@ -397,6 +397,15 @@ def is_self_join_free(query: Query) -> bool:
     return len(set(names)) == len(names)
 
 
+def dichotomy_branch(query: Query) -> str:
+    """Where the query falls in the dichotomy: "FP" when it is self-join-free
+    and hierarchical, "hard" when it is self-join-free but not, and outside
+    the dichotomy when it has a self-join."""
+    if not is_self_join_free(query):
+        return "outside the dichotomy (self-join)"
+    return "FP" if is_hierarchical(query)[0] else "hard"
+
+
 # ---------------------------------------------------------------------------
 # Stretching
 

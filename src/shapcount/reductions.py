@@ -78,15 +78,6 @@ def _back_solve(factors: tuple[list[list[Fraction]], list[int]], rhs: Sequence) 
     return sol
 
 
-def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square rational system by Gaussian elimination with partial
-    pivoting.  Raises InputError on a singular matrix."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise InputError("system must be square with a matching right-hand side")
-    return _back_solve(_factor(matrix), rhs)
-
-
 def vandermonde_solve(nodes: Sequence[int], rhs: Sequence) -> tuple[Fraction, ...]:
     """Solve V s = rhs where V[j][k] = nodes[j]**k.
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 from shapcount import circuit as ct
 from shapcount import lineage as lg
-from shapcount.boolfunc import And, BoolFunc, Not, Or, Var
+from shapcount.boolfunc import And, BoolFunc, Not, Or, Var, and_substitute, or_substitute
 
 
 def example1() -> BoolFunc:
@@ -23,6 +25,22 @@ def example1_circuit() -> ct.Circuit:
     both = b.add(ct.AND, inputs=(n1, n2))
     either = b.add(ct.OR, inputs=(x1, both))
     return b.build(b.add(ct.AND, inputs=(x0, either)))
+
+
+def cofactors(func: BoolFunc, var: int) -> tuple[BoolFunc, BoolFunc]:
+    """F[x_var:=1] and F[x_var:=0] over the other variables in their order:
+    the width-0 conjunctive and disjunctive substitutions at x_var."""
+    widths = [0 if v == var else 1 for v in range(func.var_count)]
+    return and_substitute(func, widths).func, or_substitute(func, widths).func
+
+
+def substituted_clauses(clauses, groups) -> frozenset[frozenset[int]]:
+    """Clause set of a positive DNF after replacing variable v by the
+    disjunction of groups[v]: each clause distributes into one clause per
+    choice of one fresh variable from each of its variables' groups."""
+    return frozenset(
+        frozenset(choice) for clause in clauses for choice in product(*(groups[v] for v in clause))
+    )
 
 
 # (not x0 and x1) or (x0 and x2); 8 internal gates, 4 models

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import EXAMPLE_NNF, chain_instance, example1, example1_circuit
+from helpers import EXAMPLE_NNF, chain_instance, example1, example1_circuit, substituted_clauses
 from shapcount import circuit as ct
 from shapcount import gen
 from shapcount import lineage as lg
@@ -26,12 +26,10 @@ from shapcount.boolfunc import (
     brute_shapley_permutations,
     brute_shapley_subsets,
     count_oracle,
-    dnf_distribute,
     evaluate,
     kcount_oracle,
     dnf_from_clauses,
     or_substitute,
-    positive_dnf_clauses,
     shapley_oracle,
     truth_table,
 )
@@ -171,7 +169,7 @@ def test_criterion_06_stretched_lineage_equals_substituted_lineage():
         expanded = lg.stretch_database_expand(db, arities)
         grown = lg.build_lineage(stretched_query, expanded.database)
         substituted = or_substitute(base.func, arities)
-        flattened = positive_dnf_clauses(dnf_distribute(substituted.func))
+        flattened = substituted_clauses(base.clauses, substituted.groups)
         counters: dict[int, int] = {}
         align = {}
         for z in range(expanded.database.var_count):

@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from helpers import example1
+from helpers import cofactors, example1, example1_circuit, substituted_clauses
+from shapcount import circuit as ct
 from shapcount import gen
 from shapcount.boolfunc import (
     And,
@@ -16,21 +17,16 @@ from shapcount.boolfunc import (
     Var,
     and_substitute,
     and_substituted_count,
-    apply_substitution,
     brute_count,
     brute_kcounts,
     brute_shapley_permutations,
     brute_shapley_subsets,
-    constant_fold,
-    dnf_distribute,
     dnf_from_clauses,
     evaluate,
     or_substitute,
     or_substituted_count,
     or_substituted_kcounts,
     or_substituted_shapley,
-    positive_dnf_clauses,
-    substitute_const,
     truth_table,
 )
 from shapcount.errors import InputError, RefusalError
@@ -67,27 +63,6 @@ def test_evaluate_worked_example():
         assert evaluate(f, trues) == (1 if trues in models else 0)
     with pytest.raises(InputError):
         evaluate(f, {5})
-
-
-def test_apply_substitution_examples():
-    f = example1()
-    z1_or_z2 = BoolFunc(Or((Var(0), Var(1))), 2)
-    res = apply_substitution(f, {1: z1_or_z2})
-    # survivors x0, x2 become 0, 1; fresh pair becomes 2, 3
-    assert res.old_to_new == {0: 0, 2: 1}
-    assert res.fresh == {1: (2, 3)}
-    assert res.func.var_count == 4
-    assert res.func.root == And((Var(0), Or((Or((Var(2), Var(3))), Not(Var(1))))))
-
-    # identity: every variable to a single fresh one, same truth table
-    identity = apply_substitution(f, {i: BoolFunc(Var(0), 1) for i in range(3)})
-    assert truth_table(identity.func) == truth_table(f)
-
-    # empty disjunction: explicit constant, no implicit folding
-    zero = apply_substitution(f, {0: BoolFunc(Const(0), 0)})
-    assert isinstance(zero.func.root, And)
-    assert zero.func.root.children[0] == Const(0)
-    assert constant_fold(zero.func).root == Const(0)
 
 
 def distinct_nodes(func: BoolFunc) -> int:
@@ -127,21 +102,16 @@ def test_shared_dag_operations_are_linear():
 
     size = timed(tower.size)
     assert size == (1 << 41) * (base.size() + 1) - 1
-    folded = timed(lambda: constant_fold(tower))
-    folded_table, folded_nodes = truth_table(folded), distinct_nodes(folded)
-    assert folded_table == want and folded_nodes == 4 + 41
-    pinned = timed(lambda: substitute_const(BoolFunc(tower.root, 3), 2, 1))
-    pinned_table = truth_table(pinned)
-    assert pinned_table == want
-    replaced = timed(lambda: apply_substitution(BoolFunc(Var(0), 1), {0: tower}))
-    replaced_table = truth_table(replaced.func)
-    assert replaced_table == want
-
-    # a replacement used at many sites is built once and shared by all of them
+    # each variable's replacement is built once and shared by its
+    # occurrences: the two x1 nodes of the base become one
+    pinned = timed(lambda: cofactors(BoolFunc(tower.root, 3), 2)[0])
+    pinned_table, pinned_nodes = truth_table(pinned), distinct_nodes(pinned)
+    assert pinned_table == want and pinned_nodes == tower_nodes - 1
+    widened = timed(lambda: or_substitute(tower, (2, 3)).func)
+    widened_nodes = distinct_nodes(widened)
+    assert widened_nodes == tower_nodes - 3 + 2 + 5
+    assert or_substituted_count(tower, (2, 3)) == truth_table(widened).bit_count()
     many = BoolFunc(Or(tuple(Var(0) for _ in range(200))), 1)
-    spread = timed(lambda: apply_substitution(many, {0: tower}))
-    spread_nodes = distinct_nodes(spread.func)
-    assert spread_nodes == 1 + tower_nodes
     grouped_nodes = distinct_nodes(or_substitute(many, (3,)).func)
     assert grouped_nodes == 1 + 4
 
@@ -181,6 +151,11 @@ def test_or_substitute_shapes():
 
     iso = or_substitute(example1(), (1, 1, 1))
     assert truth_table(iso.func) == truth_table(example1())
+
+    # arity 0 leaves an explicit constant: no implicit folding
+    zero = or_substitute(example1(), (0, 1, 1))
+    assert zero.groups == ((), (0,), (1,))
+    assert zero.func.root == And((Const(0), Or((Var(0), Not(Var(1))))))
 
     with pytest.raises(InputError):
         or_substitute(pair, (2,))
@@ -235,14 +210,23 @@ def test_brute_shapley_subsets():
     )
 
 
-def test_substitute_const_reindexes():
+def test_zero_arity_substitutions_are_cofactors():
+    # F[x_0:=1] and F[x_0:=0] over x1, x2, renumbered 0, 1
     f = example1()
-    hi = substitute_const(f, 0, 1)
-    assert hi.var_count == 2
+    hi, lo = cofactors(f, 0)
+    assert hi.var_count == lo.var_count == 2
     assert brute_kcounts(hi) == (1, 1, 1)
-    assert brute_kcounts(substitute_const(f, 0, 0)) == (0, 0, 0)
-    with pytest.raises(InputError):
-        substitute_const(f, 7, 0)
+    assert brute_kcounts(lo) == (0, 0, 0)
+    rng = random.Random(109)
+    for _ in range(60):
+        g = gen.random_boolfunc(rng, max_vars=6)
+        i = rng.randrange(g.var_count)
+        hi, lo = cofactors(g, i)
+        for bits in range(1 << (g.var_count - 1)):
+            trues = [v for v in range(g.var_count - 1) if bits >> v & 1]
+            old = [v + (v >= i) for v in trues]
+            assert evaluate(hi, trues) == evaluate(g, old + [i])
+            assert evaluate(lo, trues) == evaluate(g, old)
 
 
 def test_permutations_equal_subsets_on_random_functions():
@@ -296,8 +280,7 @@ def test_cofactor_splitting_identity():
         n = f.var_count
         kc = brute_kcounts(f)
         for i in range(n):
-            hi = brute_kcounts(substitute_const(f, i, 1))
-            lo = brute_kcounts(substitute_const(f, i, 0))
+            hi, lo = map(brute_kcounts, cofactors(f, i))
             for k in range(n - 1):
                 assert kc[k + 1] == hi[k] + lo[k + 1]
 
@@ -308,8 +291,7 @@ def test_cofactor_sum_identities():
         f = gen.random_boolfunc(rng, max_vars=8)
         n = f.var_count
         kc = brute_kcounts(f)
-        his = [brute_kcounts(substitute_const(f, i, 1)) for i in range(n)]
-        los = [brute_kcounts(substitute_const(f, i, 0)) for i in range(n)]
+        his, los = zip(*([brute_kcounts(c) for c in cofactors(f, i)] for i in range(n)))
         for k in range(n):
             assert sum(h[k] for h in his) == (k + 1) * kc[k + 1]
             assert sum(l[k] for l in los) == (n - k) * kc[k]
@@ -342,6 +324,25 @@ def test_packed_kcount_digits_hold_binomial_rows():
         assert or_substituted_kcounts(BoolFunc(Const(1), len(arities)), arities) == want
 
 
+@pytest.mark.parametrize(
+    "substitution",
+    [
+        lambda widths: or_substitute(example1(), widths),
+        lambda widths: or_substituted_count(example1(), widths),
+        lambda widths: and_substituted_count(example1(), widths),
+        lambda widths: or_substituted_kcounts(example1(), widths),
+        lambda widths: or_substituted_shapley(example1(), widths, 1),
+        lambda widths: ct.model_count_dd(example1_circuit(), widths),
+    ],
+    ids=["or_substitute", "or_count", "and_count", "or_kcounts", "or_shapley", "circuit_count"],
+)
+def test_substitutions_reject_bad_arity_lists(substitution):
+    with pytest.raises(InputError, match="arities must be nonnegative"):
+        substitution((-1, 1, 1))
+    with pytest.raises(InputError, match="one arity per variable of 3, got 2"):
+        substitution((1, 1))
+
+
 def test_substituted_shapley_matches_materialized():
     rng = random.Random(107)
     for _ in range(40):
@@ -359,30 +360,8 @@ def test_substituted_shapley_matches_materialized():
         or_substituted_shapley(BoolFunc(Var(0), 1), (2,), 0)
 
 
-def test_dnf_distribute_examples():
-    f = BoolFunc(And((Or((Var(0), Var(1))), Var(2))), 3)
-    out = dnf_distribute(f)
-    assert positive_dnf_clauses(out) == {frozenset({0, 2}), frozenset({1, 2})}
-
-    g = BoolFunc(And((Or((Var(0), Var(1))), Or((Var(2), Var(3))))), 4)
-    dist = dnf_distribute(g)
-    assert len(positive_dnf_clauses(dist)) == 4
-    assert truth_table(dist) == truth_table(g)
-
-    lone = BoolFunc(Var(0), 1)
-    assert dnf_distribute(lone).root == Var(0)
-
-    # constant conjuncts: a true one drops out, a false one kills the clause
-    mixed = BoolFunc(Or((And((Const(1), Var(0))), And((Const(0), Var(1))))), 2)
-    assert positive_dnf_clauses(dnf_distribute(mixed)) == {frozenset({0})}
-
-    with pytest.raises(InputError):
-        dnf_distribute(BoolFunc(Not(Var(0)), 1))
-    with pytest.raises(RefusalError):
-        dnf_distribute(g, max_clauses=3)
-
-
-def test_dnf_distribute_equivalent_on_substituted_dnfs():
+def test_clause_product_equals_or_substitution():
+    # the clause-set product the stretching tests compare against
     rng = random.Random(108)
     for _ in range(60):
         clauses = [
@@ -393,15 +372,29 @@ def test_dnf_distribute_equivalent_on_substituted_dnfs():
         arities = tuple(rng.randint(0, 3) for _ in range(4))
         if sum(arities) > 12:
             continue
-        substituted = or_substitute(base, arities).func
-        flat = dnf_distribute(substituted)
-        assert truth_table(flat) == truth_table(substituted)
+        substituted = or_substitute(base, arities)
+        flat = dnf_from_clauses(
+            substituted_clauses(clauses, substituted.groups), substituted.func.var_count
+        )
+        assert truth_table(flat) == truth_table(substituted.func)
 
 
 def test_positive_dnf_clause_round_trip():
+    # an antichain of clauses is the set of minimal models of its DNF
+    def minimal_models(func):
+        table = truth_table(func)
+        models = [m for m in range(1 << func.var_count) if table >> m & 1]
+        return {
+            frozenset(v for v in range(func.var_count) if m >> v & 1)
+            for m in models
+            if not any(o != m and o & m == o for o in models)
+        }
+
     clauses = {frozenset({0, 2}), frozenset({1,})}
     f = dnf_from_clauses(clauses, 3)
-    assert positive_dnf_clauses(f) == clauses
-    assert positive_dnf_clauses(BoolFunc(Const(0), 2)) == frozenset()
-    assert positive_dnf_clauses(BoolFunc(Const(1), 2)) == {frozenset()}
+    assert f.root == Or((And((Var(0), Var(2))), Var(1)))
+    assert minimal_models(f) == clauses
+    assert dnf_from_clauses([], 2).root == Const(0)
+    assert minimal_models(dnf_from_clauses([], 2)) == set()
     assert dnf_from_clauses([frozenset()], 2).root == Const(1)
+    assert minimal_models(dnf_from_clauses([frozenset(), frozenset({1})], 2)) == {frozenset()}

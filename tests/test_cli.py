@@ -266,6 +266,18 @@ def test_compare_all_kinds(workspace, capsys):
     assert code == 0 and "branch hard" in out
 
 
+def test_compare_labels_the_branch_as_check_does(workspace, capsys):
+    # a self-join is outside the dichotomy, not on its hard side
+    (workspace / "path.q").write_text("Q :- R(x,y), R(y,z)\n")
+    schema = lg.Schema((lg.Relation("R", 2, True),))
+    lg.write_database(lg.Database(schema, {"R": [("a", "b"), ("b", "c")]}), workspace / "path")
+    code, out = run(capsys, "check", workspace / "path.q")
+    assert code == 0 and "branch: outside the dichotomy (self-join)\n" in out
+    argv = ("compare", workspace / "path.q", workspace / "path", "--kind", "lineage")
+    code, out = run(capsys, *argv)
+    assert code == 0 and "\nbranch outside the dichotomy (self-join)\n" in out
+
+
 def test_lineage_compare_compiles_once(workspace, capsys, monkeypatch):
     from shapcount import circuit as ct
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import chain_instance, join_instance
+from helpers import chain_instance, join_instance, substituted_clauses
 from shapcount import circuit as ct
 from shapcount import gen
 from shapcount import lineage as lg
@@ -16,9 +16,7 @@ from shapcount.boolfunc import (
     brute_kcounts,
     brute_shapley_permutations,
     brute_shapley_subsets,
-    dnf_distribute,
     or_substitute,
-    positive_dnf_clauses,
     truth_table,
 )
 from shapcount.errors import InputError, RefusalError
@@ -303,7 +301,7 @@ def test_stretch_expand_matches_substitution():
     expanded = lg.build_lineage(sq, stretched.database)
     base = lg.build_lineage(q, db)
     substituted = or_substitute(base.func, arities)
-    flattened = positive_dnf_clauses(dnf_distribute(substituted.func))
+    flattened = substituted_clauses(base.clauses, substituted.groups)
     # group layouts coincide: fresh variables are numbered per source tuple
     assert all(stretched.var_map[z] == old for old, grp in enumerate(substituted.groups) for z in grp)
     assert set(expanded.clauses) == flattened
@@ -338,7 +336,7 @@ def test_stretch_expand_random_equivalence():
         sq = lg.stretch_query(q, db.schema)
         expanded = lg.build_lineage(sq, stretched.database)
         substituted = or_substitute(base.func, arities)
-        flattened = positive_dnf_clauses(dnf_distribute(substituted.func))
+        flattened = substituted_clauses(base.clauses, substituted.groups)
         # align: the i-th copy of a source tuple is the i-th fresh variable
         # of that tuple's group
         counters: dict[int, int] = {}
