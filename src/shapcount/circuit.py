@@ -14,10 +14,13 @@ The model count scales by powers of 2 for variables absent from a gate's
 scope instead of materializing smoothing gates; the size-bucketed count works
 in the probability basis, which needs no smoothing at all.  The same
 probability-basis pass, followed by one transposed pass, gives the Shapley
-value of every variable at once (`shapley_direct`).  `kcounts_circuit` and
-`shapley_circuit` keep the paper's reductions; each oracle query, a count of
-the circuit with variables replaced by disjunctions of fresh ones, is a
-weighted pass over the circuit itself, with no substituted copy built.
+value of every variable at once (`shapley_direct`).  `count_oracle` and
+`kcount_oracle` answer the paper's oracle queries, counts of the circuit
+with variables replaced by disjunctions of fresh ones, each by a weighted
+pass over the circuit itself with no substituted copy built;
+`kcounts_circuit` and `shapley_circuit` are the paper's reductions over
+them.  `or_substitute_all` builds the substituted copy, the closure witness
+that `compare` checks each query against.
 """
 
 from __future__ import annotations
@@ -471,19 +474,14 @@ def _countable(circuit: Circuit) -> ValidationReport:
 # Counting
 
 
-def _arities(circuit: Circuit, arities: Sequence[int] | None) -> tuple[int, ...]:
-    if arities is None:
-        return (1,) * circuit.var_count
-    _check_arities(arities, circuit.var_count)
-    return tuple(arities)
-
-
-def _widths(scopes: list[int], arities: Sequence[int]) -> list[int]:
+def _widths(circuit: Circuit, sizes: list[int], arities: Sequence[int]) -> list[int]:
     """Per gate, the arities summed over its scope: the first arity times
-    the scope's popcount, corrected by one masked popcount for each other
-    arity, so a uniform query costs one popcount per gate."""
+    the scope's size, corrected by one masked popcount for each other
+    arity.  Only a query with mixed arities builds the scope masks again,
+    and drops them with it, so no mask is held while a pass runs."""
     base = arities[0] if arities else 0
-    widths = [base * mask.bit_count() for mask in scopes]
+    widths = [base * size for size in sizes]
+    scopes = _scopes(circuit) if len(set(arities)) > 1 else []
     for ell in set(arities) - {base}:
         group = sum(1 << var for var, a in enumerate(arities) if a == ell)
         widths = [w + (ell - base) * (m & group).bit_count() for w, m in zip(widths, scopes)]
@@ -499,13 +497,19 @@ def _last_readers(circuit: Circuit) -> list[int]:
     return last
 
 
-def model_count_dd(circuit: Circuit, arities: Sequence[int] | None = None) -> int:
-    """Exact model count in one bottom-up pass; with `arities`, that of
+def count_oracle(circuit: Circuit):
+    """Count oracle for the reductions: arities -> model count of
     C[x_v <- z_1 or ... or z_l], l = arities[v], over sum(arities) fresh
-    variables, counted on C itself."""
+    variables, as one weighted pass over C itself.  The circuit is
+    validated and its scope sizes taken once, when the oracle is made."""
     _countable(circuit)
-    arities = _arities(circuit, arities)
-    return _count(circuit, _widths(_scopes(circuit), arities), arities)
+    sizes = [mask.bit_count() for mask in _scopes(circuit)]
+    return lambda arities: _count(circuit, _widths(circuit, sizes, arities), arities)
+
+
+def model_count_dd(circuit: Circuit) -> int:
+    """Exact model count in one bottom-up pass."""
+    return count_oracle(circuit)((1,) * circuit.var_count)
 
 
 def _count(circuit: Circuit, widths: list[int], arities: Sequence[int]) -> int:
@@ -513,6 +517,7 @@ def _count(circuit: Circuit, widths: list[int], arities: Sequence[int]) -> int:
     its scope: a variable is true on 2^l - 1 of its 2^l assignments, OR
     children are scaled by 2^(width gap), and the output by 2^(sum(arities)
     - its width).  Counts are dropped after their last reader."""
+    _check_arities(arities, circuit.var_count)
     last = _last_readers(circuit)
     counts: list[int | None] = []
     for idx, gate in enumerate(circuit.gates):
@@ -589,18 +594,22 @@ def _probability_polys(
     return polys
 
 
-def size_polynomial_count(
-    circuit: Circuit, arities: Sequence[int] | None = None
-) -> tuple[int, ...]:
+def kcount_oracle(circuit: Circuit):
+    """Size-bucketed count oracle for the substitutions `count_oracle`
+    counts, one probability-basis pass over C per query."""
+    _countable(circuit)
+    return lambda arities: _kcounts(circuit, arities)
+
+
+def size_polynomial_count(circuit: Circuit) -> tuple[int, ...]:
     """Size-bucketed model counts from the probability-basis pass:
     K(t) = sum a_j t^j (1+t)^(n-j) has the number of size-k models as its
-    t^k coefficient; with `arities`, those of the substitution that
-    model_count_dd counts, over n = sum(arities) fresh variables."""
-    _countable(circuit)
-    return _kcounts(circuit, _arities(circuit, arities))
+    t^k coefficient."""
+    return kcount_oracle(circuit)((1,) * circuit.var_count)
 
 
 def _kcounts(circuit: Circuit, arities: Sequence[int]) -> tuple[int, ...]:
+    _check_arities(arities, circuit.var_count)
     coeffs = _probability_polys(circuit, arities=arities)[circuit.output]
     # Horner in (1+t): T_0 = a_0, T_m = (1+t) T_(m-1) + a_m t^m, K = T_n
     counts = [coeffs[0]]
@@ -732,7 +741,7 @@ def or_substitute_all(circuit: Circuit, arities: Sequence[int]) -> Circuit:
     paper's growth bound, gates added <= 6 * sum of k_v * l_v for k_v the
     edges into v's gates, is checked on the result.
     """
-    arities = _arities(circuit, arities)
+    _check_arities(arities, circuit.var_count)
     builder = CircuitBuilder(sum(arities))
     roots: list[int] = []
     fresh = 0
@@ -770,17 +779,10 @@ def kcounts_circuit(circuit: Circuit) -> tuple[int, ...]:
     """Size-bucketed counts through the count-oracle reduction: one total
     model count per uniform replacement width, then a Vandermonde solve.
     Must agree with size_polynomial_count."""
-    _countable(circuit)
-    scopes = _scopes(circuit)
-    return reductions.kcounts_from_counts(
-        circuit.var_count, lambda arities: _count(circuit, _widths(scopes, arities), arities)
-    )
+    return reductions.kcounts_from_counts(circuit.var_count, count_oracle(circuit))
 
 
 def shapley_circuit(circuit: Circuit) -> tuple[Fraction, ...]:
     """Exact Shapley vector through the k-count-oracle reduction; the
     variable-deleted cofactors are width-0 substitutions."""
-    _countable(circuit)
-    return reductions.shapley_from_kcounts(
-        circuit.var_count, lambda arities: _kcounts(circuit, arities)
-    )
+    return reductions.shapley_from_kcounts(circuit.var_count, kcount_oracle(circuit))

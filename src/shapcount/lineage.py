@@ -27,6 +27,7 @@ from .boolfunc import (
     ENUMERATION_BOUND,
     Node,
     Var,
+    _check_arities,
     brute_shapley_subsets,
     conjunction,
     disjunction,
@@ -484,12 +485,7 @@ def stretch_database_expand(db: Database, arities: Sequence[int]) -> StretchedDa
     The lineage of a stretched query over the result is the original
     lineage with variable v replaced by the disjunction of its copies.
     """
-    if len(arities) != db.var_count:
-        raise InputError(
-            f"need one arity per endogenous tuple: got {len(arities)} for {db.var_count}"
-        )
-    if any(m < 0 for m in arities):
-        raise InputError("arities must be nonnegative")
+    _check_arities(arities, db.var_count)
     rows: dict[str, list[tuple[str, ...]]] = {}
     origins: list[int] = []
     fresh_values: list[str] = []

@@ -8,6 +8,7 @@ import pytest
 from helpers import cofactors, example1, example1_circuit, substituted_clauses
 from shapcount import circuit as ct
 from shapcount import gen
+from shapcount import lineage as lg
 from shapcount.boolfunc import (
     And,
     BoolFunc,
@@ -30,6 +31,11 @@ from shapcount.boolfunc import (
     truth_table,
 )
 from shapcount.errors import InputError, RefusalError
+
+
+def three_tuples() -> lg.Database:
+    schema = lg.Schema((lg.Relation("R", 1, True),))
+    return lg.Database(schema, {"R": [("a",), ("b",), ("c",)]})
 
 
 def pp2dnf_pairs() -> BoolFunc:
@@ -332,9 +338,20 @@ def test_packed_kcount_digits_hold_binomial_rows():
         lambda widths: and_substituted_count(example1(), widths),
         lambda widths: or_substituted_kcounts(example1(), widths),
         lambda widths: or_substituted_shapley(example1(), widths, 1),
-        lambda widths: ct.model_count_dd(example1_circuit(), widths),
+        lambda widths: ct.count_oracle(example1_circuit())(widths),
+        lambda widths: ct.kcount_oracle(example1_circuit())(widths),
+        lambda widths: lg.stretch_database_expand(three_tuples(), widths),
     ],
-    ids=["or_substitute", "or_count", "and_count", "or_kcounts", "or_shapley", "circuit_count"],
+    ids=[
+        "or_substitute",
+        "or_count",
+        "and_count",
+        "or_kcounts",
+        "or_shapley",
+        "circuit_count",
+        "circuit_kcounts",
+        "stretch_expand",
+    ],
 )
 def test_substitutions_reject_bad_arity_lists(substitution):
     with pytest.raises(InputError, match="arities must be nonnegative"):

@@ -30,6 +30,8 @@ from shapcount.circuit import (
     Gate,
     check_decomposable,
     check_deterministic_exhaustive,
+    count_oracle,
+    kcount_oracle,
     kcounts_circuit,
     literal_occurrences,
     model_count_dd,
@@ -409,13 +411,13 @@ def test_implicit_oracles_equal_counts_of_the_substituted_copy():
         for _ in range(3):
             arities = tuple(rng.randint(0, 3) for _ in range(c.var_count))
             copy = or_substitute_all(c, arities)
-            assert model_count_dd(c, arities) == model_count_dd(copy)
-            assert size_polynomial_count(c, arities) == size_polynomial_count(copy)
+            assert count_oracle(c)(arities) == model_count_dd(copy)
+            assert kcount_oracle(c)(arities) == size_polynomial_count(copy)
     assert inner > 20
     with pytest.raises(InputError, match="one arity per variable"):
-        model_count_dd(single_var(), (1, 1))
+        count_oracle(single_var())((1, 1))
     with pytest.raises(InputError, match="nonnegative"):
-        size_polynomial_count(single_var(), (-1,))
+        kcount_oracle(single_var())((-1,))
 
 
 def test_kcounts_circuit_agrees_with_direct():

@@ -1,10 +1,15 @@
+import os
+import random
+import subprocess
 import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import shapcount
 from helpers import EXAMPLE_NNF
 from shapcount import lineage as lg
 from shapcount.cli import main
@@ -312,9 +317,46 @@ def test_compare_exits_4_on_disagreement(workspace, capsys, monkeypatch):
     from shapcount import cli as cli_module
 
     monkeypatch.setattr(
-        cli_module.circuit, "kcounts_circuit", lambda parsed, **kw: (9, 9, 9, 9)
+        cli_module.reductions, "kcounts_from_counts", lambda n, oracle: (9, 9, 9, 9)
     )
+    code = main(["compare", str(workspace / "ex.nnf"), "--kind", "circuit"])
+    assert code == 4 and "methods disagree" in capsys.readouterr().err
+
+
+def test_compare_runs_each_reduction_once(workspace, capsys, monkeypatch):
+    from shapcount import reductions as rd
+
+    calls = []
+
+    def counted(name):
+        original = getattr(rd, name)
+
+        def counting(*args):
+            calls.append(name)
+            return original(*args)
+
+        return counting
+
+    names = ("kcounts_from_counts", "shapley_from_kcounts", "vandermonde_solve")
+    for name in names:
+        monkeypatch.setattr(rd, name, counted(name))
     code, _ = run(capsys, "compare", workspace / "ex.nnf", "--kind", "circuit")
+    assert code == 0 and sorted(calls) == sorted(names)
+    calls.clear()
+    code, _ = run(capsys, "compare", workspace / "join.q", workspace / "join", "--kind", "lineage")
+    assert code == 0 and calls.count("shapley_from_kcounts") == 1
+
+
+def test_compare_lineage_checks_the_paper_kcount_route(workspace, capsys, monkeypatch):
+    from shapcount import circuit as ct
+
+    join = ("compare", workspace / "join.q", workspace / "join", "--kind", "lineage")
+    code, plain = run(capsys, *join)
+    assert code == 0 and "paper" not in plain
+    monkeypatch.setattr(ct, "kcounts_circuit", lambda compiled: (9,) * (compiled.var_count + 1))
+    code, out = run(capsys, *join)
+    assert code == 4 and out == ""
+    code, _ = run(capsys, "compare", "--fuzz", "2", "--kind", "lineage")
     assert code == 4
 
 
@@ -366,9 +408,7 @@ def test_compare_fuzz_circuits(workspace, capsys, monkeypatch):
     from shapcount import cli as cli_module
 
     monkeypatch.setattr(
-        cli_module.circuit,
-        "kcounts_circuit",
-        lambda parsed, **kw: (-1,) * (parsed.var_count + 1),
+        cli_module.reductions, "kcounts_from_counts", lambda n, oracle: (-1,) * (n + 1)
     )
     code, _ = run(capsys, "compare", "--fuzz", "3", "--kind", "circuit")
     assert code == 4
@@ -456,6 +496,42 @@ def test_unreadable_undecodable_or_unwritable_paths_exit_2(workspace, capsys, ar
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "input error" in captured.err
+
+
+# caps its own address space 256 MiB above what it has mapped after the
+# imports, then runs the command line on its arguments
+MEMORY_CAPPED_MAIN = """
+import resource, sys
+from shapcount.cli import main
+with open("/proc/self/status") as status:
+    mapped = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+cap = (mapped + 256 * 1024) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's RLIMIT_AS")
+def test_running_out_of_memory_is_a_refusal(tmp_path):
+    # a 24-variable, 2000-clause DNF whose exhaustive count keeps a 2 MiB
+    # truth table per gate, some 4 GiB in all
+    rng = random.Random(23)
+    clauses = (
+        "(and " + " ".join(f"x{v}" for v in rng.sample(range(24), 4)) + ")" for _ in range(2000)
+    )
+    dnf = tmp_path / "dnf.bf"
+    dnf.write_text("(vars 24 (or " + " ".join(clauses) + "))")
+    src = Path(shapcount.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", MEMORY_CAPPED_MAIN, "count", str(dnf)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert child.returncode == 3 and child.stdout == ""
+    assert child.stderr == "shapcount: refused: ran out of memory on this input\n"
 
 
 def test_bound_refusal_exit_code(workspace, capsys):
