@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from itertools import accumulate, permutations, repeat
+from math import comb, factorial
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InputError, RefusalError
@@ -342,18 +343,27 @@ def brute_shapley_subsets(
         return ()
     table = truth_table(func, bound=bound)
     sizes = _weight_masks(n)
-    denom = factorial(n)
     weights = [factorial(k) * factorial(n - 1 - k) for k in range(n)]
-    values = []
-    for mask in _variable_masks(n):
-        hi = table & mask
-        lo = table ^ hi
-        num = sum(
-            w * ((hi & sizes[k + 1]).bit_count() - (lo & sizes[k]).bit_count())
-            for k, w in enumerate(weights)
-        )
-        values.append(Fraction(num, denom))
-    return tuple(values)
+    return tuple(
+        _cofactor_shapley(table, mask, sizes, weights, factorial(n))
+        for mask in _variable_masks(n)
+    )
+
+
+def _cofactor_shapley(
+    table: int, mask: int, sizes: Sequence[int], weights: Sequence[int], denom: int
+) -> Fraction:
+    """sum_k weights[k] (|T & x & W_(k+1)| - |T & ~x & W_k|) / denom, for
+    T the truth table, x the variable `mask` and W_k the valuations of size
+    k (`sizes`): each size-k subset S of the other variables enters with
+    f(S + x) - f(S)."""
+    hi = table & mask
+    lo = table ^ hi
+    num = sum(
+        w * ((hi & sizes[k + 1]).bit_count() - (lo & sizes[k]).bit_count())
+        for k, w in enumerate(weights)
+    )
+    return Fraction(num, denom)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +432,14 @@ def and_substitute(func: BoolFunc, arities: Sequence[int]) -> GroupedSubstitutio
 # variable at a time.  Size-bucketed counts ride along as digits: the
 # weight of a true group, evaluated at t = 2^B, is its size polynomial
 # (1+t)^m - 1, and the counts are read off the total's base-2^B digits.
-# The oracles are still exhaustive enumeration over the base space and
-# never solve any linear system, so they stay independent of the
-# reductions they feed.
+# An oracle factory builds the truth table once, when the oracle is made,
+# and every query reads it.  The Shapley oracle answers a query that
+# widens every other variable to one width ell from per-size popcounts of
+# the target's two cofactors, dotted with a row of integer weights it
+# builds once per ell from the Shapley coefficients; a query with mixed
+# widths takes the digit route.  The oracles are still exhaustive
+# enumeration over the base space and never solve any linear system, so
+# they stay independent of the reductions they feed.
 
 
 def _weighted_count(table: int, n: int, weights: Sequence[int]) -> int:
@@ -475,37 +490,69 @@ def _size_digits(arities: Sequence[int]):
 
 
 def or_substituted_count(
-    func: BoolFunc, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
+    func: BoolFunc,
+    arities: Sequence[int],
+    *,
+    bound: int = ENUMERATION_BOUND,
+    table: int | None = None,
 ) -> int:
     """Model count of the function after replacing variable i by a
-    disjunction of arities[i] fresh variables."""
+    disjunction of arities[i] fresh variables.  `table` is the function's
+    truth table when the caller holds it already, as an oracle does."""
     _check_arities(arities, func.var_count)
-    table = truth_table(func, bound=bound)
+    if table is None:
+        table = truth_table(func, bound=bound)
     return _weighted_count(table, func.var_count, [(1 << m) - 1 for m in arities])
 
 
+def _negate_inputs(table: int, n: int) -> int:
+    """Truth table of x -> f(~x): swap the halves each variable splits the
+    table into."""
+    for i, mask in enumerate(_variable_masks(n)):
+        table = ((table & mask) >> (1 << i)) | ((table & ~mask) << (1 << i))
+    return table
+
+
 def and_substituted_count(
-    func: BoolFunc, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
+    func: BoolFunc,
+    arities: Sequence[int],
+    *,
+    bound: int = ENUMERATION_BOUND,
+    table: int | None = None,
 ) -> int:
     """Model count after replacing variable i by a conjunction of arities[i]
-    fresh variables (false groups have 2^m - 1 assignments, true groups one)."""
+    fresh variables (false groups have 2^m - 1 assignments, true groups one).
+    `table`, when given, is the truth table with every input negated."""
     _check_arities(arities, func.var_count)
-    table = truth_table(func, bound=bound)
-    # negate every input: swap the halves each variable splits the table into
-    for i, mask in enumerate(_variable_masks(func.var_count)):
-        table = ((table & mask) >> (1 << i)) | ((table & ~mask) << (1 << i))
+    if table is None:
+        table = _negate_inputs(truth_table(func, bound=bound), func.var_count)
     return _weighted_count(table, func.var_count, [(1 << m) - 1 for m in arities])
 
 
 def or_substituted_kcounts(
-    func: BoolFunc, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
+    func: BoolFunc,
+    arities: Sequence[int],
+    *,
+    bound: int = ENUMERATION_BOUND,
+    table: int | None = None,
 ) -> tuple[int, ...]:
     """Size-bucketed model counts of the function under a disjunctive
-    group replacement, indexed 0..sum(arities)."""
+    group replacement, indexed 0..sum(arities).  `table` as for
+    or_substituted_count."""
     _check_arities(arities, func.var_count)
-    table = truth_table(func, bound=bound)
+    if table is None:
+        table = truth_table(func, bound=bound)
     weights, unpack = _size_digits(arities)
     return unpack(_weighted_count(table, func.var_count, weights))
+
+
+def _check_target(arities: Sequence[int], target: int, var_count: int) -> None:
+    """A Shapley query widens the others and keeps its target a single variable."""
+    _check_arities(arities, var_count)
+    if not 0 <= target < var_count:
+        raise InputError(f"no variable {target}")
+    if arities[target] != 1:
+        raise InputError("the distinguished variable must keep arity 1")
 
 
 def or_substituted_shapley(
@@ -514,16 +561,15 @@ def or_substituted_shapley(
     target: int,
     *,
     bound: int = ENUMERATION_BOUND,
+    table: int | None = None,
 ) -> Fraction:
     """Shapley value of the single fresh variable standing in for `target`
-    after the disjunctive group replacement (arities[target] must be 1)."""
+    after the disjunctive group replacement (arities[target] must be 1).
+    `table` as for or_substituted_count."""
     n = func.var_count
-    _check_arities(arities, n)
-    if not 0 <= target < n:
-        raise InputError(f"no variable {target}")
-    if arities[target] != 1:
-        raise InputError("the distinguished variable must keep arity 1")
-    table = truth_table(func, bound=bound)
+    _check_target(arities, target, n)
+    if table is None:
+        table = truth_table(func, bound=bound)
     mask = _variable_masks(n)[target]
     # the cofactors' counts: the target weighs as the largest other group (or
     # 1), which keeps uniform weights uniform, and is divided out again
@@ -545,28 +591,81 @@ def count_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     """Count oracle for the reductions: arities -> model count of the
     disjunctive group replacement, by base-space enumeration.  Like the
     other oracles here, it refuses above the bound when made, before a
-    reduction spends time on its first call."""
+    reduction spends time on its first call, and builds the truth table
+    its queries read then too."""
     _check_bound(func.var_count, bound, "exhaustive enumeration")
-    return lambda arities: or_substituted_count(func, arities, bound=bound)
+    table = truth_table(func, bound=bound)
+    return lambda arities: or_substituted_count(func, arities, table=table)
 
 
 def and_count_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     """As count_oracle, for conjunctive group replacements."""
     _check_bound(func.var_count, bound, "exhaustive enumeration")
-    return lambda arities: and_substituted_count(func, arities, bound=bound)
+    table = _negate_inputs(truth_table(func, bound=bound), func.var_count)
+    return lambda arities: and_substituted_count(func, arities, table=table)
 
 
 def kcount_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     """Size-bucketed count oracle for disjunctive group replacements."""
     _check_bound(func.var_count, bound, "exhaustive enumeration")
-    return lambda arities: or_substituted_kcounts(func, arities, bound=bound)
+    table = truth_table(func, bound=bound)
+    return lambda arities: or_substituted_kcounts(func, arities, table=table)
+
+
+def _uniform_shapley_row(n: int, ell: int) -> tuple[list[int], int]:
+    """Integer weights S_j T! for j = 0..n-1, and T!, that turn the target's
+    cofactor subset counts into its Shapley value when every other variable
+    becomes a disjunction of ell fresh ones.
+
+    The T = 1 + (n-1) ell fresh variables split the size-k subsets S of the
+    target's partners by the base valuation that says which groups S
+    meets: a base valuation with j true variables stands for
+    [t^k] ((1+t)^ell - 1)^j of them, so
+
+        S_j T! = sum_k k! (T-1-k)! [t^k] ((1+t)^ell - 1)^j,
+
+    with the coefficient expanded by the binomial theorem as
+    sum_m (-1)^(j-m) C(j, m) C(m ell, k).
+    """
+    total = 1 + (n - 1) * ell
+    fact = list(accumulate(range(1, total + 1), mul, initial=1))
+    coeff = [fact[k] * fact[total - 1 - k] for k in range(total)]
+    # moments[m]: the coefficients summed over the subsets of the m * ell
+    # clones of m true groups, by size
+    moments = [
+        sum(map(mul, coeff, map(comb, repeat(m * ell), range(m * ell + 1)))) for m in range(n)
+    ]
+    weights = [
+        sum((-1) ** (j - m) * comb(j, m) * moments[m] for m in range(j + 1)) for j in range(n)
+    ]
+    return weights, fact[total]
 
 
 def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     """Shapley oracle: (arities, target) -> Shapley value of the fresh
-    variable standing in for `target` under the group replacement."""
-    _check_bound(func.var_count, bound, "exhaustive enumeration")
-    return lambda arities, target: or_substituted_shapley(func, arities, target, bound=bound)
+    variable standing in for `target` under the group replacement.  A
+    query that gives every other variable one width ell is answered off
+    the truth table with the weights of _uniform_shapley_row, built once
+    per ell; a query with mixed widths goes through or_substituted_shapley.
+    """
+    n = func.var_count
+    _check_bound(n, bound, "exhaustive enumeration")
+    table = truth_table(func, bound=bound)
+    masks, sizes = _variable_masks(n), _weight_masks(n)
+    rows: dict[int, tuple[list[int], int]] = {}
+
+    def query(arities: Sequence[int], target: int) -> Fraction:
+        _check_target(arities, target, n)
+        widths = {m for i, m in enumerate(arities) if i != target}
+        if len(widths) > 1:
+            return or_substituted_shapley(func, arities, target, table=table)
+        ell = widths.pop() if widths else 1  # one variable: T = 1 for any ell
+        if ell not in rows:
+            rows[ell] = _uniform_shapley_row(n, ell)
+        weights, denom = rows[ell]
+        return _cofactor_shapley(table, masks[target], sizes, weights, denom)
+
+    return query
 
 
 # ---------------------------------------------------------------------------

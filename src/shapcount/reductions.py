@@ -12,18 +12,19 @@ replacement:
                                         variable standing in for `target`
                                         (arities[target] == 1)
 
-Everything is exact rational arithmetic.  The Vandermonde systems are
-solved by the Bjorck-Pereyra algorithm (Newton divided differences, then
-monomial coefficients) and verified by re-substitution; the moment systems
-of count_from_shapley share one matrix, which is factored once per call by
-Gaussian elimination with partial pivoting over Fractions and back-solved
-once per variable.
+Everything is exact.  The Vandermonde systems are solved over Fractions by
+the Bjorck-Pereyra algorithm (Newton divided differences, then monomial
+coefficients) and verified by re-substitution.  The n moment systems of
+count_from_shapley share one matrix, so they are solved together, after
+all n * n oracle answers are in, by one fraction-free (Bareiss)
+Gauss-Jordan elimination over integers; each solution must be divisible by
+the elimination's final pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Sequence
 
 from .errors import InconsistencyError, InputError
@@ -43,39 +44,37 @@ def coefficients(n: int) -> tuple[Fraction, ...]:
     )
 
 
-def _factor(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """PA = LU of a square rational matrix by Gaussian elimination with
-    partial pivoting: U on and above the diagonal, L's multipliers below
-    it, and the row order of P.  Raises InputError on a singular matrix."""
+def _solve_fraction_free(
+    matrix: Sequence[Sequence], columns: Sequence[Sequence]
+) -> tuple[int, list[list[int]]]:
+    """Solve A x = b for a square rational matrix A and every right-hand
+    side b in `columns` by one fraction-free Gauss-Jordan elimination
+    (Bareiss, Math. Comp. 22, 1968).
+
+    Each row of [A | b...] is scaled by the lcm of its denominators, which
+    leaves the solutions as they are.  Every division is then exact, and
+    the diagonal ends up holding the final pivot p, plus or minus the
+    determinant of the scaled matrix.  Returns p and, per right-hand side,
+    the integers p * x.  Raises InputError on a singular matrix.
+    """
     n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    order = list(range(n))
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
+    rows = []
+    for r, row in enumerate(matrix):
+        entries = [Fraction(x) for x in row] + [Fraction(b[r]) for b in columns]
+        scale = lcm(*[x.denominator for x in entries])
+        rows.append([x.numerator * (scale // x.denominator) for x in entries])
+    pivot = 1
+    for k in range(n):
+        found = next((r for r in range(k, n) if rows[r][k]), None)
+        if found is None:
             raise InputError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        order[col], order[pivot] = order[pivot], order[col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                a[r][col] = f = a[r][col] / a[col][col]
-                for c in range(col + 1, n):
-                    a[r][c] -= f * a[col][c]
-    return a, order
-
-
-def _back_solve(factors: tuple[list[list[Fraction]], list[int]], rhs: Sequence) -> list[Fraction]:
-    """Solve A x = rhs from A's _factor output."""
-    a, order = factors
-    n = len(a)
-    y: list[Fraction] = []
-    for r in range(n):
-        y.append(Fraction(rhs[order[r]]) - sum(a[r][c] * y[c] for c in range(r)))
-    sol = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = y[r] - sum(a[r][c] * sol[c] for c in range(r + 1, n))
-        sol[r] = acc / a[r][r]
-    return sol
+        rows[k], rows[found] = rows[found], rows[k]
+        top, prev, pivot = rows[k], pivot, rows[k][k]
+        for r in range(n):
+            if r != k:
+                f = rows[r][k]
+                rows[r] = [(pivot * x - f * y) // prev for x, y in zip(rows[r], top)]
+    return pivot, [[row[n + c] for row in rows] for c in range(len(columns))]
 
 
 def vandermonde_solve(nodes: Sequence[int], rhs: Sequence) -> tuple[Fraction, ...]:
@@ -136,6 +135,10 @@ def kcounts_from_counts(n: int, oracle: CountOracle) -> tuple[int, ...]:
     for ell = 1..n+1 form a Vandermonde system in the unknown k-counts.
     Makes exactly n + 1 oracle calls.
     """
+    return _kcounts(n, oracle)
+
+
+def _kcounts(n: int, oracle: CountOracle) -> tuple[int, ...]:
     if n < 0:
         raise InputError("variable count must be nonnegative")
     nodes = [(1 << ell) - 1 for ell in range(1, n + 2)]
@@ -151,7 +154,7 @@ def kcounts_from_counts_and(n: int, oracle: CountOracle) -> tuple[int, ...]:
     variable replaced by a *conjunction* of fresh variables: a size-k model
     then contributes (2^ell - 1)^(n-k) assignments, so the same Vandermonde
     system is solved for the reversed index."""
-    return tuple(reversed(kcounts_from_counts(n, oracle)))
+    return tuple(reversed(_kcounts(n, oracle)))
 
 
 def shapley_from_kcounts(n: int, oracle: KCountOracle) -> tuple[Fraction, ...]:
@@ -228,7 +231,9 @@ def count_from_shapley(n: int, value_at_zero: int, oracle: ShapleyOracle) -> int
     value of a single fresh variable standing in for X_i while every other
     variable becomes a disjunction of ell fresh ones.  Those n values are a
     nonsingular linear system (see expansion_weights) in the cofactor
-    k-count differences d_k^i.  Summing the differences over i gives
+    k-count differences d_k^i; the n systems share their matrix and are
+    solved together once every answer is in.  Summing the differences over
+    i gives
 
         sum_i d_k^i = (k+1) #_{k+1} F - (n-k) #_k F
 
@@ -245,19 +250,24 @@ def count_from_shapley(n: int, value_at_zero: int, oracle: ShapleyOracle) -> int
         raise InputError("the all-zero value must be 0 or 1")
     if n == 0:
         return value_at_zero
-    factors = _factor([expansion_weights(n, ell) for ell in range(1, n + 1)])
-    sums = [Fraction(0)] * n
-    for i in range(n):
-        rhs = [oracle(tuple(1 if p == i else ell for p in range(n)), i) for ell in range(1, n + 1)]
-        diffs = _back_solve(factors, rhs)
-        for k, d in enumerate(diffs):
-            if d.denominator != 1:
+    answers = [
+        [oracle(tuple(1 if p == i else ell for p in range(n)), i) for ell in range(1, n + 1)]
+        for i in range(n)
+    ]
+    weights = [expansion_weights(n, ell) for ell in range(1, n + 1)]
+    pivot, scaled = _solve_fraction_free(weights, answers)
+    sums = [0] * n
+    for i, column in enumerate(scaled):
+        for k, x in enumerate(column):
+            d, rest = divmod(x, pivot)
+            if rest:
                 raise InconsistencyError(
-                    f"cofactor count difference for variable {i}, size {k} is not an integer: {d}"
+                    f"cofactor count difference for variable {i}, size {k} is not an integer: "
+                    f"{Fraction(x, pivot)}"
                 )
             sums[k] += d
     counts = [value_at_zero]
     for k in range(n):
-        nxt = (sums[k] + (n - k) * counts[k]) / (k + 1)
+        nxt = Fraction(sums[k] + (n - k) * counts[k], k + 1)
         counts.append(_as_count(nxt, f"the recovered size-{k + 1} count", comb(n, k + 1)))
     return sum(counts)

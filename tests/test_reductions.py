@@ -23,8 +23,7 @@ from shapcount.boolfunc import (
 from shapcount.errors import InconsistencyError, InputError, RefusalError
 from shapcount.reductions import (
     CallCounter,
-    _back_solve,
-    _factor,
+    _solve_fraction_free,
     coefficients,
     count_from_shapley,
     expansion_weights,
@@ -93,13 +92,16 @@ def test_vandermonde_equals_explicit_elimination():
         matrix = [[Fraction(x) ** k for k in range(size)] for x in nodes]
         ints = [rng.randint(-10**6, 10**6) for _ in range(size)]
         fracs = [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(size)]
-        for rhs in (ints, fracs):
-            assert vandermonde_solve(nodes, rhs) == tuple(_back_solve(_factor(matrix), rhs))
+        pivot, (int_sol, frac_sol) = _solve_fraction_free(matrix, [ints, fracs])
+        assert vandermonde_solve(nodes, ints) == tuple(Fraction(x, pivot) for x in int_sol)
+        assert vandermonde_solve(nodes, fracs) == tuple(Fraction(x, pivot) for x in frac_sol)
 
 
-def test_factor_rejects_singular_matrices():
+def test_fraction_free_solve_rejects_singular_matrices():
     with pytest.raises(InputError):
-        _factor([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+        _solve_fraction_free([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], [[1, 2]])
+    with pytest.raises(InputError):
+        _solve_fraction_free([[0, 0], [0, 0]], [])
 
 
 def test_kcounts_from_counts_worked_example():
@@ -177,7 +179,8 @@ def test_expansion_weights_match_direct_shapley():
 def test_expansion_weight_systems_are_nonsingular():
     for n in range(1, 13):
         matrix = [expansion_weights(n, ell) for ell in range(1, n + 1)]
-        _factor(matrix)  # raises on a singular matrix
+        pivot, _ = _solve_fraction_free(matrix, [])  # raises on a singular matrix
+        assert pivot != 0
 
 
 def test_round_trips_on_random_functions():
@@ -188,6 +191,16 @@ def test_round_trips_on_random_functions():
         assert kcounts_from_counts(n, count_oracle(f)) == brute_kcounts(f)
         assert kcounts_from_counts_and(n, and_count_oracle(f)) == brute_kcounts(f)
         assert shapley_from_kcounts(n, kcount_oracle(f)) == brute_shapley_permutations(f)
+        assert count_from_shapley(n, evaluate(f, ()), shapley_oracle(f)) == brute_count(f)
+
+
+def test_count_from_shapley_at_benchmark_sizes():
+    # 11-13 variables: the moment systems' integers run to thousands of bits
+    rng = random.Random(23)
+    for n, shape in zip((11, 12, 13), gen.SHAPES):
+        f = gen.random_boolfunc(rng, max_vars=n, shape=shape)
+        while f.var_count != n or brute_count(f) in (0, 2**n):
+            f = gen.random_boolfunc(rng, max_vars=n, shape=shape)
         assert count_from_shapley(n, evaluate(f, ()), shapley_oracle(f)) == brute_count(f)
 
 
@@ -205,6 +218,7 @@ def test_oracle_call_counts():
 
 
 def test_shapley_oracle_builds_one_truth_table_per_call(monkeypatch):
+    # each formula oracle builds its table once, when made, whatever it is asked
     from shapcount import boolfunc
 
     calls = {"truth_table": 0, "_rebuild": 0}
@@ -221,8 +235,37 @@ def test_shapley_oracle_builds_one_truth_table_per_call(monkeypatch):
     for name in calls:
         monkeypatch.setattr(boolfunc, name, counted(name))
     f = example1()
-    assert count_from_shapley(3, 0, shapley_oracle(f)) == 3
-    assert calls == {"truth_table": 9, "_rebuild": 0}
+    runs = [
+        (count_oracle, lambda oracle: kcounts_from_counts(3, oracle) == (0, 1, 1, 1)),
+        (and_count_oracle, lambda oracle: kcounts_from_counts_and(3, oracle) == (0, 1, 1, 1)),
+        (kcount_oracle, lambda oracle: shapley_from_kcounts(3, oracle)[0] == Fraction(5, 6)),
+        (shapley_oracle, lambda oracle: count_from_shapley(3, 0, oracle) == 3),
+        # a query with mixed widths takes the digit route, on the same table
+        (shapley_oracle, lambda oracle: oracle((1, 2, 2), 0) == Fraction(13, 15)),
+    ]
+    for make, run in runs:
+        calls.update(truth_table=0)
+        assert run(make(f))
+        assert calls == {"truth_table": 1, "_rebuild": 0}, make.__name__
+
+
+def test_shapley_oracle_equals_the_digit_route():
+    rng = random.Random(24)
+    draws = [gen.random_boolfunc(rng, max_vars=6) for _ in range(60)]
+    draws += [gen.random_boolfunc(rng, max_vars=1) for _ in range(4)]
+    for f in draws:
+        n = f.var_count
+        oracle = shapley_oracle(f)
+        for target in range(n):
+            queries = [tuple(1 if p == target else ell for p in range(n)) for ell in range(1, 5)]
+            queries.append(tuple(1 if p == target else rng.randint(0, 3) for p in range(n)))
+            for arities in queries:
+                want = or_substituted_shapley(f, arities, target)
+                assert oracle(arities, target) == want, (f, arities, target)
+    with pytest.raises(InputError):
+        shapley_oracle(example1())((2, 1, 1), 0)
+    with pytest.raises(InputError):
+        shapley_oracle(example1())((1, 1, 1), 3)
 
 
 def test_shapley_oracle_refuses_over_the_function_bound():
