@@ -3,9 +3,11 @@
 Functions are built from expression nodes (shared subterms allowed) over a
 dense variable index space 0..n-1.  A BoolFunc validates its nodes and
 lowers them to the gate array a `circuit.Circuit` holds, one `Gate` per
-distinct node, children first; every walker here reads only that array, so
-it takes circuits too, accepts any nesting depth and walks shared subterms
-once.  Everything is exact: counts are ints, Shapley values Fractions.
+distinct node, children first.  Every per-gate pass, here and in `circuit`
+and `formats`, is one bottom-up walk of that array (`_fold`) that drops each
+value after its last reader, so it takes circuits too, accepts any nesting
+depth and walks shared subterms once.  Everything is exact: counts are ints,
+Shapley values Fractions.
 
 The brute-force routines in this module are the ground truth the rest of the
 package is checked against.  They enumerate the full valuation space as big
@@ -20,7 +22,7 @@ from fractions import Fraction
 from itertools import accumulate, permutations, repeat
 from math import comb, factorial
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, RefusalError
 
@@ -159,11 +161,50 @@ class BoolFunc:
 
     def size(self) -> int:
         """Number of variable occurrences and connectives (constants free)."""
-        sizes: list[int] = []
-        for gate in self.gates:
-            free = gate.kind in (CONST0, CONST1)
-            sizes.append(0 if free else 1 + sum(sizes[r] for r in gate.inputs))
-        return sizes[-1]
+        connective = lambda sizes: 1 + sum(sizes)
+        return _fold(self, lambda v: 1, 0, 0, (1).__add__, connective, connective)[self.output]
+
+
+def _fold(
+    func: BoolFunc | Circuit,
+    var: Callable[[int], object],
+    zero: object,
+    one: object,
+    neg: Callable,
+    conj: Callable[[Iterator], object],
+    disj: Callable[[Iterator], object],
+    keep: Iterable[int] = (),
+) -> list:
+    """The one bottom-up walker over a gate array: each gate's value, in
+    index order, from its inputs' values.  A variable gate takes var(its
+    index), the constants `zero` and `one`, NOT neg(child), AND and OR
+    conj/disj of an iterator over their children's values.  Every value but the
+    output's and those of the gates in `keep` is dropped (None) once its
+    last reader has been computed, so a pass holds only its frontier."""
+    gates = func.gates
+    last = list(range(len(gates)))
+    for idx, gate in enumerate(gates):
+        for r in gate.inputs:
+            last[r] = idx
+    for r in keep:
+        last[r] = -1
+    values: list = []
+    append, get = values.append, values.__getitem__
+    for idx, (kind, v, inputs) in enumerate(gates):
+        if kind == VAR:
+            append(var(v))
+        elif kind == NOT:
+            append(neg(values[inputs[0]]))
+        elif kind == AND:
+            append(conj(map(get, inputs)))
+        elif kind == OR:
+            append(disj(map(get, inputs)))
+        else:
+            append(one if kind == CONST1 else zero)
+        for r in inputs:
+            if last[r] == idx:
+                values[r] = None
+    return values
 
 
 def _rebuild(func: BoolFunc | Circuit, replace: Callable[[int], Node]) -> Node:
@@ -173,19 +214,9 @@ def _rebuild(func: BoolFunc | Circuit, replace: Callable[[int], Node]) -> Node:
     Connectives are rebuilt as they are, constants kept, and every gate is
     rebuilt once, so shared subterms stay shared.
     """
-    nodes: list[Node] = []
-    for gate in func.gates:
-        if gate.kind == VAR:
-            nodes.append(replace(gate.var))
-        elif gate.kind == NOT:
-            nodes.append(Not(nodes[gate.inputs[0]]))
-        elif gate.kind == AND:
-            nodes.append(And(tuple(nodes[r] for r in gate.inputs)))
-        elif gate.kind == OR:
-            nodes.append(Or(tuple(nodes[r] for r in gate.inputs)))
-        else:
-            nodes.append(TRUE if gate.kind == CONST1 else FALSE)
-    return nodes[func.output]
+    conj = lambda nodes: And(tuple(nodes))
+    disj = lambda nodes: Or(tuple(nodes))
+    return _fold(func, replace, FALSE, TRUE, Not, conj, disj)[func.output]
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +229,7 @@ def evaluate(func: BoolFunc | Circuit, true_vars: Iterable[int]) -> int:
     for v in trues:
         if not 0 <= v < func.var_count:
             raise InputError(f"valuation mentions variable {v}, function has {func.var_count}")
-    vals: list[int] = []
-    for gate in func.gates:
-        if gate.kind == VAR:
-            vals.append(1 if gate.var in trues else 0)
-        elif gate.kind == NOT:
-            vals.append(1 - vals[gate.inputs[0]])
-        elif gate.kind == AND:
-            vals.append(int(all(vals[r] for r in gate.inputs)))
-        elif gate.kind == OR:
-            vals.append(int(any(vals[r] for r in gate.inputs)))
-        else:
-            vals.append(1 if gate.kind == CONST1 else 0)
-    return vals[func.output]
+    return int(_fold(func, trues.__contains__, 0, 1, (1).__sub__, all, any)[func.output])
 
 
 _MASK_CACHE: dict[int, tuple[int, ...]] = {}
@@ -257,36 +276,32 @@ def _check_bound(n: int, bound: int, what: str) -> None:
         raise RefusalError(f"{what} over {n} variables exceeds the bound of {bound}")
 
 
-def gate_tables(func: BoolFunc | Circuit) -> list[int]:
-    """Truth table bitmask of every gate over the full variable space."""
+def _intersect(tables: Iterable[int]) -> int:
+    acc = -1  # every bit set; an AND has inputs, so the result is finite
+    for t in tables:
+        acc &= t
+    return acc
+
+
+def _union(tables: Iterable[int]) -> int:
+    acc = 0
+    for t in tables:
+        acc |= t
+    return acc
+
+
+def _tables(func: BoolFunc | Circuit, disj: Callable[[Iterator[int]], int] = _union) -> list:
+    """The truth-table walk over the full variable space, ORs combined by
+    `disj`; only the output's table is kept."""
     n = func.var_count
     full = (1 << (1 << n)) - 1
-    masks = _variable_masks(n)
-    tables: list[int] = []
-    for gate in func.gates:
-        if gate.kind == VAR:
-            tables.append(masks[gate.var])
-        elif gate.kind == NOT:
-            tables.append(full ^ tables[gate.inputs[0]])
-        elif gate.kind == AND:
-            acc = full
-            for r in gate.inputs:
-                acc &= tables[r]
-            tables.append(acc)
-        elif gate.kind == OR:
-            acc = 0
-            for r in gate.inputs:
-                acc |= tables[r]
-            tables.append(acc)
-        else:
-            tables.append(full if gate.kind == CONST1 else 0)
-    return tables
+    return _fold(func, _variable_masks(n).__getitem__, 0, full, full.__xor__, _intersect, disj)
 
 
 def truth_table(func: BoolFunc | Circuit, *, bound: int = ENUMERATION_BOUND) -> int:
     """All 2^n values as a bitmask; bit i is the value on valuation index i."""
     _check_bound(func.var_count, bound, "exhaustive enumeration")
-    return gate_tables(func)[func.output]
+    return _tables(func)[func.output]
 
 
 # ---------------------------------------------------------------------------

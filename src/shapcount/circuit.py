@@ -10,9 +10,10 @@ checked structurally; determinism is verified exhaustively up to a bound,
 taken on faith ("assumed") above it, or certified by construction for
 circuits built by this package.
 
-The model count scales by powers of 2 for variables absent from a gate's
-scope instead of materializing smoothing gates; the size-bucketed count works
-in the probability basis, which needs no smoothing at all.  The same
+Every pass is one bottom-up walk (`boolfunc._fold`), and none needs a
+gate's scope or smoothing gates: the model count holds each gate's chance of
+being true as an exact pair (c, w), meaning c / 2^w, and the size-bucketed
+count works in the probability basis.  The same
 probability-basis pass, followed by one transposed pass, gives the Shapley
 value of every variable at once (`shapley_direct`).  `count_oracle` and
 `kcount_oracle` answer the paper's oracle queries, counts of the circuit
@@ -30,11 +31,11 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import reductions
 from .boolfunc import AND, CONST0, CONST1, NOT, OR, VAR, BoolFunc, Gate, Var
-from .boolfunc import _check_arities, _rebuild, evaluate, gate_tables
+from .boolfunc import _check_arities, _fold, _rebuild, _tables, _union, evaluate
 from .errors import InconsistencyError, InputError, RefusalError
 
 DETERMINISM_BOUND = 20
@@ -372,35 +373,27 @@ def to_nnf_text(circuit: Circuit) -> str:
 # Validation
 
 
-def _scopes(circuit: Circuit) -> list[int]:
-    """Per-gate scope bitmasks: bit v is set when variable v lies below the
-    gate.  Built in one pass for the caller's own pass and dropped with it;
-    an int per gate costs a bit per variable where a set of ints cost tens
-    of bytes per member."""
-    masks: list[int] = []
-    for gate in circuit.gates:
-        if gate.kind == VAR:
-            masks.append(1 << gate.var)
-        else:
-            acc = 0
-            for r in gate.inputs:
-                acc |= masks[r]
-            masks.append(acc)
-    return masks
-
-
 def check_decomposable(circuit: Circuit) -> tuple[bool, tuple[int, ...]]:
     """Structural check: each AND's children must have pairwise disjoint
-    scopes, which holds exactly when their scope sizes sum to the size of
-    the AND's own scope.  Returns the offending gate indices."""
-    scopes = _scopes(circuit)
-    bad = [
-        idx
-        for idx, gate in enumerate(circuit.gates)
-        if gate.kind == AND
-        and sum(scopes[r].bit_count() for r in gate.inputs) != scopes[idx].bit_count()
-    ]
-    return (not bad, tuple(bad))
+    scopes, so no child's scope mask (bit v for each variable v below it)
+    may meet the union of the children before it.  Returns the offending
+    gate indices."""
+    overlaps: list[bool] = []  # one flag per AND gate, in gate order
+
+    def conj(masks: Iterator[int]) -> int:
+        union = 0
+        overlap = False
+        for mask in masks:
+            if union & mask:
+                overlap = True
+            union |= mask
+        overlaps.append(overlap)
+        return union
+
+    _fold(circuit, (1).__lshift__, 0, 0, lambda mask: mask, conj, _union)
+    ands = [idx for idx, gate in enumerate(circuit.gates) if gate.kind == AND]
+    bad = tuple(idx for idx, overlap in zip(ands, overlaps) if overlap)
+    return (not bad, bad)
 
 
 def check_deterministic_exhaustive(
@@ -409,23 +402,26 @@ def check_deterministic_exhaustive(
     """Exhaustively verify that no valuation satisfies two children of any
     OR gate.  Returns ("verified", None), ("refuted", witness) with the
     witness as a sorted tuple of true variables, or ("assumed", None) when
-    the variable count exceeds the bound."""
+    the variable count exceeds the bound.  The witness is the lowest
+    conflicting valuation of the first conflicting OR in gate order."""
     if circuit.var_count > bound:
         return ("assumed", None)
-    tables = gate_tables(circuit)
-    for gate in circuit.gates:
-        if gate.kind != OR:
-            continue
-        seen = 0
-        conflict = 0
-        for r in gate.inputs:
-            conflict |= seen & tables[r]
-            seen |= tables[r]
-        if conflict:
-            index = (conflict & -conflict).bit_length() - 1
-            witness = tuple(v for v in range(circuit.var_count) if (index >> v) & 1)
-            return ("refuted", witness)
-    return ("verified", None)
+    conflicts: list[int] = []
+
+    def disj(tables: Iterator[int]) -> int:
+        seen = conflict = 0
+        for table in tables:
+            conflict |= seen & table
+            seen |= table
+        if conflict and not conflicts:
+            conflicts.append(conflict)
+        return seen
+
+    _tables(circuit, disj)
+    if not conflicts:
+        return ("verified", None)
+    index = (conflicts[0] & -conflicts[0]).bit_length() - 1
+    return ("refuted", tuple(v for v in range(circuit.var_count) if (index >> v) & 1))
 
 
 @dataclass(frozen=True)
@@ -474,37 +470,13 @@ def _countable(circuit: Circuit) -> ValidationReport:
 # Counting
 
 
-def _widths(circuit: Circuit, sizes: list[int], arities: Sequence[int]) -> list[int]:
-    """Per gate, the arities summed over its scope: the first arity times
-    the scope's size, corrected by one masked popcount for each other
-    arity.  Only a query with mixed arities builds the scope masks again,
-    and drops them with it, so no mask is held while a pass runs."""
-    base = arities[0] if arities else 0
-    widths = [base * size for size in sizes]
-    scopes = _scopes(circuit) if len(set(arities)) > 1 else []
-    for ell in set(arities) - {base}:
-        group = sum(1 << var for var, a in enumerate(arities) if a == ell)
-        widths = [w + (ell - base) * (m & group).bit_count() for w, m in zip(widths, scopes)]
-    return widths
-
-
-def _last_readers(circuit: Circuit) -> list[int]:
-    """The index of each gate's last reader (its own for the output)."""
-    last = list(range(len(circuit.gates)))
-    for idx, gate in enumerate(circuit.gates):
-        for ref in gate.inputs:
-            last[ref] = idx
-    return last
-
-
 def count_oracle(circuit: Circuit):
     """Count oracle for the reductions: arities -> model count of
     C[x_v <- z_1 or ... or z_l], l = arities[v], over sum(arities) fresh
     variables, as one weighted pass over C itself.  The circuit is
-    validated and its scope sizes taken once, when the oracle is made."""
+    validated once, when the oracle is made."""
     _countable(circuit)
-    sizes = [mask.bit_count() for mask in _scopes(circuit)]
-    return lambda arities: _count(circuit, _widths(circuit, sizes, arities), arities)
+    return lambda arities: _count(circuit, arities)
 
 
 def model_count_dd(circuit: Circuit) -> int:
@@ -512,38 +484,35 @@ def model_count_dd(circuit: Circuit) -> int:
     return count_oracle(circuit)((1,) * circuit.var_count)
 
 
-def _count(circuit: Circuit, widths: list[int], arities: Sequence[int]) -> int:
-    """Each gate's count is taken over its width, the arities summed over
-    its scope: a variable is true on 2^l - 1 of its 2^l assignments, OR
-    children are scaled by 2^(width gap), and the output by 2^(sum(arities)
-    - its width).  Counts are dropped after their last reader."""
+def _count(circuit: Circuit, arities: Sequence[int]) -> int:
+    """Each gate holds the chance c / 2^w that it is true, as the exact pair
+    (c, w): a variable is true on 2^l - 1 of its 2^l assignments, NOT is
+    (2^w - c, w), decomposable AND the product, deterministic OR the sum
+    over the children's largest w.  No w exceeds the arities summed over
+    the gate's scope, so the count is the output's c << (sum(arities) - w)."""
     _check_arities(arities, circuit.var_count)
-    last = _last_readers(circuit)
-    counts: list[int | None] = []
-    for idx, gate in enumerate(circuit.gates):
-        if gate.kind == CONST0:
-            counts.append(0)
-        elif gate.kind == CONST1:
-            counts.append(1)
-        elif gate.kind == VAR:
-            counts.append((1 << arities[gate.var]) - 1)
-        elif gate.kind == NOT:
-            child = gate.inputs[0]
-            counts.append((1 << widths[child]) - counts[child])
-        elif gate.kind == AND:
-            acc = 1
-            for r in gate.inputs:
-                acc *= counts[r]
-            counts.append(acc)
-        else:
-            acc = 0
-            for r in gate.inputs:
-                acc += counts[r] << (widths[idx] - widths[r])
-            counts.append(acc)
-        for r in gate.inputs:
-            if last[r] == idx:
-                counts[r] = None
-    return counts[circuit.output] << (sum(arities) - widths[circuit.output])
+
+    def conj(pairs: Iterator[tuple[int, int]]) -> tuple[int, int]:
+        count, width = 1, 0
+        for c, w in pairs:
+            count *= c
+            width += w
+        return count, width
+
+    def disj(pairs: Iterator[tuple[int, int]]) -> tuple[int, int]:
+        total, width = 0, 0  # the running sum, over the widest w so far
+        for c, w in pairs:
+            if w > width:
+                total <<= w - width
+                width = w
+            total += c << (width - w)
+        return total, width
+
+    variable = [((1 << ell) - 1, ell) for ell in arities].__getitem__
+    negation = lambda pair: ((1 << pair[1]) - pair[0], pair[1])
+    pairs = _fold(circuit, variable, (0, 0), (1, 0), negation, conj, disj)
+    count, width = pairs[circuit.output]
+    return count << (sum(arities) - width)
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
@@ -567,31 +536,20 @@ def _probability_polys(
     true with probability 1 - (1-p)^l.  Every list but the output's and
     those of the gates in `keep` is dropped (None) once its last reader has
     been computed."""
-    last = _last_readers(circuit)
-    polys: list[list[int] | None] = []
-    for idx, gate in enumerate(circuit.gates):
-        if gate.kind == CONST0:
-            polys.append([0])
-        elif gate.kind == CONST1:
-            polys.append([1])
-        elif gate.kind == VAR:
-            ell = 1 if arities is None else arities[gate.var]
-            polys.append([0] + [(-1) ** (j + 1) * comb(ell, j) for j in range(1, ell + 1)])
-        elif gate.kind == NOT:
-            child = polys[gate.inputs[0]]
-            polys.append([1 - child[0]] + [-c for c in child[1:]])
-        elif gate.kind == AND:
-            acc = [1]
-            for r in gate.inputs:
-                acc = _convolve(acc, polys[r])
-            polys.append(acc)
-        else:
-            columns = zip_longest(*(polys[r] for r in gate.inputs), fillvalue=0)
-            polys.append([sum(c) for c in columns])
-        for r in gate.inputs:
-            if last[r] == idx and r not in keep:
-                polys[r] = None
-    return polys
+
+    def variable(v: int) -> list[int]:
+        ell = 1 if arities is None else arities[v]
+        return [0] + [(-1) ** (j + 1) * comb(ell, j) for j in range(1, ell + 1)]
+
+    def conj(polys: Iterator[list[int]]) -> list[int]:
+        acc = [1]
+        for poly in polys:
+            acc = _convolve(acc, poly)
+        return acc
+
+    negation = lambda poly: [1 - poly[0]] + [-c for c in poly[1:]]
+    disj = lambda polys: [sum(c) for c in zip_longest(*polys, fillvalue=0)]
+    return _fold(circuit, variable, [0], [1], negation, conj, disj, keep)
 
 
 def kcount_oracle(circuit: Circuit):

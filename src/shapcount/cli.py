@@ -548,6 +548,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("shapcount: refused: ran out of memory on this input", file=sys.stderr)
         return EXIT_REFUSAL
+    except RecursionError:
+        print("shapcount: refused: this input nests too deeply", file=sys.stderr)
+        return EXIT_REFUSAL
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -17,11 +17,6 @@ from __future__ import annotations
 import re
 
 from .boolfunc import (
-    AND,
-    CONST1,
-    NOT,
-    OR,
-    VAR,
     And,
     BoolFunc,
     Const,
@@ -31,6 +26,7 @@ from .boolfunc import (
     Var,
     conjunction,
     disjunction,
+    _fold,
 )
 from .errors import InputError
 
@@ -131,17 +127,11 @@ def format_sexpr(func: BoolFunc) -> str:
     # each node's text is a tuple of pieces holding its children's tuples, so
     # it costs O(1) to build; one join at the end keeps time and memory
     # linear in the output at any depth
-    pieces: list[tuple] = []
-    for gate in func.gates:
-        if gate.kind == VAR:
-            pieces.append((f"x{gate.var}",))
-        elif gate.kind == NOT:
-            pieces.append(("(not ", pieces[gate.inputs[0]], ")"))
-        elif gate.kind in (AND, OR):
-            head = "(and" if gate.kind == AND else "(or"
-            pieces.append((head, *(p for r in gate.inputs for p in (" ", pieces[r])), ")"))
-        else:
-            pieces.append(("1" if gate.kind == CONST1 else "0",))
+    def connective(head: str):
+        return lambda parts: (head, *(p for part in parts for p in (" ", part)), ")")
+
+    variable, negation = lambda v: (f"x{v}",), lambda part: ("(not ", part, ")")
+    pieces = _fold(func, variable, ("0",), ("1",), negation, connective("(and"), connective("(or"))
     out: list[str] = []
     stack: list = [pieces[func.output]]
     while stack:

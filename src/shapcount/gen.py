@@ -100,7 +100,6 @@ def random_query(
     max_atoms: int = 3,
     max_arity: int = 3,
     self_join_free: bool = True,
-    allow_constants: bool = True,
 ) -> tuple[Query, Schema]:
     """A random query with its schema; relation kinds are chosen at random."""
     atom_count = rng.randint(1, max_atoms)
@@ -111,7 +110,7 @@ def random_query(
         arity = min(max_arity, rng.choice((1, 1, 2, 2, 3)))
         args: list[QueryVar | QueryConst] = []
         for _ in range(arity):
-            if allow_constants and rng.random() < 0.1:
+            if rng.random() < 0.1:
                 args.append(QueryConst(rng.choice(_DOMAIN)))
             else:
                 args.append(QueryVar(rng.choice(_VAR_POOL)))

@@ -190,7 +190,6 @@ def parse_query(text: str) -> Query:
     if ":-" in line:
         line = line.split(":-", 1)[1]
     atoms = []
-    consumed = 0
     for m in _ATOM.finditer(line):
         args = []
         body = m.group(2).strip()
@@ -207,7 +206,6 @@ def parse_query(text: str) -> Query:
             else:
                 args.append(QueryConst(piece))
         atoms.append(Atom(m.group(1), tuple(args)))
-        consumed += len(m.group(0))
     leftovers = _ATOM.sub("", line).replace(",", "").strip()
     if leftovers:
         raise InputError(f"unparsed query text: {leftovers!r}")
@@ -307,11 +305,9 @@ def build_lineage(query: Query, db: Database) -> Lineage:
         )
         seen.update(name for _, name in free)
 
-    def extend(atom_index: int, binding: dict[str, str], literals: frozenset[int]) -> bool:
-        if atom_index == len(plans):
-            clauses.add(literals)
-            return literals == frozenset()
-        rel, probe, free, index = plans[atom_index]
+    def matches(plan, binding: dict[str, str], literals: frozenset[int]):
+        """The partial matches one atom extends (binding, literals) to."""
+        rel, probe, free, index = plan
         key = tuple(t.value if isinstance(t, QueryConst) else binding[t.name] for t in probe)
         rows = db.rows[rel.name]
         for row_index in index.get(key, ()):
@@ -329,12 +325,22 @@ def build_lineage(query: Query, db: Database) -> Lineage:
             lits = literals
             if rel.endogenous:
                 lits = literals | {db.var_of(rel.name, row_index)}
-            if extend(atom_index + 1, new_binding, lits):
-                return True
-        return False
+            yield new_binding, lits
 
-    if extend(0, {}, frozenset()):
-        clauses = {frozenset()}
+    # depth-first over the atoms with an explicit stack: stack[k] yields the
+    # matches of the first k atoms, so any number of atoms fits
+    stack = [iter([({}, frozenset())])]
+    while stack:
+        match = next(stack[-1], None)
+        if match is None:
+            stack.pop()
+        elif len(stack) <= len(plans):
+            stack.append(matches(plans[len(stack) - 1], *match))
+        elif match[1]:
+            clauses.add(match[1])
+        else:
+            clauses = {frozenset()}  # a match of exogenous atoms only: the constant 1
+            break
     ordered = tuple(sorted(clauses, key=lambda c: tuple(sorted(c))))
     return Lineage(dnf_from_clauses(ordered, db.var_count), ordered, db.tuple_map)
 

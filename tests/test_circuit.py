@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -6,6 +7,7 @@ from math import comb, factorial
 import pytest
 
 from helpers import EXAMPLE_NNF, example1_circuit
+from shapcount import boolfunc
 from shapcount import circuit as ct
 from shapcount import gen
 from shapcount import lineage as lg
@@ -192,6 +194,23 @@ def test_check_deterministic():
 
     status, witness = check_deterministic_exhaustive(plain_or, bound=1)
     assert status == "assumed" and witness is None
+
+    # (x0 and x1) or (x1 and x2) conflicts only on {0, 1, 2}; x0 or not x1
+    # already on {0}, a lower valuation: the witness is the first OR's in
+    # gate order, at its lowest conflicting valuation
+    def two_ors(wide_first: bool) -> Circuit:
+        b = CircuitBuilder(3)
+        x0, x1, x2 = (b.var(v) for v in range(3))
+        ors = []
+        for wide in (wide_first, not wide_first):
+            if wide:
+                ors.append(b.add(OR, inputs=(b.and_((x0, x1)), b.and_((x1, x2)))))
+            else:
+                ors.append(b.add(OR, inputs=(x0, b.negate(x1))))
+        return b.build(b.add(AND, inputs=ors))
+
+    assert check_deterministic_exhaustive(two_ors(True)) == ("refuted", (0, 1, 2))
+    assert check_deterministic_exhaustive(two_ors(False)) == ("refuted", (0,))
 
 
 def test_model_count_refusals():
@@ -408,8 +427,9 @@ def test_implicit_oracles_equal_counts_of_the_substituted_copy():
     inner = 0
     for c in circuits:
         inner += any(g.kind == NOT and c.gates[g.inputs[0]].kind != VAR for g in c.gates)
-        for _ in range(3):
-            arities = tuple(rng.randint(0, 3) for _ in range(c.var_count))
+        # widths up to 6 make the inputs of an OR differ by wide shifts
+        for top in (3, 3, 3, 6, 6):
+            arities = tuple(rng.randint(0, top) for _ in range(c.var_count))
             copy = or_substitute_all(c, arities)
             assert count_oracle(c)(arities) == model_count_dd(copy)
             assert kcount_oracle(c)(arities) == size_polynomial_count(copy)
@@ -494,13 +514,56 @@ def test_shapley_direct_refuses_what_counting_refuses():
         shapley_direct(b.build(b.add(OR, inputs=(x, b.const(1)))))
 
 
-def test_bottom_up_passes_drop_values_after_their_last_reader():
+def test_bottom_up_passes_drop_values_after_their_last_reader(monkeypatch):
     c = parse_nnf(EXAMPLE_NNF)
     polys = ct._probability_polys(c)
     assert [i for i, p in enumerate(polys) if p is not None] == [c.output]
     feeds_and = frozenset(r for g in c.gates if g.kind == AND for r in g.inputs)
     polys = ct._probability_polys(c, feeds_and)
     assert {i for i, p in enumerate(polys) if p is not None} == feeds_and | {c.output}
+
+    # every other pass keeps only the output's value: validation's scope
+    # masks and truth tables, the count, the evaluator and the truth table
+    passes = []
+
+    def recording(*args, **kwargs):
+        values = fold(*args, **kwargs)
+        passes.append(values)
+        return values
+
+    fold = boolfunc._fold
+    monkeypatch.setattr(boolfunc, "_fold", recording)
+    monkeypatch.setattr(ct, "_fold", recording)
+    fresh = parse_nnf(EXAMPLE_NNF)
+    assert model_count_dd(fresh) == 4
+    assert truth_table(fresh) == 0b11100100  # models {1}, {0, 2}, {1, 2}, {0, 1, 2}
+    assert feval(fresh, (0, 2)) == 1
+    assert len(passes) == 5  # masks, tables, count, table, evaluation
+    for values in passes:
+        assert [i for i, v in enumerate(values) if v is not None] == [fresh.output]
+
+
+def test_count_pass_memory_stays_at_the_frontier():
+    # R(x), S(x,y) with 4 S rows per R value, n = 15000: every gate's scope
+    # mask held at once set a 64 MiB peak; the count needs about 5 MiB
+    schema = lg.Schema((lg.Relation("R", 1, True), lg.Relation("S", 2, True)))
+    rows = {
+        "R": [(f"x{i}",) for i in range(3000)],
+        "S": [(f"x{i}", f"y{j}") for i in range(3000) for j in range(4)],
+    }
+    compiled = lg.compile_hierarchical_lineage(
+        lg.parse_query("Q :- R(x), S(x,y)"), lg.Database(schema, rows)
+    )
+    assert compiled.var_count == 15000
+    tracemalloc.start()
+    try:
+        count = model_count_dd(compiled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a failing R value: R false (16 ways) or R true and its S rows false (1)
+    assert count == 2**15000 - 17**3000
+    assert peak < 16 * 2**20
 
 
 def test_circuit_validation_rules():

@@ -673,3 +673,36 @@ def test_deep_circuit(workspace, capsys, verb, want):
         assert out.rstrip().endswith("agreement ok")
     else:
         assert out == want
+
+
+def test_query_with_many_atoms(tmp_path, capsys):
+    # R0(x), ..., R1499(x) with R0, R1, R2 endogenous: the join walks the
+    # atoms with an explicit stack, so no atom count overflows the call stack
+    atoms = 1500
+    schema = lg.Schema(tuple(lg.Relation(f"R{i}", 1, i < 3) for i in range(atoms)))
+    lg.write_database(lg.Database(schema, {r.name: [("a",)] for r in schema.relations}), tmp_path)
+    query = tmp_path / "q.txt"
+    query.write_text("Q :- " + ", ".join(f"R{i}(x)" for i in range(atoms)) + "\n")
+    code, out = run(capsys, "lineage", query, tmp_path, "--kind", "lineage")
+    assert code == 0
+    assert out == "(vars 3 (and x0 x1 x2))\n0,R0,0\n1,R1,0\n2,R2,0\n"
+    code, out = run(capsys, "compare", query, tmp_path, "--kind", "lineage")
+    assert code == 0
+    assert "shapley circuit=1/3,1/3,1/3 brute=1/3,1/3,1/3\n" in out
+    assert out.endswith("agreement ok\n")
+
+
+def test_nesting_past_the_recursion_limit_is_a_refusal(tmp_path, capsys):
+    # A(x0, ..., x599) is hierarchical and compiles one variable per level,
+    # 600 levels of recursion: a refusal (exit 3), never a traceback (exit 1)
+    arity = 600
+    schema = lg.Schema((lg.Relation("A", arity, True),))
+    lg.write_database(lg.Database(schema, {"A": [tuple(f"a{j}" for j in range(arity))]}), tmp_path)
+    query = tmp_path / "q.txt"
+    query.write_text("Q :- A(" + ",".join(f"x{j}" for j in range(arity)) + ")\n")
+    code, out = run(capsys, "check", query, "--kind", "lineage")
+    assert code == 0 and "branch: FP\n" in out
+    assert main(["count", str(query), str(tmp_path), "--kind", "lineage"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "shapcount: refused: this input nests too deeply\n"
