@@ -360,25 +360,21 @@ def brute_shapley_subsets(
     sizes = _weight_masks(n)
     weights = [factorial(k) * factorial(n - 1 - k) for k in range(n)]
     return tuple(
-        _cofactor_shapley(table, mask, sizes, weights, factorial(n))
+        Fraction(sum(map(mul, weights, _cofactor_row(table, mask, sizes))), factorial(n))
         for mask in _variable_masks(n)
     )
 
 
-def _cofactor_shapley(
-    table: int, mask: int, sizes: Sequence[int], weights: Sequence[int], denom: int
-) -> Fraction:
-    """sum_k weights[k] (|T & x & W_(k+1)| - |T & ~x & W_k|) / denom, for
-    T the truth table, x the variable `mask` and W_k the valuations of size
-    k (`sizes`): each size-k subset S of the other variables enters with
-    f(S + x) - f(S)."""
+def _cofactor_row(table: int, mask: int, sizes: Sequence[int]) -> list[int]:
+    """|T & x & W_(k+1)| - |T & ~x & W_k| for k = 0..n-1, for T the truth
+    table, x the variable `mask` and W_k the valuations of size k (`sizes`):
+    over the size-k subsets S of the other variables, the sum of
+    f(S + x) - f(S).  Dotted with the Shapley weights, it gives x's value."""
     hi = table & mask
     lo = table ^ hi
-    num = sum(
-        w * ((hi & sizes[k + 1]).bit_count() - (lo & sizes[k]).bit_count())
-        for k, w in enumerate(weights)
-    )
-    return Fraction(num, denom)
+    return [
+        (hi & high).bit_count() - (lo & low).bit_count() for low, high in zip(sizes, sizes[1:])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +445,12 @@ def and_substitute(func: BoolFunc, arities: Sequence[int]) -> GroupedSubstitutio
 # (1+t)^m - 1, and the counts are read off the total's base-2^B digits.
 # An oracle factory builds the truth table once, when the oracle is made,
 # and every query reads it.  The Shapley oracle answers a query that
-# widens every other variable to one width ell from per-size popcounts of
-# the target's two cofactors, dotted with a row of integer weights it
-# builds once per ell from the Shapley coefficients; a query with mixed
-# widths takes the digit route.  The oracles are still exhaustive
-# enumeration over the base space and never solve any linear system, so
-# they stay independent of the reductions they feed.
+# widens every other variable to one width ell from the per-size popcounts
+# of the target's two cofactors, taken once per target, dotted with a row
+# of integer weights it builds once per ell from the Shapley coefficients;
+# a query with mixed widths takes the digit route.  The oracles are still
+# exhaustive enumeration over the base space and never solve any linear
+# system, so they stay independent of the reductions they feed.
 
 
 def _weighted_count(table: int, n: int, weights: Sequence[int]) -> int:
@@ -659,15 +655,17 @@ def _uniform_shapley_row(n: int, ell: int) -> tuple[list[int], int]:
 def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     """Shapley oracle: (arities, target) -> Shapley value of the fresh
     variable standing in for `target` under the group replacement.  A
-    query that gives every other variable one width ell is answered off
-    the truth table with the weights of _uniform_shapley_row, built once
-    per ell; a query with mixed widths goes through or_substituted_shapley.
+    query that gives every other variable one width ell is the target's
+    _cofactor_row, built once per target, dotted with the weights of
+    _uniform_shapley_row, built once per ell; a query with mixed widths
+    goes through or_substituted_shapley.
     """
     n = func.var_count
     _check_bound(n, bound, "exhaustive enumeration")
     table = truth_table(func, bound=bound)
     masks, sizes = _variable_masks(n), _weight_masks(n)
     rows: dict[int, tuple[list[int], int]] = {}
+    diffs: dict[int, list[int]] = {}
 
     def query(arities: Sequence[int], target: int) -> Fraction:
         _check_target(arities, target, n)
@@ -677,8 +675,10 @@ def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
         ell = widths.pop() if widths else 1  # one variable: T = 1 for any ell
         if ell not in rows:
             rows[ell] = _uniform_shapley_row(n, ell)
+        if target not in diffs:
+            diffs[target] = _cofactor_row(table, masks[target], sizes)
         weights, denom = rows[ell]
-        return _cofactor_shapley(table, masks[target], sizes, weights, denom)
+        return Fraction(sum(map(mul, weights, diffs[target])), denom)
 
     return query
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import random
@@ -447,6 +448,7 @@ def cmd_compare(ns) -> str:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built on the first call; parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shapcount",

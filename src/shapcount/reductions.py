@@ -12,9 +12,11 @@ replacement:
                                         variable standing in for `target`
                                         (arities[target] == 1)
 
-Everything is exact.  The Vandermonde systems are solved over Fractions by
-the Bjorck-Pereyra algorithm (Newton divided differences, then monomial
-coefficients) and verified by re-substitution.  The n moment systems of
+Everything is exact.  The k-count Vandermonde system is solved in integers,
+its solution read off the base-t digits of one answer and every equation
+checked (Kronecker substitution; von zur Gathen and Gerhard, Modern
+Computer Algebra, 8.4).  Shapley values are summed over one denominator.
+The n moment systems of
 count_from_shapley share one matrix, so they are solved together, after
 all n * n oracle answers are in, by one fraction-free (Bareiss)
 Gauss-Jordan elimination over integers; each solution must be divisible by
@@ -119,7 +121,7 @@ class CallCounter:
         return self.oracle(*args)
 
 
-def _as_count(value: Fraction, what: str, cap: int | None = None) -> int:
+def _as_count(value: int | Fraction, what: str, cap: int | None = None) -> int:
     if value.denominator != 1 or value < 0 or (cap is not None and value > cap):
         raise InconsistencyError(f"{what} must be an integer in [0, {cap}], got {value}")
     return int(value)
@@ -133,6 +135,9 @@ def kcounts_from_counts(n: int, oracle: CountOracle) -> tuple[int, ...]:
     Replacing each variable by a disjunction of ell fresh ones multiplies
     the contribution of every size-k model by (2^ell - 1)^k, so the counts
     for ell = 1..n+1 form a Vandermonde system in the unknown k-counts.
+    Each k-count is at most C(n, k), below the last node t = 2^(n+1) - 1,
+    so the last count, read in base t, spells them out; checking all n + 1
+    equations exactly proves that these digits solve the system.
     Makes exactly n + 1 oracle calls.
     """
     return _kcounts(n, oracle)
@@ -141,12 +146,24 @@ def kcounts_from_counts(n: int, oracle: CountOracle) -> tuple[int, ...]:
 def _kcounts(n: int, oracle: CountOracle) -> tuple[int, ...]:
     if n < 0:
         raise InputError("variable count must be nonnegative")
-    nodes = [(1 << ell) - 1 for ell in range(1, n + 2)]
-    rhs = [oracle(tuple([ell] * n)) for ell in range(1, n + 2)]
-    sol = vandermonde_solve(nodes, rhs)
-    return tuple(
-        _as_count(x, f"the recovered size-{k} count", comb(n, k)) for k, x in enumerate(sol)
-    )
+    return _solve_counts(n, [oracle(tuple([ell] * n)) for ell in range(1, n + 2)])
+
+
+def _solve_counts(n: int, rhs: Sequence[int]) -> tuple[int, ...]:
+    """The counts s_k in [0, C(n, k)] with sum_k s_k (2^ell - 1)^k = rhs[ell - 1]
+    for ell = 1..n+1: the base-(2^(n+1) - 1) digits of rhs[n], the top one
+    whatever the n lower ones leave, once every equation is checked."""
+    counts, rest, t = [], rhs[n], (1 << (n + 1)) - 1
+    for k in range(n + 1):
+        rest, digit = divmod(rest, t) if k < n else (0, rest)
+        counts.append(_as_count(digit, f"the recovered size-{k} count", comb(n, k)))
+    for ell, want in enumerate(rhs, start=1):
+        value = 0
+        for s in reversed(counts):
+            value = (value << ell) - value + s
+        if value != want:
+            raise InconsistencyError(f"no size-bucketed counts fit the count for width {ell}")
+    return tuple(counts)
 
 
 def kcounts_from_counts_and(n: int, oracle: CountOracle) -> tuple[int, ...]:
@@ -174,7 +191,8 @@ def shapley_from_kcounts(n: int, oracle: KCountOracle) -> tuple[Fraction, ...]:
         raise InputError("variable count must be nonnegative")
     if n == 0:
         return ()
-    coeff = coefficients(n)
+    weights = [factorial(k) * factorial(n - 1 - k) for k in range(n)]
+    denom = factorial(n)
     full = list(oracle(tuple([1] * n)))
     if len(full) != n + 1:
         raise InputError(f"oracle returned {len(full)} buckets, expected {n + 1}")
@@ -185,10 +203,8 @@ def shapley_from_kcounts(n: int, oracle: KCountOracle) -> tuple[Fraction, ...]:
         if len(low) != n:
             raise InputError(f"cofactor oracle returned {len(low)} buckets, expected {n}")
         low.append(0)  # the (n-1)-variable cofactor has no size-n models
-        total = Fraction(0)
-        for k in range(n):
-            total += coeff[k] * (full[k + 1] - low[k + 1] - low[k])
-        values.append(total)
+        total = sum(w * (full[k + 1] - low[k + 1] - low[k]) for k, w in enumerate(weights))
+        values.append(Fraction(total, denom))
     return tuple(values)
 
 

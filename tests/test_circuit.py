@@ -637,6 +637,21 @@ def test_size_polynomial_on_a_large_hierarchical_lineage():
     assert size_polynomial_count(compiled) == tuple(expected)
 
 
+def test_paper_kcounts_at_240_variables_equal_the_direct_pass():
+    # R(x), S(x,y) with 4 S rows per R value: the 241 counts of the paper's
+    # route have up to 57840 bits, and their digits are the size polynomial
+    schema = lg.Schema((lg.Relation("R", 1, True), lg.Relation("S", 2, True)))
+    rows = {
+        "R": [(f"x{i}",) for i in range(48)],
+        "S": [(f"x{i}", f"y{j}") for i in range(48) for j in range(4)],
+    }
+    compiled = lg.compile_hierarchical_lineage(
+        lg.parse_query("Q :- R(x), S(x,y)"), lg.Database(schema, rows)
+    )
+    assert compiled.var_count == 240
+    assert kcounts_circuit(compiled) == size_polynomial_count(compiled)
+
+
 def test_shapley_direct_on_a_large_hierarchical_lineage():
     # Shap_v = sum_k k!(n-1-k)!/n! d_k, with d(t) the size polynomial of the
     # cofactor at v minus the one at not v.  Only v's block changes: its

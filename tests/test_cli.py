@@ -337,7 +337,7 @@ def test_compare_runs_each_reduction_once(workspace, capsys, monkeypatch):
 
         return counting
 
-    names = ("kcounts_from_counts", "shapley_from_kcounts", "vandermonde_solve")
+    names = ("kcounts_from_counts", "shapley_from_kcounts", "_solve_counts")
     for name in names:
         monkeypatch.setattr(rd, name, counted(name))
     code, _ = run(capsys, "compare", workspace / "ex.nnf", "--kind", "circuit")
@@ -345,6 +345,29 @@ def test_compare_runs_each_reduction_once(workspace, capsys, monkeypatch):
     calls.clear()
     code, _ = run(capsys, "compare", workspace / "join.q", workspace / "join", "--kind", "lineage")
     assert code == 0 and calls.count("shapley_from_kcounts") == 1
+
+
+def test_the_shared_parser_carries_no_value_between_calls(workspace, capsys, monkeypatch):
+    from shapcount import cli as cli_module
+
+    seen = []
+    for verb in ("kcount", "compare"):
+        handler = cli_module._HANDLERS[verb]
+        monkeypatch.setitem(
+            cli_module._HANDLERS, verb, lambda ns, handler=handler: seen.append(ns) or handler(ns)
+        )
+    ex1 = workspace / "ex1.bf"
+    code, brute = run(capsys, "kcount", "--method", "brute", "--max-vars", "30", ex1)
+    assert code == 0 and (seen[-1].method, seen[-1].max_vars) == ("brute", 30)
+    code, paper = run(capsys, "kcount", ex1)
+    assert code == 0 and paper == brute == "0,1,1,1\n"
+    assert (seen[-1].method, seen[-1].max_vars, seen[-1].out) == (None, None, None)
+    code, out = run(capsys, "compare", "--fuzz", "3", "--kind", "circuit", "--seed", "7")
+    assert code == 0 and out == "fuzz cases=3 seed=7 agreement ok\n"
+    code, out = run(capsys, "compare", ex1)
+    assert code == 0 and out.startswith("compare kind=formula input=sha256:")
+    assert (seen[-1].fuzz, seen[-1].kind, seen[-1].seed) == (0, "formula", 0)
+    assert cli_module._build_parser() is cli_module._build_parser()
 
 
 def test_compare_lineage_checks_the_paper_kcount_route(workspace, capsys, monkeypatch):

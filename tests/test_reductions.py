@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from helpers import cofactors, example1
-from shapcount import gen
+from shapcount import boolfunc, formats, gen
 from shapcount.boolfunc import (
     BoolFunc,
     Const,
@@ -23,6 +24,7 @@ from shapcount.boolfunc import (
 from shapcount.errors import InconsistencyError, InputError, RefusalError
 from shapcount.reductions import (
     CallCounter,
+    _solve_counts,
     _solve_fraction_free,
     coefficients,
     count_from_shapley,
@@ -288,6 +290,86 @@ def test_inconsistent_oracles_are_reported():
         count_from_shapley(
             3, 0, lambda arities, i: honest_shap(arities, i) + (max(arities) == 2)
         )
+
+
+def test_the_digit_solve_returns_every_in_range_vector():
+    rng = random.Random(42)
+    for n in range(41):
+        nodes = [(1 << ell) - 1 for ell in range(1, n + 2)]
+        maxima = tuple(comb(n, k) for k in range(n + 1))
+        drawn = tuple(rng.randint(0, c) for c in maxima)
+        for counts in ((0,) * (n + 1), maxima, drawn):
+            rhs = []
+            for x in nodes:
+                value = 0
+                for s in reversed(counts):
+                    value = value * x + s
+                rhs.append(value)
+            assert _solve_counts(n, rhs) == counts
+            assert vandermonde_solve(nodes, rhs) == counts
+
+
+def test_a_count_off_by_one_is_an_inconsistency(tmp_path, capsys, monkeypatch):
+    # the last count's digits solve the system only when every count is
+    # right: one count off by one, at the last node or another, is exit 4
+    from shapcount.cli import main
+
+    rng = random.Random(43)
+    for n in (1, 5, 13):
+        f = gen.random_boolfunc(rng, max_vars=n)
+        while f.var_count != n:
+            f = gen.random_boolfunc(rng, max_vars=n)
+        path = tmp_path / f"f{n}.bf"
+        path.write_text(formats.format_sexpr(f))
+        assert main(["compare", str(path)]) == 0
+        for make, solve in (
+            (count_oracle, kcounts_from_counts),
+            (and_count_oracle, kcounts_from_counts_and),
+        ):
+            for node in (n + 1, n // 2 + 1):
+                for delta in (1, -1):
+
+                    def wrong(func, *, bound=boolfunc.ENUMERATION_BOUND, make=make):
+                        honest = make(func, bound=bound)
+                        return lambda arities: honest(arities) + delta * (arities[0] == node)
+
+                    with pytest.raises(InconsistencyError):
+                        solve(n, wrong(f))
+                    with monkeypatch.context() as patch:
+                        patch.setattr(boolfunc, make.__name__, wrong)
+                        assert main(["compare", str(path)]) == 4, (n, make, node, delta)
+        assert capsys.readouterr().out.count("agreement ok") == 1
+
+
+def test_shapley_oracle_rows_answer_every_uniform_query(monkeypatch):
+    # each target's row is taken on its first uniform query and serves every
+    # width after it
+    rng = random.Random(44)
+    digit_route = boolfunc.or_substituted_shapley
+    for _ in range(25):
+        f = gen.random_boolfunc(rng, max_vars=8)
+        n = f.var_count
+        oracle = shapley_oracle(f)
+        targets = rng.sample(range(n), n)
+        for target in targets:
+            for ell in rng.sample(range(1, n + 1), n):
+                arities = tuple(1 if p == target else ell for p in range(n))
+                assert oracle(arities, target) == digit_route(f, arities, target)
+        if n < 3:
+            continue
+        # a mixed-width query after the cached ones still takes the digit route
+        calls = []
+        target = targets[0]
+        others = [p for p in range(n) if p != target]
+        arities = tuple(1 if p == target else 2 + (p == others[0]) for p in range(n))
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                boolfunc,
+                "or_substituted_shapley",
+                lambda *args, **kwargs: calls.append(args) or digit_route(*args, **kwargs),
+            )
+            assert oracle(arities, target) == digit_route(f, arities, target)
+        assert len(calls) == 1
 
 
 def test_count_from_shapley_names_the_inconsistent_variable():
