@@ -20,8 +20,8 @@ value of every variable at once (`shapley_direct`).  `count_oracle` and
 with variables replaced by disjunctions of fresh ones, each by a weighted
 pass over the circuit itself with no substituted copy built;
 `kcounts_circuit` and `shapley_circuit` are the paper's reductions over
-them.  `or_substitute_all` builds the substituted copy, the closure witness
-that `compare` checks each query against.
+them.  `or_substitute_all` writes the substituted copy's gate array
+directly, the closure witness that `compare` checks each query against.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import reductions
 from .boolfunc import AND, CONST0, CONST1, NOT, OR, VAR, BoolFunc, Gate, Var
@@ -72,36 +72,36 @@ class Circuit:
         self._validate()
 
     def _validate(self) -> None:
-        if not self.gates:
+        gates, output, var_count = self.gates, self.output, self.var_count
+        if not gates:
             raise InputError("a circuit needs at least one gate")
-        if self.var_count < 0:
+        if var_count < 0:
             raise InputError("variable count must be nonnegative")
-        if not 0 <= self.output < len(self.gates):
+        if not 0 <= output < len(gates):
             raise InputError("output gate index out of range")
-        referenced: set[int] = set()
-        for idx, gate in enumerate(self.gates):
-            if gate.kind in (CONST0, CONST1):
-                arity_ok = len(gate.inputs) == 0
-            elif gate.kind == VAR:
-                arity_ok = len(gate.inputs) == 0
-                if not 0 <= gate.var < self.var_count:
-                    raise InputError(f"gate {idx}: variable {gate.var} out of range")
-            elif gate.kind == NOT:
-                arity_ok = len(gate.inputs) == 1
-            elif gate.kind in (AND, OR):
-                arity_ok = len(gate.inputs) >= 2
+        referenced = bytearray(len(gates))
+        for idx, (kind, var, inputs) in enumerate(gates):
+            if kind == AND or kind == OR:
+                arity_ok = len(inputs) >= 2
+            elif kind == NOT:
+                arity_ok = len(inputs) == 1
+            elif kind == VAR or kind == CONST0 or kind == CONST1:
+                if kind == VAR and not 0 <= var < var_count:
+                    raise InputError(f"gate {idx}: variable {var} out of range")
+                arity_ok = not inputs
             else:
-                raise InputError(f"gate {idx}: unknown kind {gate.kind!r}")
+                raise InputError(f"gate {idx}: unknown kind {kind!r}")
             if not arity_ok:
-                raise InputError(f"gate {idx}: wrong arity for {gate.kind}")
-            for ref in gate.inputs:
-                if not 0 <= ref < idx:
-                    raise InputError(f"gate {idx}: input {ref} does not precede it")
-                referenced.add(ref)
-        sinks = set(range(len(self.gates))) - referenced
-        if sinks != {self.output}:
+                raise InputError(f"gate {idx}: wrong arity for {kind}")
+            if inputs and (min(inputs) < 0 or max(inputs) >= idx):
+                ref = next(r for r in inputs if not 0 <= r < idx)
+                raise InputError(f"gate {idx}: input {ref} does not precede it")
+            for ref in inputs:
+                referenced[ref] = 1
+        if referenced.count(0) != 1 or referenced[output]:
+            sinks = [idx for idx, seen in enumerate(referenced) if not seen]
             raise InputError(
-                f"expected the output to be the only unreferenced gate, found {sorted(sinks)}"
+                f"expected the output to be the only unreferenced gate, found {sinks}"
             )
 
     def size(self) -> int:
@@ -182,31 +182,35 @@ class CircuitBuilder:
         return self.add(OR, inputs=kept)
 
     def exclusive_or(self, branches: Sequence[int]) -> int:
-        """The chain b1 or (not b1 and (b2 or (not b2 and ...))): true when
-        some branch is, with no valuation satisfying two children of an OR."""
+        """`_chain` over `branches` (constant 0 if none), NOTs from `negate`."""
         if not branches:
             return self.const(0)
-        acc = branches[-1]
-        for branch in reversed(branches[:-1]):
-            acc = self.add(OR, inputs=(branch, self.add(AND, inputs=(self.negate(branch), acc))))
-        return acc
+        return _chain(self._gates, branches, self.negate)
 
     def build(self, output: int, *, deterministic_by_construction: bool = False) -> Circuit:
-        keep = set()
-        stack = [output]
-        while stack:
-            idx = stack.pop()
+        keep = {output}  # inputs precede their gates: one downward sweep
+        for idx in range(output, -1, -1):
             if idx in keep:
-                continue
-            keep.add(idx)
-            stack.extend(self._gates[idx].inputs)
+                keep.update(self._gates[idx].inputs)
         order = sorted(keep)
         remap = {old: new for new, old in enumerate(order)}
         gates = [
-            Gate(g.kind, g.var, tuple(remap[r] for r in g.inputs))
-            for g in (self._gates[i] for i in order)
+            Gate(kind, var, tuple(remap[r] for r in inputs))
+            for kind, var, inputs in map(self._gates.__getitem__, order)
         ]
         return Circuit(gates, remap[output], self.var_count, deterministic_by_construction)
+
+
+def _chain(gates: list[Gate], branches: Sequence[int], negated: Callable[[int], int]) -> int:
+    """Append b1 or (not b1 and (b2 or (not b2 and ...))) over the nonempty
+    `branches` to `gates`, with not b from `negated(b)`, and return its top:
+    true when some branch is, and no valuation satisfies two OR children."""
+    acc = branches[-1]
+    for branch in reversed(branches[:-1]):
+        gates.append(Gate(AND, -1, (negated(branch), acc)))
+        gates.append(Gate(OR, -1, (branch, len(gates) - 1)))
+        acc = len(gates) - 1
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -672,56 +676,61 @@ def unfold(circuit: Circuit) -> BoolFunc:
 # Substitution of variables by disjunctions of fresh variables
 
 
-def literal_occurrences(circuit: Circuit, var: int) -> int:
-    """Number of edges into the variable's gates (the output counts as one
-    edge): the k_v of the substitution growth bound."""
+def _occurrences(circuit: Circuit) -> list[int]:
+    """The k_v of the growth bound for every variable v: the number of edges
+    into v's gates, the output counting as one edge."""
     gates = circuit.gates
-    edges = [r for g in gates for r in g.inputs] + [circuit.output]
-    return sum(gates[r].kind == VAR and gates[r].var == var for r in edges)
+    counts = [0] * circuit.var_count
+    for r in [r for g in gates for r in g.inputs] + [circuit.output]:
+        kind, var, _ = gates[r]
+        if kind == VAR:
+            counts[var] += 1
+    return counts
+
+
+def literal_occurrences(circuit: Circuit, var: int) -> int:
+    """The k_v of one variable (see `_occurrences`)."""
+    return _occurrences(circuit)[var]
 
 
 def or_substitute_all(circuit: Circuit, arities: Sequence[int]) -> Circuit:
     """Replace variable v by a disjunction of arities[v] fresh variables in
-    one rebuild, keeping determinism and decomposability.  Variable v's
-    fresh block follows those of variables 0..v-1, the numbering of
+    one pass, keeping determinism and decomposability.  Variable v's fresh
+    block follows those of variables 0..v-1, the numbering of
     `boolfunc.or_substitute`.
 
-    Each variable becomes the exclusive chain (built once)
-
-        D(Z_i..Z_l) = Z_i or (not Z_i and D(Z_(i+1)..Z_l))
-
-    with width 0 giving the constant 0; every other gate, NOT included, is
-    rebuilt over its rebuilt inputs.  A substitution maps valuations of the
-    fresh variables onto valuations of the old ones and keeps scopes
-    disjoint, so OR children stay exclusive and AND children independent
-    wherever negation sits.  The copy is certified deterministic exactly
-    when the base's determinism is verified (checked or certified).  The
-    paper's growth bound, gates added <= 6 * sum of k_v * l_v for k_v the
-    edges into v's gates, is checked on the result.
+    The copy's gate array is written directly: a constant 0 first if a
+    width-0 variable occurs, each occurring variable's fresh gates and
+    exclusive chain (`_chain`) D(Z_i..Z_l) = Z_i or (not Z_i and
+    D(Z_(i+1)..Z_l)), then every other gate, NOT included, over its rebuilt
+    inputs.  A substitution maps valuations of the fresh variables onto
+    valuations of the old ones and keeps scopes disjoint, so OR children
+    stay exclusive and AND children independent wherever negation sits.
+    The copy is certified deterministic exactly when the base's determinism
+    is verified (checked or certified).  The paper's growth bound, gates
+    added <= 6 * sum of k_v * l_v for k_v the edges into v's gates, is
+    checked on it.
     """
     _check_arities(arities, circuit.var_count)
-    builder = CircuitBuilder(sum(arities))
-    roots: list[int] = []
+    occurrences = _occurrences(circuit)
+    gates = [Gate(CONST0)] if any(k and not ell for k, ell in zip(occurrences, arities)) else []
+    negated = lambda ref: gates.append(Gate(NOT, -1, (ref,))) or len(gates) - 1
+    roots = [0] * circuit.var_count  # unread, or the constant 0 at gate 0
     fresh = 0
-    for ell in arities:
-        block = [builder.add(VAR, var=z) for z in range(fresh, fresh + ell)]
-        roots.append(builder.exclusive_or(block))
+    for v, (k, ell) in enumerate(zip(occurrences, arities)):
+        if k and ell:
+            gates.extend(Gate(VAR, z) for z in range(fresh, fresh + ell))
+            roots[v] = _chain(gates, range(len(gates) - ell, len(gates)), negated)
         fresh += ell
-
     mapping: list[int] = []
-    for gate in circuit.gates:
-        if gate.kind == VAR:
-            mapping.append(roots[gate.var])
-        else:
-            mapping.append(builder.add(gate.kind, inputs=tuple(mapping[r] for r in gate.inputs)))
-
-    result = builder.build(
-        mapping[circuit.output],
-        deterministic_by_construction=validate(circuit).determinism == "verified",
-    )
+    for kind, var, inputs in circuit.gates:
+        if kind != VAR:
+            gates.append(Gate(kind, -1, tuple([mapping[r] for r in inputs])))
+        mapping.append(roots[var] if kind == VAR else len(gates) - 1)
+    certified = validate(circuit).determinism == "verified"
+    result = Circuit(gates, mapping[circuit.output], fresh, certified)
     grown = result.size() - circuit.size()
-    edges = [r for g in circuit.gates for r in g.inputs] + [circuit.output]
-    bound = 6 * sum(arities[circuit.gates[r].var] for r in edges if circuit.gates[r].kind == VAR)
+    bound = 6 * sum(map(mul, occurrences, arities))
     if grown > bound:
         raise InconsistencyError(
             f"substitution added {grown} gates, over the bound 6*sum(k*l) = {bound}"

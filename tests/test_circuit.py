@@ -362,17 +362,69 @@ def test_or_substitute_equivalence_and_preservation():
 
 
 def test_substitution_over_the_growth_bound_is_an_inconsistency(monkeypatch):
-    build = CircuitBuilder.build
+    base = single_var()
+    make = ct.Circuit
 
-    def padded(self, output, **kw):
+    def padded(gates, output, var_count, certified=False):
+        gates = list(gates)
         for _ in range(7):
-            output = self.add(NOT, inputs=(output,))
-        return build(self, output, **kw)
+            gates.append(Gate(NOT, inputs=(output,)))
+            output = len(gates) - 1
+        return make(gates, output, var_count, certified)
 
-    monkeypatch.setattr(CircuitBuilder, "build", padded)
+    monkeypatch.setattr(ct, "Circuit", padded)
     # width 1 on one occurrence allows 6 new gates
     with pytest.raises(InconsistencyError, match="over the bound"):
-        or_substitute_all(single_var(), (1,))
+        or_substitute_all(base, (1,))
+
+
+def _substitute_by_builder(circuit: Circuit, arities) -> Circuit:
+    """The builder route to `or_substitute_all`'s copy: every variable's
+    chain through `CircuitBuilder`, the unread ones dropped by `build`."""
+    builder = CircuitBuilder(sum(arities))
+    roots = []
+    fresh = 0
+    for ell in arities:
+        block = [builder.add(VAR, var=z) for z in range(fresh, fresh + ell)]
+        roots.append(builder.exclusive_or(block))
+        fresh += ell
+    mapping = []
+    for gate in circuit.gates:
+        if gate.kind == VAR:
+            mapping.append(roots[gate.var])
+        else:
+            mapping.append(builder.add(gate.kind, inputs=tuple(mapping[r] for r in gate.inputs)))
+    return builder.build(mapping[circuit.output])
+
+
+def test_direct_substitution_matches_the_builder_route():
+    rng = random.Random(84)
+    inner = unused = zero = 0
+    for round_ in range(300):
+        c = gen.random_decision_circuit(rng, max_vars=6, max_gates=30)
+        if rng.random() < 0.7:
+            c = _negate_inside(rng, c)
+        if rng.random() < 0.3:  # variables that never occur
+            c = Circuit(c.gates, c.output, c.var_count + rng.randint(1, 2))
+        arities = tuple(rng.randint(0, 3) for _ in range(c.var_count))
+        if round_ % 10 == 0:
+            arities = (0,) * c.var_count
+        while sum(arities) > 12:
+            arities = tuple(m // 2 for m in arities)
+        inner += any(g.kind == NOT and c.gates[g.inputs[0]].kind != VAR for g in c.gates)
+        unused += any(literal_occurrences(c, v) == 0 for v in range(c.var_count))
+        zero += not any(arities)
+        copy = or_substitute_all(c, arities)
+        reference = _substitute_by_builder(c, arities)
+        assert copy.size() == reference.size()
+        assert copy.var_count == reference.var_count == sum(arities)
+        assert model_count_dd(copy) == model_count_dd(reference)
+        assert size_polynomial_count(copy) == size_polynomial_count(reference)
+        assert check_decomposable(copy)[0]
+        assert check_deterministic_exhaustive(copy) == ("verified", None)
+        growth = sum(literal_occurrences(c, v) * m for v, m in enumerate(arities))
+        assert copy.size() - c.size() <= 6 * growth
+    assert inner > 100 and unused > 50 and zero >= 30
 
 
 def test_uniform_substitution_counts():
@@ -575,6 +627,54 @@ def test_circuit_validation_rules():
         Circuit([Gate(VAR, var=3)], 0, 2)  # variable range
     with pytest.raises(InputError):
         Circuit([Gate(VAR, var=0), Gate(AND, inputs=(0,))], 1, 1)  # unary AND
+
+
+x0, x1 = Gate(VAR, var=0), Gate(VAR, var=1)
+
+
+@pytest.mark.parametrize(
+    "gates, output, var_count, message",
+    [
+        ([], 0, 0, "a circuit needs at least one gate"),
+        ([x0], 0, -1, "variable count must be nonnegative"),
+        ([x0], 1, 1, "output gate index out of range"),
+        ([x0], -1, 1, "output gate index out of range"),
+        ([x0, Gate("xor", inputs=(0,))], 1, 1, "gate 1: unknown kind 'xor'"),
+        ([x0, Gate(CONST0, inputs=(0,))], 1, 1, "gate 1: wrong arity for const0"),
+        ([x0, Gate(CONST1, inputs=(0,))], 1, 1, "gate 1: wrong arity for const1"),
+        ([x0, Gate(VAR, var=0, inputs=(0,))], 1, 1, "gate 1: wrong arity for var"),
+        ([Gate(NOT)], 0, 0, "gate 0: wrong arity for not"),
+        ([x0, x1, Gate(NOT, inputs=(0, 1))], 2, 2, "gate 2: wrong arity for not"),
+        ([x0, Gate(AND, inputs=(0,))], 1, 1, "gate 1: wrong arity for and"),
+        ([x0, Gate(OR)], 1, 1, "gate 1: wrong arity for or"),
+        ([Gate(VAR, var=2)], 0, 2, "gate 0: variable 2 out of range"),
+        ([Gate(VAR, var=-1)], 0, 2, "gate 0: variable -1 out of range"),
+        # a variable gate with inputs: the range message wins
+        ([x0, Gate(VAR, var=5, inputs=(0,))], 1, 1, "gate 1: variable 5 out of range"),
+        ([x0, x1, Gate(AND, inputs=(0, 3))], 2, 2, "gate 2: input 3 does not precede it"),
+        ([x0, x1, Gate(AND, inputs=(0, 2))], 2, 2, "gate 2: input 2 does not precede it"),
+        ([x0, x1, Gate(OR, inputs=(-1, 0))], 2, 2, "gate 2: input -1 does not precede it"),
+        # the first bad input is named
+        ([x0, x1, Gate(OR, inputs=(1, 5, -2))], 2, 2, "gate 2: input 5 does not precede it"),
+        ([x0, x1, Gate(OR, inputs=(1, -2, 5))], 2, 2, "gate 2: input -2 does not precede it"),
+        (
+            [x0, x1, Gate(CONST1), Gate(AND, inputs=(0, 1))],
+            3,
+            2,
+            "expected the output to be the only unreferenced gate, found [2, 3]",
+        ),
+        (
+            [x0, x1, Gate(AND, inputs=(0, 1))],
+            1,
+            2,
+            "expected the output to be the only unreferenced gate, found [2]",
+        ),
+    ],
+)
+def test_circuit_rejections_name_the_first_fault(gates, output, var_count, message):
+    with pytest.raises(InputError) as caught:
+        Circuit(gates, output, var_count)
+    assert str(caught.value) == message
 
 
 def test_validation_is_computed_once_per_circuit():
