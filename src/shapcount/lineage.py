@@ -87,12 +87,11 @@ class Query:
     atoms: tuple[Atom, ...]
 
     def variables(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for atom in self.atoms:
-            for arg in atom.args:
-                if isinstance(arg, QueryVar) and arg.name not in seen:
-                    seen.append(arg.name)
-        return tuple(seen)
+        return tuple(
+            dict.fromkeys(
+                arg.name for atom in self.atoms for arg in atom.args if isinstance(arg, QueryVar)
+            )
+        )
 
     def size(self) -> int:
         return len(self.atoms)
@@ -386,15 +385,15 @@ def is_hierarchical(query: Query) -> tuple[bool, tuple[str, str] | None]:
     """True when every pair of variables has nested or disjoint atom sets;
     otherwise returns a witnessing pair."""
     variables = query.variables()
-    at: dict[str, set[int]] = {v: set() for v in variables}
+    at = dict.fromkeys(variables, 0)  # each variable's atoms, as a bitmask
     for idx, atom in enumerate(query.atoms):
         for arg in atom.args:
             if isinstance(arg, QueryVar):
-                at[arg.name].add(idx)
+                at[arg.name] |= 1 << idx
     for i, x in enumerate(variables):
         for y in variables[i + 1 :]:
             a, b = at[x], at[y]
-            if a & b and not a <= b and not b <= a:
+            if a & b and a | b not in (a, b):
                 return (False, (x, y))
     return (True, None)
 
@@ -522,30 +521,25 @@ def stretch_database_expand(db: Database, arities: Sequence[int]) -> StretchedDa
 
 def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
     """Compile the lineage of a hierarchical self-join-free query into a
-    deterministic and decomposable circuit, in time polynomial in the data.
+    deterministic and decomposable circuit, in time linear in the size of
+    the query plus the data, at any nesting depth.
 
-    Independent subqueries multiply out over an AND; the disjunction over
-    the values of a root variable (one occurring in every atom of a
-    connected subquery) is made exclusive by the first-true-branch chain
+    The query's variables form a forest (the safe plans of Dalvi and Suciu,
+    VLDB J. 16, 2007), computed once: x sits above y when atoms(x) ⊋
+    atoms(y), ties going to the smaller name.  An atom's variables lie on
+    one path, and it becomes ground at the lowest.  `conjoin` at a node
+    ANDs the endogenous atoms ground there with one `decide` per child, in
+    order of their first atom.  `decide` partitions its variable's atoms'
+    rows by their value there in one pass, and chains the values all of
+    them share into an exclusive OR (`CircuitBuilder.exclusive_or`),
 
-        D(a_i..) = branch(a_i) or (not branch(a_i) and D(a_(i+1)..))
+        D(a_i..) = branch(a_i) or (not branch(a_i) and D(a_(i+1)..)),
 
-    built by `CircuitBuilder.exclusive_or`, so each subcircuit is one gate
-    and negation sits above whole branches.
-
-    Every atom's rows are restricted once, up front, to those matching its
-    constants and agreeing on its repeated variables.  A component then
-    partitions its atoms' rows by their value at the root variable in one
-    pass; a row grouped under value v already holds v at every position of
-    the root, so binding the root substitutes the constant into the atom's
-    arguments with no second scan.  A row is touched once per level of the
-    query and the compilation takes time linear in the data.
-
-    In a hierarchical query the atom sets of any two variables are nested
-    or disjoint, and stay so as variables are bound.  So two atoms that
-    each share a variable with a third share one with each other, and a
-    connected component is simply the pending atoms sharing a variable with
-    the first pending atom.
+    so negation sits above whole branches.  Both steps are generators that
+    yield the step below them, walked with an explicit stack.  A state is
+    only each atom's surviving row indices: every atom's rows are first
+    restricted to those matching its constants and agreeing on its repeated
+    variables, so a row grouped under a value holds it at every position.
     """
     _check_query(query, db.schema)
     if not is_self_join_free(query):
@@ -557,67 +551,58 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
             "use brute force on the lineage"
         )
     builder = CircuitBuilder(db.var_count)
-    # an atom in flight: (relation, current args, surviving row indices)
-    State = tuple[Relation, tuple[Term, ...], tuple[int, ...]]
+    rels = [db.schema.get(atom.relation) for atom in query.atoms]
+    # per atom: the first position of each of its variables
+    positions: list[dict[str, int]] = [{} for _ in query.atoms]
+    at: dict[str, list[int]] = {v: [] for v in query.variables()}
+    for a, atom in enumerate(query.atoms):
+        for i, term in enumerate(atom.args):
+            if isinstance(term, QueryVar) and positions[a].setdefault(term.name, i) == i:
+                at[term.name].append(a)
+    # children[None] are the roots and ground[None] the atoms with no variable
+    children: dict[str | None, list[str]] = {v: [] for v in (None, *at)}
+    ground: dict[str | None, list[int]] = {v: [] for v in (None, *at)}
+    for a, rel in enumerate(rels):
+        path = sorted(positions[a], key=lambda v: (-len(at[v]), v))
+        for parent, child in zip((None, *path), path):
+            if at[child][0] == a:
+                children[parent].append(child)
+        if rel.endogenous:
+            ground[path[-1] if path else None].append(a)
 
-    def restrict(atom: Atom) -> State:
-        rel = db.schema.get(atom.relation)
+    def restrict(a: int) -> list[int]:
         kept = []
-        for row_index, row in enumerate(db.rows[atom.relation]):
-            positions: dict[str, str] = {}
-            for term, value in zip(atom.args, row):
+        for row_index, row in enumerate(db.rows[rels[a].name]):
+            seen: dict[str, str] = {}
+            for term, value in zip(query.atoms[a].args, row):
                 if isinstance(term, QueryConst):
                     if term.value != value:
                         break
-                elif positions.setdefault(term.name, value) != value:
+                elif seen.setdefault(term.name, value) != value:
                     break
             else:
                 kept.append(row_index)
-        return (rel, atom.args, tuple(kept))
+        return kept
 
-    def unbound_vars(state: State) -> set[str]:
-        return {t.name for t in state[1] if isinstance(t, QueryVar)}
-
-    def compile_states(states: list[State]) -> int:
-        parts: list[int] = []
-        pending: list[State] = []
-        for state in states:
-            rel, _, candidates = state
-            if unbound_vars(state):
-                pending.append(state)
-            elif rel.endogenous:
-                # deduplicated rows make the fully ground match unique
-                parts.append(builder.var(db.var_of(rel.name, candidates[0])))
-        while pending:
-            shared = unbound_vars(pending[0])
-            parts.append(compile_component([s for s in pending if unbound_vars(s) & shared]))
-            pending = [s for s in pending if not unbound_vars(s) & shared]
+    def conjoin(rows: dict[int, list[int]], node: str | None):
+        # deduplicated rows make each ground match unique
+        parts = [builder.var(db.var_of(rels[a].name, rows[a][0])) for a in ground[node]]
+        for child in children[node]:
+            parts.append((yield decide(rows, child)))
         return builder.and_(parts)
 
-    def compile_component(states: list[State]) -> int:
-        common = set.intersection(*(unbound_vars(s) for s in states))
-        if not common:
-            raise RefusalError("no root variable: the query is not hierarchical")
-        root = min(common)
-        var = QueryVar(root)
-        # one pass partitions each atom's rows by their value at the root
-        groups: list[dict[str, list[int]]] = []
-        for rel, args, candidates in states:
-            position = args.index(var)
-            rows = db.rows[rel.name]
-            by_value: dict[str, list[int]] = {}
-            for r in candidates:
-                by_value.setdefault(rows[r][position], []).append(r)
-            groups.append(by_value)
+    def decide(rows: dict[int, list[int]], v: str):
+        groups: dict[int, dict[str, list[int]]] = {}
+        for a in at[v]:
+            data, position = db.rows[rels[a].name], positions[a][v]
+            groups[a] = by_value = {}
+            for r in rows[a]:
+                by_value.setdefault(data[r][position], []).append(r)
+        first, *rest = groups.values()
         branches = []
         # every group holds each value of the intersection, so no branch is empty
-        for value in sorted(set(groups[0]).intersection(*groups[1:])):
-            const = QueryConst(value)
-            bound = [
-                (rel, tuple(const if t == var else t for t in args), tuple(group[value]))
-                for (rel, args, _), group in zip(states, groups)
-            ]
-            branch = compile_states(bound)
+        for value in sorted(set(first).intersection(*rest)):
+            branch = yield conjoin({a: group[value] for a, group in groups.items()}, v)
             constant = builder.const_value(branch)
             if constant == 0:
                 continue
@@ -626,9 +611,19 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
                 break  # the chain never reaches the later values
         return builder.exclusive_or(branches)
 
-    initial = [restrict(a) for a in query.atoms]
-    root = builder.const(0) if any(not s[2] for s in initial) else compile_states(initial)
-    return builder.build(root, deterministic_by_construction=True)
+    initial = {a: restrict(a) for a in range(len(rels))}
+    if not all(initial.values()):
+        return builder.build(builder.const(0), deterministic_by_construction=True)
+    # a step yields the step below it, and is sent that step's gate once it returns
+    stack, result = [conjoin(initial, None)], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(result))
+            result = None
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+    return builder.build(result, deterministic_by_construction=True)
 
 
 # ---------------------------------------------------------------------------

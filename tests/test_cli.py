@@ -715,9 +715,9 @@ def test_query_with_many_atoms(tmp_path, capsys):
     assert out.endswith("agreement ok\n")
 
 
-def test_nesting_past_the_recursion_limit_is_a_refusal(tmp_path, capsys):
-    # A(x0, ..., x599) is hierarchical and compiles one variable per level,
-    # 600 levels of recursion: a refusal (exit 3), never a traceback (exit 1)
+def test_nesting_past_the_recursion_limit_compiles(tmp_path, capsys):
+    # A(x0, ..., x599) is hierarchical and compiles one variable per level:
+    # 600 levels of the variable forest, walked with an explicit stack
     arity = 600
     schema = lg.Schema((lg.Relation("A", arity, True),))
     lg.write_database(lg.Database(schema, {"A": [tuple(f"a{j}" for j in range(arity))]}), tmp_path)
@@ -725,7 +725,19 @@ def test_nesting_past_the_recursion_limit_is_a_refusal(tmp_path, capsys):
     query.write_text("Q :- A(" + ",".join(f"x{j}" for j in range(arity)) + ")\n")
     code, out = run(capsys, "check", query, "--kind", "lineage")
     assert code == 0 and "branch: FP\n" in out
-    assert main(["count", str(query), str(tmp_path), "--kind", "lineage"]) == 3
+    code, out = run(capsys, "count", query, tmp_path, "--kind", "lineage")
+    assert code == 0 and out == "1\n"
+
+
+def test_recursion_error_is_a_refusal(workspace, capsys, monkeypatch):
+    # an input that still nests past the recursion limit is a refusal (exit
+    # 3), never a traceback (exit 1)
+    def too_deep(query, db):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(lg, "compile_hierarchical_lineage", too_deep)
+    inputs = [str(workspace / "join.q"), str(workspace / "join")]
+    assert main(["count", *inputs, "--kind", "lineage"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "shapcount: refused: this input nests too deeply\n"

@@ -392,6 +392,58 @@ def test_compile_hierarchical_random_agreement():
         assert ct.size_polynomial_count(circuit) == brute_kcounts(built.func)
 
 
+def nested_instance(depth, rows, tied=()):
+    """A_i(x0, ..., xi) for i < depth, where each j in tied adds a variable
+    in the same atoms as xj, named to sort before it (odd j) or after it
+    (even j); rows(names) gives the rows of the atom over those variables.
+    A2 is exogenous."""
+    atoms = []
+    for i in range(depth):
+        names = [f"x{j}" for j in range(i + 1)]
+        names += [f"{'ya'[j % 2]}{j}" for j in sorted(tied) if j <= i]
+        atoms.append((lg.Relation(f"A{i}", len(names), i != 2), names))
+    schema = lg.Schema(tuple(rel for rel, _ in atoms))
+    db = lg.Database(schema, {rel.name: rows(names) for rel, names in atoms})
+    query = lg.Query(
+        tuple(lg.Atom(rel.name, tuple(map(lg.QueryVar, names))) for rel, names in atoms)
+    )
+    return query, db
+
+
+def test_compile_nested_family_at_depth_600():
+    # the compiler recursed once per level and took cubic time in the depth:
+    # 3.2 s at depth 200 on a 2-vCPU host, and a RecursionError at 600
+    depth = 600
+    q, db = nested_instance(depth, lambda names: [tuple(names)])
+    start = time.perf_counter()
+    circuit = lg.compile_hierarchical_lineage(q, db)
+    assert ct.model_count_dd(circuit) == 1
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"compile and count took {elapsed:.1f} s"
+    # A2 is exogenous: the one satisfying assignment sets all 599 variables
+    assert ct.size_polynomial_count(circuit) == (0,) * (depth - 1) + (1,)
+
+
+def test_compile_nested_family_with_ties_agrees_with_brute_force():
+    rng = random.Random(18)
+    for depth in range(1, 7):
+        for _ in range(5):
+            tied = {j for j in range(depth) if rng.random() < 0.5}
+            # each atom projects two of four skewed assignments, so its rows
+            # often meet the other atoms' rows
+            variables = [f"{c}{j}" for c in "xay" for j in range(depth)]
+            pool = [{v: "01"[rng.random() < 0.25] for v in variables} for _ in range(4)]
+
+            def rows(names):
+                return [tuple(p[n] for n in names) for p in rng.sample(pool, 2)]
+
+            q, db = nested_instance(depth, rows, tied)
+            built = lg.build_lineage(q, db)
+            circuit = lg.compile_hierarchical_lineage(q, db)
+            assert ct.model_count_dd(circuit) == brute_count(built.func)
+            assert ct.size_polynomial_count(circuit) == brute_kcounts(built.func)
+
+
 def test_shapley_tuples_hierarchical():
     q, db = join_instance()
     values = lg.shapley_tuples(q, db)
