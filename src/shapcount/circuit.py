@@ -751,5 +751,6 @@ def kcounts_circuit(circuit: Circuit) -> tuple[int, ...]:
 
 def shapley_circuit(circuit: Circuit) -> tuple[Fraction, ...]:
     """Exact Shapley vector through the k-count-oracle reduction; the
-    variable-deleted cofactors are width-0 substitutions."""
+    variable-deleted cofactors are width-0 substitutions.  `shapley_direct`
+    returns the same vector and is the route `shapley` takes."""
     return reductions.shapley_from_kcounts(circuit.var_count, kcount_oracle(circuit))

@@ -78,10 +78,27 @@ def _bound(ns) -> int:
     return ns.max_vars if ns.max_vars is not None else boolfunc.ENUMERATION_BOUND
 
 
-def _hierarchical_circuit(query, db):
-    if lineage.dichotomy_branch(query) != "FP":
-        return None
-    return lineage.compile_hierarchical_lineage(query, db)
+def _resolve(ns, method: str | None = None):
+    """The input as a formula or a validated circuit, with a lineage input's
+    database (None for the other kinds).  Lineage becomes its compiled
+    circuit when the query is in FP and the method is not brute, else its
+    formula, which only brute force reads: above the bound it is refused in
+    the words of the verb's brute pass, before it is built.  Size-bucketed
+    counts other than brute force are refused off FP."""
+    if ns.kind == "formula":
+        return _load_formula(_single(ns.inputs)), None
+    if ns.kind == "circuit":
+        return _validated_circuit(_single(ns.inputs)), None
+    query, db = _load_instance(ns.inputs)
+    if method != "brute" and lineage.dichotomy_branch(query) == "FP":
+        return lineage.compile_hierarchical_lineage(query, db), db
+    if ns.verb == "kcount" and method != "brute":
+        raise RefusalError(
+            "size-bucketed counting beyond brute force needs a hierarchical "
+            "self-join-free query; pass --method brute"
+        )
+    what = "subset enumeration" if ns.verb == "shapley" else "exhaustive enumeration"
+    return lineage.build_lineage(query, db, bound=_bound(ns), what=what).func, db
 
 
 # ---------------------------------------------------------------------------
@@ -89,55 +106,27 @@ def _hierarchical_circuit(query, db):
 
 
 def cmd_count(ns) -> str:
-    if ns.kind == "formula":
-        value = boolfunc.brute_count(_load_formula(_single(ns.inputs)), bound=_bound(ns))
-    elif ns.kind == "circuit":
-        value = circuit.model_count_dd(_validated_circuit(_single(ns.inputs)))
-    else:
-        query, db = _load_instance(ns.inputs)
-        compiled = _hierarchical_circuit(query, db)
-        if compiled is not None:
-            value = circuit.model_count_dd(compiled)
-        else:
-            built = lineage.build_lineage(query, db)
-            value = boolfunc.brute_count(built.func, bound=_bound(ns))
-    return f"{value}\n"
+    func, _ = _resolve(ns)
+    if isinstance(func, circuit.Circuit):
+        return f"{circuit.model_count_dd(func)}\n"
+    return f"{boolfunc.brute_count(func, bound=_bound(ns))}\n"
 
 
 def cmd_kcount(ns) -> str:
     method = ns.method or "paper"
-    if ns.kind == "formula":
-        func = _load_formula(_single(ns.inputs))
-        if method == "paper":
-            counts = reductions.kcounts_from_counts(
-                func.var_count, boolfunc.count_oracle(func, bound=_bound(ns))
-            )
-        elif method == "brute":
-            counts = boolfunc.brute_kcounts(func, bound=_bound(ns))
-        else:
-            raise InputError("--method direct needs a circuit or lineage input")
-    elif ns.kind == "circuit":
-        parsed = _validated_circuit(_single(ns.inputs))
-        if method == "paper":
-            counts = circuit.kcounts_circuit(parsed)
-        elif method == "direct":
-            counts = circuit.size_polynomial_count(parsed)
-        else:
-            counts = boolfunc.brute_kcounts(parsed, bound=_bound(ns))
+    func, _ = _resolve(ns, method)
+    if method == "brute":
+        counts = boolfunc.brute_kcounts(func, bound=_bound(ns))
+    elif isinstance(func, circuit.Circuit) and method == "paper":
+        counts = circuit.kcounts_circuit(func)
+    elif isinstance(func, circuit.Circuit):
+        counts = circuit.size_polynomial_count(func)
+    elif method == "direct":
+        raise InputError("--method direct needs a circuit or lineage input")
     else:
-        query, db = _load_instance(ns.inputs)
-        compiled = _hierarchical_circuit(query, db)
-        if method == "brute":
-            counts = boolfunc.brute_kcounts(lineage.build_lineage(query, db).func, bound=_bound(ns))
-        elif compiled is None:
-            raise RefusalError(
-                "size-bucketed counting beyond brute force needs a hierarchical "
-                "self-join-free query; pass --method brute"
-            )
-        elif method == "paper":
-            counts = circuit.kcounts_circuit(compiled)
-        else:
-            counts = circuit.size_polynomial_count(compiled)
+        counts = reductions.kcounts_from_counts(
+            func.var_count, boolfunc.count_oracle(func, bound=_bound(ns))
+        )
     return ",".join(str(c) for c in counts) + "\n"
 
 
@@ -152,28 +141,20 @@ def _shapley_csv(values, db) -> str:
 
 def cmd_shapley(ns) -> str:
     method = ns.method or "reduction"
-    if ns.kind == "formula":
-        func = _load_formula(_single(ns.inputs))
-        if method == "reduction":
-            values = reductions.shapley_from_kcounts(
-                func.var_count, boolfunc.kcount_oracle(func, bound=_bound(ns))
-            )
-        else:
-            values = boolfunc.brute_shapley_subsets(func, bound=_bound(ns))
-    elif ns.kind == "circuit":
-        parsed = _validated_circuit(_single(ns.inputs))
-        if method == "reduction":
-            values = circuit.shapley_circuit(parsed)
-        else:
-            values = boolfunc.brute_shapley_subsets(parsed, bound=_bound(ns))
-    else:
+    if ns.kind == "lineage" and method == "reduction":
+        # the dichotomy pipeline, with its own refusals and its hard-branch fallback
         query, db = _load_instance(ns.inputs)
-        if method == "reduction":
-            values = lineage.shapley_tuples(query, db, bound=_bound(ns))
-        else:
-            values = boolfunc.brute_shapley_subsets(
-                lineage.build_lineage(query, db).func, bound=_bound(ns)
-            )
+        return _shapley_csv(lineage.shapley_tuples(query, db, bound=_bound(ns)), db)
+    func, db = _resolve(ns, method)
+    if method == "brute":
+        values = boolfunc.brute_shapley_subsets(func, bound=_bound(ns))
+    elif isinstance(func, circuit.Circuit):
+        values = circuit.shapley_direct(func)
+    else:
+        values = reductions.shapley_from_kcounts(
+            func.var_count, boolfunc.kcount_oracle(func, bound=_bound(ns))
+        )
+    if db is not None:
         return _shapley_csv(values, db)
     return ",".join(_fraction(v) for v in values) + "\n"
 
@@ -377,14 +358,15 @@ def _compare_circuit(parsed: circuit.Circuit, bound: int) -> list[str]:
 
 
 def _compare_lineage(query: lineage.Query, db: lineage.Database, bound: int) -> list[str]:
-    built = lineage.build_lineage(query, db)
+    built = lineage.build_lineage(query, db, bound=bound)
     count_brute = boolfunc.brute_count(built.func, bound=bound)
     kc_brute = boolfunc.brute_kcounts(built.func, bound=bound)
     sh_brute = boolfunc.brute_shapley_subsets(built.func, bound=bound)
-    compiled = _hierarchical_circuit(query, db)
+    branch = lineage.dichotomy_branch(query)
+    compiled = lineage.compile_hierarchical_lineage(query, db) if branch == "FP" else None
     lines = [
         f"count brute={count_brute}",
-        f"branch {lineage.dichotomy_branch(query)}",
+        f"branch {branch}",
         "kcounts brute=" + ",".join(str(c) for c in kc_brute),
         "shapley brute=" + ",".join(_fraction(v) for v in sh_brute),
     ]
@@ -482,8 +464,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("reduction", "brute"),
         default=None,
-        help="reduction: via size-bucketed counts of the variable-deleted cofactors; "
-        "brute: exhaustive enumeration",
+        help="reduction: the polynomial route, the paper's reduction (size-bucketed counts "
+        "of the variable-deleted cofactors) on formulas and the direct pass on circuits and "
+        "FP lineage; brute: exhaustive enumeration",
     )
     p = sub.add_parser("stretch", help="stretch a query and database")
     common(p)

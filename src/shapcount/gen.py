@@ -9,7 +9,9 @@ from typing import Sequence
 
 from .boolfunc import And, BoolFunc, Const, Node, Not, Or, Var, conjunction, disjunction
 from .circuit import Circuit, CircuitBuilder
-from .lineage import Atom, Database, Query, QueryConst, QueryVar, Relation, Schema
+from .lineage import (
+    Atom, Database, Query, QueryConst, QueryVar, Relation, Schema, build_lineage, is_hierarchical
+)
 
 SHAPES = ("tree", "dnf", "cnf")
 
@@ -172,8 +174,6 @@ def random_sjf_instance(
     """A self-join-free query plus database whose lineage is not constant;
     optionally resample until the query lands on the requested side of the
     hierarchy split."""
-    from .lineage import build_lineage, is_hierarchical
-
     while True:
         query, schema = random_query(rng, max_atoms=max_atoms, max_arity=max_arity)
         if hierarchical is not None and is_hierarchical(query)[0] != hierarchical:

@@ -28,6 +28,7 @@ from .boolfunc import (
     Node,
     Var,
     _check_arities,
+    _check_bound,
     brute_shapley_subsets,
     conjunction,
     disjunction,
@@ -274,11 +275,15 @@ class Lineage:
     tuple_map: tuple[tuple[str, int], ...]
 
 
-def build_lineage(query: Query, db: Database) -> Lineage:
+def build_lineage(
+    query: Query, db: Database, *, bound: int | None = None, what: str = "exhaustive enumeration"
+) -> Lineage:
     """Lineage by enumerating all homomorphisms from the query into the
     database.  One clause per homomorphism (exogenous atoms contribute no
     literal); duplicates collapse, and a match using only exogenous atoms
-    makes the lineage the constant 1.
+    makes the lineage the constant 1.  Given the `bound` of the enumeration
+    that will read it, a database with more tuple variables is refused
+    before any join, in that enumeration's words (`what`).
 
     Atoms are joined left to right.  The variables bound before an atom are
     always those of the atoms to its left, so each atom is probed on fixed
@@ -287,6 +292,8 @@ def build_lineage(query: Query, db: Database) -> Lineage:
     each step a lookup instead of a scan of the relation.
     """
     _check_query(query, db.schema)
+    if bound is not None:
+        _check_bound(db.var_count, bound, what)
     clauses: set[frozenset[int]] = set()
     # per atom: (relation, probe terms, free (position, variable) pairs, index)
     plans = []
@@ -527,11 +534,15 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
     The query's variables form a forest (the safe plans of Dalvi and Suciu,
     VLDB J. 16, 2007), computed once: x sits above y when atoms(x) ⊋
     atoms(y), ties going to the smaller name.  An atom's variables lie on
-    one path, and it becomes ground at the lowest.  `conjoin` at a node
-    ANDs the endogenous atoms ground there with one `decide` per child, in
-    order of their first atom.  `decide` partitions its variable's atoms'
-    rows by their value there in one pass, and chains the values all of
-    them share into an exclusive OR (`CircuitBuilder.exclusive_or`),
+    one path, and it becomes ground at the lowest.  The query is
+    hierarchical exactly when each variable has the same predecessor on
+    every path through it, which then holds all of its atoms; where one
+    does not, the predecessor that lacks one of its atoms is the refusal's
+    witness.  `conjoin` at a node ANDs the endogenous atoms ground there
+    with one `decide` per child, in order of their first atom.  `decide`
+    partitions its variable's atoms' rows by their value there in one pass,
+    and chains the values all of them share into an exclusive OR
+    (`CircuitBuilder.exclusive_or`),
 
         D(a_i..) = branch(a_i) or (not branch(a_i) and D(a_(i+1)..)),
 
@@ -544,13 +555,6 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
     _check_query(query, db.schema)
     if not is_self_join_free(query):
         raise RefusalError("self-joins are outside the compiled fragment; use brute force")
-    hierarchical, witness = is_hierarchical(query)
-    if not hierarchical:
-        raise RefusalError(
-            f"query is not hierarchical (witness variables {witness[0]}, {witness[1]}); "
-            "use brute force on the lineage"
-        )
-    builder = CircuitBuilder(db.var_count)
     rels = [db.schema.get(atom.relation) for atom in query.atoms]
     # per atom: the first position of each of its variables
     positions: list[dict[str, int]] = [{} for _ in query.atoms]
@@ -562,13 +566,23 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
     # children[None] are the roots and ground[None] the atoms with no variable
     children: dict[str | None, list[str]] = {v: [] for v in (None, *at)}
     ground: dict[str | None, list[int]] = {v: [] for v in (None, *at)}
+    above: dict[str, str | None] = {}  # each variable's parent on its first atom's path
     for a, rel in enumerate(rels):
         path = sorted(positions[a], key=lambda v: (-len(at[v]), v))
         for parent, child in zip((None, *path), path):
+            first = above.setdefault(child, parent)
+            if first != parent:
+                # one of the two parents lacks an atom of the child
+                other = first if first is not None and first not in positions[a] else parent
+                raise RefusalError(
+                    f"query is not hierarchical (witness variables {other}, {child}); "
+                    "use brute force on the lineage"
+                )
             if at[child][0] == a:
                 children[parent].append(child)
         if rel.endogenous:
             ground[path[-1] if path else None].append(a)
+    builder = CircuitBuilder(db.var_count)
 
     def restrict(a: int) -> list[int]:
         kept = []
@@ -646,10 +660,9 @@ def shapley_tuples(
         raise RefusalError(
             "the dichotomy pipeline handles self-join-free queries only; pass --method brute"
         )
-    hierarchical, _ = is_hierarchical(query)
-    if hierarchical:
+    if is_hierarchical(query)[0]:
         return shapley_direct(compile_hierarchical_lineage(query, db))
-    lineage = build_lineage(query, db)
+    _check_query(query, db.schema)
     if db.var_count > bound:
         raise RefusalError(
             f"non-hierarchical query: exact Shapley computation is intractable in "
@@ -660,7 +673,7 @@ def shapley_tuples(
         "non-hierarchical query: falling back to exhaustive enumeration of the lineage",
         stacklevel=2,
     )
-    return brute_shapley_subsets(lineage.func, bound=bound)
+    return brute_shapley_subsets(build_lineage(query, db).func, bound=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -129,22 +129,42 @@ def test_shapley_lineage_csv(workspace, capsys):
 
 
 def test_lineage_shapley_takes_the_direct_pass(workspace, capsys, monkeypatch):
+    # FP lineage and a circuit file alike: no reduction, oracle or substituted copy
     from shapcount import circuit as ct
+    from shapcount import reductions
 
     called = []
 
-    def refuse(name):
+    def refuse(module, name):
         def fail(*args, **kwargs):
             called.append(name)
             raise AssertionError(f"{name} called")
 
-        return fail
+        monkeypatch.setattr(module, name, fail)
 
-    monkeypatch.setattr(ct, "or_substitute_all", refuse("or_substitute_all"))
-    monkeypatch.setattr(ct, "size_polynomial_count", refuse("size_polynomial_count"))
+    refuse(reductions, "shapley_from_kcounts")
+    for name in ("kcount_oracle", "or_substitute_all", "size_polynomial_count"):
+        refuse(ct, name)
     code, out = run(capsys, "shapley", workspace / "join.q", workspace / "join", "--kind", "lineage")
     assert called == []
     assert code == 0 and out == "R1,0,1,4\nR1,1,1,4\nR2,0,1,4\nR2,1,1,4\n"
+    code, out = run(capsys, "shapley", workspace / "ex.nnf", "--kind", "circuit")
+    assert called == []
+    assert code == 0 and out == "0/1,1/2,1/2\n"
+
+
+@pytest.mark.parametrize("verb", ["count", "compare"])
+def test_lineage_query_is_classified_once(workspace, capsys, monkeypatch, verb):
+    calls = []
+    is_hierarchical = lg.is_hierarchical
+
+    def counting(query):
+        calls.append(query)
+        return is_hierarchical(query)
+
+    monkeypatch.setattr(lg, "is_hierarchical", counting)
+    code, _ = run(capsys, verb, workspace / "join.q", workspace / "join", "--kind", "lineage")
+    assert code == 0 and len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -576,6 +596,65 @@ def test_formula_refusal_above_the_bound_is_immediate(workspace, capsys, verb):
     assert code == 3
     assert "exhaustive enumeration over 20000 variables exceeds the bound of 24" in err
     assert elapsed < 5.0, f"{verb} took {elapsed:.1f} s to refuse"
+
+
+@pytest.fixture(scope="module")
+def wide_chain(tmp_path_factory):
+    """R(x), S(x,y), T(y) over 40000 tuples, 20000 of them endogenous, and
+    the FP query R(x), S(x,y) over the same database."""
+    base = tmp_path_factory.mktemp("wide")
+    n = 10000
+    schema = lg.Schema(
+        (lg.Relation("R", 1, True), lg.Relation("S", 2, False), lg.Relation("T", 1, True))
+    )
+    rows = {
+        "R": [(f"a{i}",) for i in range(n)],
+        "S": [(f"a{i}", f"b{j}") for i in range(n) for j in (i, (i + 1) % n)],
+        "T": [(f"b{i}",) for i in range(n)],
+    }
+    lg.write_database(lg.Database(schema, rows), base / "db")
+    (base / "chain.q").write_text("Q :- R(x), S(x,y), T(y)\n")
+    (base / "fp.q").write_text("Q :- R(x), S(x,y)\n")
+    return base
+
+
+WIDE_REFUSALS = [
+    ("chain", ["count"], "exhaustive enumeration over 20000 variables"),
+    ("chain", ["kcount", "--method", "brute"], "exhaustive enumeration over 20000 variables"),
+    ("chain", ["kcount", "--method", "paper"], "needs a hierarchical self-join-free query"),
+    ("chain", ["kcount", "--method", "direct"], "needs a hierarchical self-join-free query"),
+    ("chain", ["shapley"], "and 20000 tuple variables exceed the exhaustive bound of 24"),
+    ("chain", ["shapley", "--method", "brute"], "subset enumeration over 20000 variables"),
+    ("chain", ["compare"], "exhaustive enumeration over 20000 variables"),
+    ("fp", ["kcount", "--method", "brute"], "exhaustive enumeration over 20000 variables"),
+    ("fp", ["shapley", "--method", "brute"], "subset enumeration over 20000 variables"),
+    ("fp", ["compare"], "exhaustive enumeration over 20000 variables"),
+]
+
+
+@pytest.mark.parametrize(
+    "query, argv, message", WIDE_REFUSALS, ids=["-".join([q, *a]) for q, a, _ in WIDE_REFUSALS]
+)
+def test_lineage_refusal_above_the_bound_is_immediate(
+    wide_chain, capsys, monkeypatch, query, argv, message
+):
+    # no route builds a lineage formula only to refuse it
+    built = []
+    build_lineage = lg.build_lineage
+
+    def building(*args, **kwargs):
+        built.append(build_lineage(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(lg, "build_lineage", building)
+    inputs = [str(wide_chain / f"{query}.q"), str(wide_chain / "db"), "--kind", "lineage"]
+    start = time.perf_counter()
+    code = main([argv[0], *inputs, *argv[1:]])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3 and message in err
+    assert built == []
+    assert elapsed < 5.0, f"{argv} took {elapsed:.1f} s to refuse"
 
 
 # one small example of every input the parsers read

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -378,6 +379,28 @@ def test_compile_hierarchical_refusals():
     )
     with pytest.raises(RefusalError, match="self-join"):
         lg.compile_hierarchical_lineage(selfjoin, db1)
+
+
+def test_compiler_refuses_exactly_the_non_hierarchical_queries():
+    # the compiler reads hierarchy off its own variable forest
+    rng = random.Random(19)
+    refused = 0
+    for _ in range(5000):
+        q, schema = gen.random_query(rng, max_atoms=5, max_arity=4)
+        at = {
+            v: {i for i, atom in enumerate(q.atoms) if lg.QueryVar(v) in atom.args}
+            for v in q.variables()
+        }
+        try:
+            lg.compile_hierarchical_lineage(q, lg.Database(schema, {}))
+        except RefusalError as exc:
+            refused += 1
+            assert not lg.is_hierarchical(q)[0]
+            x, y = re.search(r"witness variables (\S+), (\S+)\)", str(exc)).groups()
+            assert at[x] & at[y] and not at[x] <= at[y] and not at[y] <= at[x]
+        else:
+            assert lg.is_hierarchical(q)[0]
+    assert 500 < refused < 4500
 
 
 def test_compile_hierarchical_random_agreement():
