@@ -6,8 +6,8 @@ query file plus a database directory for --kind lineage.
 
 Exit codes: 0 success, 2 input error, 3 capability refusal (enumeration
 bounds, intractable branch, out of memory), 4 internal inconsistency.
-Standard output is byte-identical for identical inputs and flags; timings
-and notes go to standard error.
+Standard output is byte-identical for identical inputs and flags; notes go
+to standard error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import hashlib
 import io
 import random
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,12 +31,12 @@ EXIT_REFUSAL = 3
 EXIT_INCONSISTENT = 4
 
 
-def _fraction(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def _ints(values) -> str:
+    return ",".join(str(v) for v in values)
 
 
-def _load_formula(path: str) -> BoolFunc:
-    return formats.parse_function(read_input(path))
+def _fractions(values) -> str:
+    return ",".join(f"{v.numerator}/{v.denominator}" for v in values)
 
 
 def _digest(paths: list[str]) -> str:
@@ -54,13 +53,6 @@ def _digest(paths: list[str]) -> str:
     return h.hexdigest()[:16]
 
 
-def _validated_circuit(path: str) -> circuit.Circuit:
-    parsed = circuit.parse_nnf(read_input(path))
-    if circuit.validate(parsed).determinism == "assumed":
-        print("shapcount: note: assumed-deterministic (too many variables to verify)", file=sys.stderr)
-    return parsed
-
-
 def _load_instance(paths: list[str]) -> tuple[lineage.Query, lineage.Database]:
     if len(paths) != 2:
         raise InputError("--kind lineage takes a query file and a database directory")
@@ -74,6 +66,19 @@ def _single(paths: list[str]) -> str:
     return paths[0]
 
 
+def _load(ns):
+    """The input --kind names: a formula, a validated circuit, or a lineage
+    query with its database."""
+    if ns.kind == "formula":
+        return formats.parse_function(read_input(_single(ns.inputs)))
+    if ns.kind == "lineage":
+        return _load_instance(ns.inputs)
+    parsed = circuit.parse_nnf(read_input(_single(ns.inputs)))
+    if circuit.validate(parsed).determinism == "assumed":
+        print("shapcount: note: assumed-deterministic (too many variables to verify)", file=sys.stderr)
+    return parsed
+
+
 def _bound(ns) -> int:
     return ns.max_vars if ns.max_vars is not None else boolfunc.ENUMERATION_BOUND
 
@@ -85,11 +90,10 @@ def _resolve(ns, method: str | None = None):
     formula, which only brute force reads: above the bound it is refused in
     the words of the verb's brute pass, before it is built.  Size-bucketed
     counts other than brute force are refused off FP."""
-    if ns.kind == "formula":
-        return _load_formula(_single(ns.inputs)), None
-    if ns.kind == "circuit":
-        return _validated_circuit(_single(ns.inputs)), None
-    query, db = _load_instance(ns.inputs)
+    loaded = _load(ns)
+    if ns.kind != "lineage":
+        return loaded, None
+    query, db = loaded
     if method != "brute" and lineage.dichotomy_branch(query) == "FP":
         return lineage.compile_hierarchical_lineage(query, db), db
     if ns.verb == "kcount" and method != "brute":
@@ -127,7 +131,7 @@ def cmd_kcount(ns) -> str:
         counts = reductions.kcounts_from_counts(
             func.var_count, boolfunc.count_oracle(func, bound=_bound(ns))
         )
-    return ",".join(str(c) for c in counts) + "\n"
+    return _ints(counts) + "\n"
 
 
 def _shapley_csv(values, db) -> str:
@@ -156,7 +160,7 @@ def cmd_shapley(ns) -> str:
         )
     if db is not None:
         return _shapley_csv(values, db)
-    return ",".join(_fraction(v) for v in values) + "\n"
+    return _fractions(values) + "\n"
 
 
 def cmd_check(ns) -> str:
@@ -248,69 +252,43 @@ def cmd_pp2dnf(ns) -> str:
     return lineage.query_text(query)
 
 
-def _timed(label: str, fn, timings: list[str]):
-    start = time.perf_counter()
-    result = fn()
-    timings.append(f"{label}={time.perf_counter() - start:.4f}s")
-    return result
+def _brute(func: BoolFunc | circuit.Circuit, bound: int):
+    """Brute force's count, k-counts and Shapley vector, with the groups of
+    values that must be equal: the k-counts sum to the count, and the
+    Shapley values sum to f(1…1) − f(0…0)."""
+    count = boolfunc.brute_count(func, bound=bound)
+    kcounts = boolfunc.brute_kcounts(func, bound=bound)
+    shapley = boolfunc.brute_shapley_subsets(func, bound=bound)
+    gain = boolfunc.evaluate(func, range(func.var_count)) - boolfunc.evaluate(func, ())
+    return count, kcounts, shapley, ((sum(kcounts), count), (sum(shapley, Fraction(0)), gain))
+
+
+def _agree(lines: list[str], *groups) -> list[str]:
+    """`lines`, once the values within each group are all equal."""
+    if any(value != group[0] for group in groups for value in group[1:]):
+        raise InconsistencyError("methods disagree:\n" + "\n".join(lines))
+    return lines
 
 
 def _compare_formula(func: BoolFunc, bound: int) -> list[str]:
-    timings: list[str] = []
-    lines = []
     n = func.var_count
-    count_brute = _timed("count_brute", lambda: boolfunc.brute_count(func, bound=bound), timings)
+    count, kc_brute, sh_brute, invariants = _brute(func, bound)
     shap_oracle = reductions.CallCounter(boolfunc.shapley_oracle(func, bound=bound))
-    zero = boolfunc.evaluate(func, ())
-    count_shap = _timed(
-        "count_via_shapley",
-        lambda: reductions.count_from_shapley(n, zero, shap_oracle),
-        timings,
-    )
-    kc_brute = _timed("kcounts_brute", lambda: boolfunc.brute_kcounts(func, bound=bound), timings)
-    count_counter = reductions.CallCounter(boolfunc.count_oracle(func, bound=bound))
-    kc_paper = _timed(
-        "kcounts_paper", lambda: reductions.kcounts_from_counts(n, count_counter), timings
-    )
-    kc_and = _timed(
-        "kcounts_and",
-        lambda: reductions.kcounts_from_counts_and(n, boolfunc.and_count_oracle(func, bound=bound)),
-        timings,
-    )
-    sh_brute = _timed(
-        "shapley_brute", lambda: boolfunc.brute_shapley_subsets(func, bound=bound), timings
-    )
-    sh_red = _timed(
-        "shapley_reduction",
-        lambda: reductions.shapley_from_kcounts(n, boolfunc.kcount_oracle(func, bound=bound)),
-        timings,
-    )
-    print("timing " + " ".join(timings), file=sys.stderr)
-    lines.append(f"count brute={count_brute} via_shapley={count_shap}")
-    lines.append(
-        "kcounts brute=%s paper=%s and=%s"
-        % tuple(",".join(str(c) for c in k) for k in (kc_brute, kc_paper, kc_and))
-    )
-    lines.append(
-        "shapley brute=%s reduction=%s"
-        % tuple(",".join(_fraction(v) for v in s) for s in (sh_brute, sh_red))
-    )
-    lines.append(
-        f"oracle_calls kcount_pipeline={count_counter.calls} shapley_count_pipeline={shap_oracle.calls}"
-    )
-    ok = (
-        count_brute == count_shap == sum(kc_brute)
-        and kc_brute == kc_paper == kc_and
-        and sh_brute == sh_red
-        and sum(sh_red, Fraction(0))
-        == boolfunc.evaluate(func, range(n)) - boolfunc.evaluate(func, ())
-    )
+    count_shap = reductions.count_from_shapley(n, boolfunc.evaluate(func, ()), shap_oracle)
+    count_oracle = reductions.CallCounter(boolfunc.count_oracle(func, bound=bound))
+    kc_paper = reductions.kcounts_from_counts(n, count_oracle)
+    kc_and = reductions.kcounts_from_counts_and(n, boolfunc.and_count_oracle(func, bound=bound))
+    sh_red = reductions.shapley_from_kcounts(n, boolfunc.kcount_oracle(func, bound=bound))
+    shapleys = [sh_brute, sh_red]
     if n <= boolfunc.PERMUTATION_BOUND:
-        sh_perm = boolfunc.brute_shapley_permutations(func)
-        ok = ok and sh_perm == sh_brute
-    if not ok:
-        raise InconsistencyError("methods disagree:\n" + "\n".join(lines))
-    return lines
+        shapleys.append(boolfunc.brute_shapley_permutations(func))
+    lines = [
+        f"count brute={count} via_shapley={count_shap}",
+        f"kcounts brute={_ints(kc_brute)} paper={_ints(kc_paper)} and={_ints(kc_and)}",
+        f"shapley brute={_fractions(sh_brute)} reduction={_fractions(sh_red)}",
+        f"oracle_calls kcount_pipeline={count_oracle.calls} shapley_count_pipeline={shap_oracle.calls}",
+    ]
+    return _agree(lines, *invariants, (count, count_shap), (kc_brute, kc_paper, kc_and), shapleys)
 
 
 def _witnessed(oracle, parsed: circuit.Circuit, count):
@@ -327,104 +305,86 @@ def _witnessed(oracle, parsed: circuit.Circuit, count):
     return witnessed
 
 
+def _circuit_routes(c: circuit.Circuit):
+    """A circuit's model count and k-counts, one pass each, and its Shapley
+    vector through the paper's reduction over witnessed k-count queries and
+    through the direct pass."""
+    witnessed = _witnessed(circuit.kcount_oracle(c), c, circuit.size_polynomial_count)
+    return (
+        circuit.model_count_dd(c),
+        circuit.size_polynomial_count(c),
+        reductions.shapley_from_kcounts(c.var_count, witnessed),
+        circuit.shapley_direct(c),
+    )
+
+
 def _compare_circuit(parsed: circuit.Circuit, bound: int) -> list[str]:
-    n = parsed.var_count
-    count_dd = circuit.model_count_dd(parsed)
-    count_brute = boolfunc.brute_count(parsed, bound=bound)
-    kc_direct = circuit.size_polynomial_count(parsed)
-    kc_paper = reductions.kcounts_from_counts(
-        n, _witnessed(circuit.count_oracle(parsed), parsed, circuit.model_count_dd)
-    )
-    kc_brute = boolfunc.brute_kcounts(parsed, bound=bound)
-    sh_circ = reductions.shapley_from_kcounts(
-        n, _witnessed(circuit.kcount_oracle(parsed), parsed, circuit.size_polynomial_count)
-    )
-    sh_direct = circuit.shapley_direct(parsed)
-    sh_brute = boolfunc.brute_shapley_subsets(parsed, bound=bound)
+    # made first, so a circuit the passes cannot count is refused as such
+    # before brute force checks the bound
+    count_oracle = _witnessed(circuit.count_oracle(parsed), parsed, circuit.model_count_dd)
+    count, kc_brute, sh_brute, invariants = _brute(parsed, bound)
+    kc_paper = reductions.kcounts_from_counts(parsed.var_count, count_oracle)
+    count_dd, kc_direct, sh_circ, sh_direct = _circuit_routes(parsed)
     lines = [
-        f"count dd={count_dd} brute={count_brute}",
-        "kcounts direct=%s paper=%s brute=%s"
-        % tuple(",".join(str(c) for c in k) for k in (kc_direct, kc_paper, kc_brute)),
-        "shapley circuit=%s brute=%s"
-        % tuple(",".join(_fraction(v) for v in s) for s in (sh_circ, sh_brute)),
+        f"count dd={count_dd} brute={count}",
+        f"kcounts direct={_ints(kc_direct)} paper={_ints(kc_paper)} brute={_ints(kc_brute)}",
+        f"shapley circuit={_fractions(sh_circ)} brute={_fractions(sh_brute)}",
     ]
-    if not (
-        count_dd == count_brute
-        and kc_direct == kc_paper == kc_brute
-        and sh_circ == sh_direct == sh_brute
-    ):
-        raise InconsistencyError("methods disagree:\n" + "\n".join(lines))
-    return lines
+    groups = ((count_dd, count), (kc_direct, kc_paper, kc_brute), (sh_circ, sh_direct, sh_brute))
+    return _agree(lines, *invariants, *groups)
 
 
-def _compare_lineage(query: lineage.Query, db: lineage.Database, bound: int) -> list[str]:
+def _compare_lineage(instance: tuple[lineage.Query, lineage.Database], bound: int) -> list[str]:
+    query, db = instance
     built = lineage.build_lineage(query, db, bound=bound)
-    count_brute = boolfunc.brute_count(built.func, bound=bound)
-    kc_brute = boolfunc.brute_kcounts(built.func, bound=bound)
-    sh_brute = boolfunc.brute_shapley_subsets(built.func, bound=bound)
+    count, kc_brute, sh_brute, invariants = _brute(built.func, bound)
     branch = lineage.dichotomy_branch(query)
-    compiled = lineage.compile_hierarchical_lineage(query, db) if branch == "FP" else None
     lines = [
-        f"count brute={count_brute}",
+        f"count brute={count}",
         f"branch {branch}",
-        "kcounts brute=" + ",".join(str(c) for c in kc_brute),
-        "shapley brute=" + ",".join(_fraction(v) for v in sh_brute),
+        f"kcounts brute={_ints(kc_brute)}",
+        f"shapley brute={_fractions(sh_brute)}",
     ]
-    ok = sum(kc_brute) == count_brute
-    zero = boolfunc.evaluate(built.func, ())
-    ones = boolfunc.evaluate(built.func, range(built.func.var_count))
-    ok = ok and sum(sh_brute, Fraction(0)) == ones - zero
-    if compiled is not None:
-        count_dd = circuit.model_count_dd(compiled)
-        kc_direct = circuit.size_polynomial_count(compiled)
-        # the default `kcount` route, checked but not printed
-        kc_paper = circuit.kcounts_circuit(compiled)
-        sh_circuit = reductions.shapley_from_kcounts(
-            compiled.var_count,
-            _witnessed(circuit.kcount_oracle(compiled), compiled, circuit.size_polynomial_count),
-        )
-        sh_direct = circuit.shapley_direct(compiled)
-        lines.append(f"count circuit={count_dd}")
-        lines.append(
-            "kcounts direct=%s brute=%s"
-            % tuple(",".join(str(c) for c in k) for k in (kc_direct, kc_brute))
-        )
-        lines.append(
-            "shapley circuit=%s brute=%s"
-            % tuple(",".join(_fraction(v) for v in s) for s in (sh_circuit, sh_brute))
-        )
-        ok = (
-            ok
-            and count_dd == count_brute
-            and kc_direct == kc_paper == kc_brute
-            and sh_circuit == sh_direct == sh_brute
-        )
-    if not ok:
-        raise InconsistencyError("methods disagree:\n" + "\n".join(lines))
-    return lines
+    if branch != "FP":
+        return _agree(lines, *invariants)
+    compiled = lineage.compile_hierarchical_lineage(query, db)
+    count_dd, kc_direct, sh_circ, sh_direct = _circuit_routes(compiled)
+    # the default `kcount` route, checked but not printed
+    kc_paper = circuit.kcounts_circuit(compiled)
+    lines += [
+        f"count circuit={count_dd}",
+        f"kcounts direct={_ints(kc_direct)} brute={_ints(kc_brute)}",
+        f"shapley circuit={_fractions(sh_circ)} brute={_fractions(sh_brute)}",
+    ]
+    groups = ((count_dd, count), (kc_direct, kc_paper, kc_brute), (sh_circ, sh_direct, sh_brute))
+    return _agree(lines, *invariants, *groups)
+
+
+# per kind: the comparison over one input, and the input --fuzz draws for a
+# case (from `gen` as it is when called)
+_COMPARES = {
+    "formula": (_compare_formula, lambda rng, case: gen.random_boolfunc(rng, max_vars=6)),
+    "circuit": (
+        _compare_circuit,
+        lambda rng, case: gen.random_decision_circuit(rng, max_vars=6, max_gates=25),
+    ),
+    "lineage": (
+        _compare_lineage,
+        lambda rng, case: gen.random_sjf_instance(rng, max_rows=5, hierarchical=case % 2 == 0),
+    ),
+}
 
 
 def cmd_compare(ns) -> str:
     bound = _bound(ns)
+    compare, draw = _COMPARES[ns.kind]
     if ns.fuzz:
         rng = random.Random(ns.seed)
         for case in range(ns.fuzz):
-            if ns.kind == "circuit":
-                _compare_circuit(gen.random_decision_circuit(rng, max_vars=6, max_gates=25), bound)
-            elif ns.kind == "lineage":
-                instance = gen.random_sjf_instance(rng, max_rows=5, hierarchical=case % 2 == 0)
-                _compare_lineage(*instance, bound)
-            else:
-                _compare_formula(gen.random_boolfunc(rng, max_vars=6), bound)
+            compare(draw(rng, case), bound)
         return f"fuzz cases={ns.fuzz} seed={ns.seed} agreement ok\n"
     header = f"compare kind={ns.kind} input=sha256:{_digest(ns.inputs)}"
-    if ns.kind == "formula":
-        lines = _compare_formula(_load_formula(_single(ns.inputs)), bound)
-    elif ns.kind == "circuit":
-        lines = _compare_circuit(_validated_circuit(_single(ns.inputs)), bound)
-    else:
-        lines = _compare_lineage(*_load_instance(ns.inputs), bound)
-    return "\n".join([header] + lines + ["agreement ok"]) + "\n"
+    return "\n".join([header, *compare(_load(ns), bound), "agreement ok"]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +399,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, *, inputs=True):
-        if inputs:
-            p.add_argument("inputs", nargs="*", help="input path(s)")
+    def common(p):
+        p.add_argument("inputs", nargs="*", help="input path(s)")
         p.add_argument("--kind", choices=("formula", "circuit", "lineage"), default="formula")
         p.add_argument("--max-vars", type=int, default=None, help="enumeration bound override")
         p.add_argument("--out", default=None, help="output file or directory")
-        p.add_argument("--seed", type=int, default=0, help="seed for generated corpora")
 
     p = sub.add_parser("count", help="model count")
     common(p)
@@ -486,6 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="compare this many random formulas, d-D circuits with --kind circuit, "
         "or self-join-free query instances (alternately hierarchical) with --kind lineage",
     )
+    p.add_argument("--seed", type=int, default=0, help="seed of the --fuzz cases")
     return parser
 
 

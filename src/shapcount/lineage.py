@@ -437,6 +437,7 @@ def _fresh_var_names(count: int, taken: Iterable[str]) -> list[str]:
 
 def stretch_query(query: Query, schema: Schema) -> Query:
     """Give every endogenous atom one fresh leading variable."""
+    _check_query(query, schema)
     endo_atoms = sum(1 for a in query.atoms if schema.get(a.relation).endogenous)
     fresh = _fresh_var_names(endo_atoms, query.variables())
     out = []

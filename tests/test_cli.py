@@ -268,6 +268,19 @@ def test_stretch_round_trip(workspace, capsys):
     assert code == 2  # --out is required
 
 
+def test_stretch_checks_the_query_against_the_schema(workspace, capsys):
+    (workspace / "bad.q").write_text("Q :- R(x, y), S(x)\n")
+    schema = lg.Schema((lg.Relation("R", 1, True), lg.Relation("S", 2, False)))
+    lg.write_database(lg.Database(schema, {"R": [("a",)], "S": [("a", "b")]}), workspace / "bad")
+    outdir = workspace / "D"
+    argv = ("stretch", workspace / "bad.q", workspace / "bad", "--mode", "dummy", "--out", outdir)
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "atom R has 2 arguments, relation has arity 1" in captured.err
+    assert not outdir.exists()
+
+
 def test_pp2dnf_emission(workspace, capsys):
     edges = workspace / "edges.txt"
     edges.write_text("1 1\n2 2\n")
@@ -326,6 +339,44 @@ def test_lineage_compare_compiles_once(workspace, capsys, monkeypatch):
     assert len(compiled) == 1
     # every counting method reuses the compiled circuit's one validation
     assert sum(c is compiled[0] for c in checked) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("{ws}/ex1.bf",),
+        ("--fuzz", "3"),
+        ("{ws}/ex.nnf", "--kind", "circuit"),
+        ("--fuzz", "3", "--kind", "circuit"),
+        ("{ws}/join.q", "{ws}/join", "--kind", "lineage"),
+        ("--fuzz", "3", "--kind", "lineage"),
+    ],
+)
+def test_compare_is_silent_on_success(workspace, capsys, argv):
+    code = main(["compare", *(a.format(ws=workspace) for a in argv)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.endswith("agreement ok\n")
+    assert captured.err == ""
+
+
+def test_compare_refuses_an_undecomposable_circuit_before_the_bound(workspace, capsys):
+    # 30 variables exceed the enumeration bound, but the count pass refuses first
+    (workspace / "and.nnf").write_text("nnf 3 2 30\nL 1\nL 1\nA 2 0 1\n")
+    code = main(["compare", str(workspace / "and.nnf"), "--kind", "circuit"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "circuit is not decomposable (AND gates [2])" in captured.err
+
+
+def test_compare_checks_the_efficiency_sum_on_circuits(workspace, capsys, monkeypatch):
+    from shapcount import cli as cli_module
+
+    # f(1…1) − f(0…0) read as 0: brute force's Shapley values, which sum to 1, disagree
+    monkeypatch.setattr(cli_module.boolfunc, "evaluate", lambda func, true_vars: 0)
+    code = main(["compare", str(workspace / "ex.nnf"), "--kind", "circuit"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "methods disagree" in captured.err
 
 
 def test_compare_needs_an_input(workspace, capsys):
