@@ -108,12 +108,14 @@ class BoolFunc:
     occur.  `gates` holds one gate per distinct node (by identity), children
     first, so the root is the last gate, `output`.  Equality, hashing and
     repr read the flat gates, never the nodes, so they do not recurse: two
-    functions are equal when they are the same DAG.
+    functions are equal when they are the same DAG.  `truth_table` keeps the
+    function's table on it once built.
     """
 
     root: Node = field(compare=False, repr=False)
     var_count: int
     gates: tuple[Gate, ...] = field(init=False)
+    _table: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.var_count < 0:
@@ -299,9 +301,13 @@ def _tables(func: BoolFunc | Circuit, disj: Callable[[Iterator[int]], int] = _un
 
 
 def truth_table(func: BoolFunc | Circuit, *, bound: int = ENUMERATION_BOUND) -> int:
-    """All 2^n values as a bitmask; bit i is the value on valuation index i."""
+    """All 2^n values as a bitmask; bit i is the value on valuation index i.
+    Built on the first call and kept on the function; every call checks
+    the bound first, so a kept table never answers above it."""
     _check_bound(func.var_count, bound, "exhaustive enumeration")
-    return _tables(func)[func.output]
+    if func._table is None:
+        object.__setattr__(func, "_table", _tables(func)[func.output])
+    return func._table
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +443,16 @@ def and_substitute(func: BoolFunc, arities: Sequence[int]) -> GroupedSubstitutio
 # already at moderate n.  These oracles instead enumerate the 2^n base
 # valuations and count group assignments combinatorially: a true group can
 # be set 2^m - 1 ways, a false group exactly one way, so each base model
-# weighs the product of its true variables' weights.  With one weight for
-# every variable that product depends only on the model's size, and the
-# sum takes one popcount per size; otherwise the models are merged one
-# variable at a time.  Size-bucketed counts ride along as digits: the
-# weight of a true group, evaluated at t = 2^B, is its size polynomial
-# (1+t)^m - 1, and the counts are read off the total's base-2^B digits.
-# An oracle factory builds the truth table once, when the oracle is made,
-# and every query reads it.  The Shapley oracle answers a query that
-# widens every other variable to one width ell from the per-size popcounts
+# weighs the product of its true variables' weights (of its false ones, for
+# conjunctive groups).  With one weight for every variable that product
+# depends only on the model's size, and the sum takes one popcount per
+# size; otherwise the models are merged one variable at a time.
+# Size-bucketed counts ride along as digits: the weight of a true group,
+# evaluated at t = 2^B, is its size polynomial (1+t)^m - 1, and the counts
+# are read off the total's base-2^B digits.  Every oracle reads the one
+# truth table that `truth_table` keeps on the function; a factory builds it
+# when the oracle is made.  The Shapley oracle answers a query that widens
+# every other variable to one width ell from the per-size popcounts
 # of the target's two cofactors, taken once per target, dotted with a row
 # of integer weights it builds once per ell from the Shapley coefficients;
 # a query with mixed widths takes the digit route.  The oracles are still
@@ -453,22 +460,24 @@ def and_substitute(func: BoolFunc, arities: Sequence[int]) -> GroupedSubstitutio
 # system, so they stay independent of the reductions they feed.
 
 
-def _weighted_count(table: int, n: int, weights: Sequence[int]) -> int:
+def _weighted_count(table: int, n: int, weights: Sequence[int], falses: bool = False) -> int:
     """Sum over the models x of the truth table of the product of
-    weights[i] over the variables i that x sets."""
+    weights[i] over the variables i that x sets, or, with `falses`, over
+    those that x leaves false."""
     masks = _variable_masks(n)
     for i, w in enumerate(weights):
         if not w:
-            table &= ~masks[i]
+            table &= masks[i] if falses else ~masks[i]
     w = max(weights, default=0)
     if all(x in (0, w) for x in weights):
+        sizes = _weight_masks(n)  # a model of size k weighs w^k, or w^(n-k)
         total = 0
-        for mask in reversed(_weight_masks(n)):
+        for mask in sizes if falses else reversed(sizes):
             total = total * w + (table & mask).bit_count()
         return total
     # block j holds the weighted sum of the models whose index shifted right
     # by the merged variable count is j; the odd block of each pair has the
-    # next variable true
+    # next variable true and takes its weight (the even one, with `falses`)
     blocks: dict[int, int] = {}
     while table:
         low = table & -table
@@ -478,7 +487,7 @@ def _weighted_count(table: int, n: int, weights: Sequence[int]) -> int:
         merged: dict[int, int] = {}
         for index, value in blocks.items():
             key = index >> 1
-            merged[key] = merged.get(key, 0) + (value * w if index & 1 else value)
+            merged[key] = merged.get(key, 0) + (value * w if (index & 1) != falses else value)
         blocks = merged
     return blocks.get(0, 0)
 
@@ -501,58 +510,32 @@ def _size_digits(arities: Sequence[int]):
 
 
 def or_substituted_count(
-    func: BoolFunc,
-    arities: Sequence[int],
-    *,
-    bound: int = ENUMERATION_BOUND,
-    table: int | None = None,
+    func: BoolFunc, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
 ) -> int:
     """Model count of the function after replacing variable i by a
-    disjunction of arities[i] fresh variables.  `table` is the function's
-    truth table when the caller holds it already, as an oracle does."""
+    disjunction of arities[i] fresh variables."""
     _check_arities(arities, func.var_count)
-    if table is None:
-        table = truth_table(func, bound=bound)
+    table = truth_table(func, bound=bound)
     return _weighted_count(table, func.var_count, [(1 << m) - 1 for m in arities])
-
-
-def _negate_inputs(table: int, n: int) -> int:
-    """Truth table of x -> f(~x): swap the halves each variable splits the
-    table into."""
-    for i, mask in enumerate(_variable_masks(n)):
-        table = ((table & mask) >> (1 << i)) | ((table & ~mask) << (1 << i))
-    return table
 
 
 def and_substituted_count(
-    func: BoolFunc,
-    arities: Sequence[int],
-    *,
-    bound: int = ENUMERATION_BOUND,
-    table: int | None = None,
+    func: BoolFunc, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
 ) -> int:
     """Model count after replacing variable i by a conjunction of arities[i]
-    fresh variables (false groups have 2^m - 1 assignments, true groups one).
-    `table`, when given, is the truth table with every input negated."""
+    fresh variables (false groups have 2^m - 1 assignments, true groups one)."""
     _check_arities(arities, func.var_count)
-    if table is None:
-        table = _negate_inputs(truth_table(func, bound=bound), func.var_count)
-    return _weighted_count(table, func.var_count, [(1 << m) - 1 for m in arities])
+    table = truth_table(func, bound=bound)
+    return _weighted_count(table, func.var_count, [(1 << m) - 1 for m in arities], True)
 
 
 def or_substituted_kcounts(
-    func: BoolFunc,
-    arities: Sequence[int],
-    *,
-    bound: int = ENUMERATION_BOUND,
-    table: int | None = None,
+    func: BoolFunc, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
 ) -> tuple[int, ...]:
     """Size-bucketed model counts of the function under a disjunctive
-    group replacement, indexed 0..sum(arities).  `table` as for
-    or_substituted_count."""
+    group replacement, indexed 0..sum(arities)."""
     _check_arities(arities, func.var_count)
-    if table is None:
-        table = truth_table(func, bound=bound)
+    table = truth_table(func, bound=bound)
     weights, unpack = _size_digits(arities)
     return unpack(_weighted_count(table, func.var_count, weights))
 
@@ -567,20 +550,13 @@ def _check_target(arities: Sequence[int], target: int, var_count: int) -> None:
 
 
 def or_substituted_shapley(
-    func: BoolFunc,
-    arities: Sequence[int],
-    target: int,
-    *,
-    bound: int = ENUMERATION_BOUND,
-    table: int | None = None,
+    func: BoolFunc, arities: Sequence[int], target: int, *, bound: int = ENUMERATION_BOUND
 ) -> Fraction:
     """Shapley value of the single fresh variable standing in for `target`
-    after the disjunctive group replacement (arities[target] must be 1).
-    `table` as for or_substituted_count."""
+    after the disjunctive group replacement (arities[target] must be 1)."""
     n = func.var_count
     _check_target(arities, target, n)
-    if table is None:
-        table = truth_table(func, bound=bound)
+    table = truth_table(func, bound=bound)
     mask = _variable_masks(n)[target]
     # the cofactors' counts: the target weighs as the largest other group (or
     # 1), which keeps uniform weights uniform, and is divided out again
@@ -601,26 +577,23 @@ def or_substituted_shapley(
 def count_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     """Count oracle for the reductions: arities -> model count of the
     disjunctive group replacement, by base-space enumeration.  Like the
-    other oracles here, it refuses above the bound when made, before a
-    reduction spends time on its first call, and builds the truth table
-    its queries read then too."""
-    _check_bound(func.var_count, bound, "exhaustive enumeration")
-    table = truth_table(func, bound=bound)
-    return lambda arities: or_substituted_count(func, arities, table=table)
+    other oracles here, it builds the function's truth table when made, so
+    it refuses above the bound before a reduction spends time on its first
+    call; its queries read the kept table under the same bound."""
+    truth_table(func, bound=bound)
+    return lambda arities: or_substituted_count(func, arities, bound=bound)
 
 
 def and_count_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     """As count_oracle, for conjunctive group replacements."""
-    _check_bound(func.var_count, bound, "exhaustive enumeration")
-    table = _negate_inputs(truth_table(func, bound=bound), func.var_count)
-    return lambda arities: and_substituted_count(func, arities, table=table)
+    truth_table(func, bound=bound)
+    return lambda arities: and_substituted_count(func, arities, bound=bound)
 
 
 def kcount_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     """Size-bucketed count oracle for disjunctive group replacements."""
-    _check_bound(func.var_count, bound, "exhaustive enumeration")
-    table = truth_table(func, bound=bound)
-    return lambda arities: or_substituted_kcounts(func, arities, table=table)
+    truth_table(func, bound=bound)
+    return lambda arities: or_substituted_kcounts(func, arities, bound=bound)
 
 
 def _uniform_shapley_row(n: int, ell: int) -> tuple[list[int], int]:
@@ -658,10 +631,9 @@ def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     query that gives every other variable one width ell is the target's
     _cofactor_row, built once per target, dotted with the weights of
     _uniform_shapley_row, built once per ell; a query with mixed widths
-    goes through or_substituted_shapley.
+    goes through or_substituted_shapley.  Made as count_oracle is.
     """
     n = func.var_count
-    _check_bound(n, bound, "exhaustive enumeration")
     table = truth_table(func, bound=bound)
     masks, sizes = _variable_masks(n), _weight_masks(n)
     rows: dict[int, tuple[list[int], int]] = {}
@@ -671,7 +643,7 @@ def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
         _check_target(arities, target, n)
         widths = {m for i, m in enumerate(arities) if i != target}
         if len(widths) > 1:
-            return or_substituted_shapley(func, arities, target, table=table)
+            return or_substituted_shapley(func, arities, target, bound=bound)
         ell = widths.pop() if widths else 1  # one variable: T = 1 for any ell
         if ell not in rows:
             rows[ell] = _uniform_shapley_row(n, ell)

@@ -55,6 +55,7 @@ class Circuit:
         "var_count",
         "deterministic_by_construction",
         "_report",
+        "_table",
     )
 
     def __init__(
@@ -69,6 +70,7 @@ class Circuit:
         self.var_count = var_count
         self.deterministic_by_construction = deterministic_by_construction
         self._report: ValidationReport | None = None
+        self._table: int | None = None
         self._validate()
 
     def _validate(self) -> None:

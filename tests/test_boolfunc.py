@@ -16,18 +16,22 @@ from shapcount.boolfunc import (
     Not,
     Or,
     Var,
+    and_count_oracle,
     and_substitute,
     and_substituted_count,
     brute_count,
     brute_kcounts,
     brute_shapley_permutations,
     brute_shapley_subsets,
+    count_oracle,
     dnf_from_clauses,
     evaluate,
+    kcount_oracle,
     or_substitute,
     or_substituted_count,
     or_substituted_kcounts,
     or_substituted_shapley,
+    shapley_oracle,
     truth_table,
 )
 from shapcount.errors import InputError, RefusalError
@@ -183,6 +187,39 @@ def test_brute_count():
     assert brute_count(pp2dnf_pairs()) == 7
     with pytest.raises(RefusalError, match="bound of 4"):
         brute_count(BoolFunc(Var(0), 5), bound=4)
+
+
+def test_kept_table_never_bypasses_the_bound(monkeypatch):
+    from shapcount import boolfunc
+
+    f = BoolFunc(Or((Var(0), Var(4))), 5)
+    assert truth_table(f) == truth_table(f, bound=5)  # built and kept
+    refusal = "exhaustive enumeration over 5 variables exceeds the bound of 4"
+    for call in (truth_table, brute_count, count_oracle, shapley_oracle):
+        with pytest.raises(RefusalError, match=refusal):
+            call(f, bound=4)
+    # an oracle's queries read the table under the oracle's own bound, so a
+    # bound above the default (--max-vars 30) holds past the factory
+    bounds = []
+    kept = boolfunc.truth_table
+
+    def recording(func, *, bound=boolfunc.ENUMERATION_BOUND):
+        bounds.append(bound)
+        return kept(func, bound=bound)
+
+    monkeypatch.setattr(boolfunc, "truth_table", recording)
+    g = example1()
+    queries = [
+        (count_oracle, lambda oracle: oracle((1, 2, 3))),
+        (and_count_oracle, lambda oracle: oracle((1, 2, 3))),
+        (kcount_oracle, lambda oracle: oracle((1, 2, 3))),
+        (shapley_oracle, lambda oracle: oracle((1, 2, 3), 0)),  # mixed widths: the digit route
+    ]
+    for make, ask in queries:
+        oracle = make(g, bound=30)
+        bounds.clear()
+        ask(oracle)
+        assert bounds == [30], make.__name__
 
 
 def test_brute_kcounts():

@@ -304,6 +304,32 @@ def test_compare_all_kinds(workspace, capsys):
     assert code == 0 and "branch hard" in out
 
 
+def test_compare_builds_one_truth_table_per_input(workspace, capsys, monkeypatch):
+    # every brute-force answer and oracle reads the table the input keeps; a
+    # circuit's exhaustive determinism check is the one other table pass
+    from shapcount import boolfunc
+    from shapcount import circuit as ct
+
+    passes = []
+    tables = boolfunc._tables
+
+    def counting(*args):
+        passes.append(1)
+        return tables(*args)
+
+    monkeypatch.setattr(boolfunc, "_tables", counting)
+    monkeypatch.setattr(ct, "_tables", counting)
+    for argv, want in (
+        (("compare", workspace / "ex1.bf"), 1),
+        (("compare", workspace / "ex.nnf", "--kind", "circuit"), 2),
+        (("compare", "--fuzz", "10", "--kind", "circuit"), 10),
+    ):
+        passes.clear()
+        code, out = run(capsys, *argv)
+        assert code == 0 and "agreement ok" in out
+        assert len(passes) == want, argv
+
+
 def test_compare_labels_the_branch_as_check_does(workspace, capsys):
     # a self-join is outside the dichotomy, not on its hard side
     (workspace / "path.q").write_text("Q :- R(x,y), R(y,z)\n")

@@ -220,10 +220,12 @@ def test_oracle_call_counts():
 
 
 def test_shapley_oracle_builds_one_truth_table_per_call(monkeypatch):
-    # each formula oracle builds its table once, when made, whatever it is asked
+    # each formula oracle builds the function's table when made, and nothing
+    # after: its queries and a second oracle on the same function read the
+    # table the function keeps
     from shapcount import boolfunc
 
-    calls = {"truth_table": 0, "_rebuild": 0}
+    calls = {"_tables": 0, "_rebuild": 0}
 
     def counted(name):
         original = getattr(boolfunc, name)
@@ -236,7 +238,6 @@ def test_shapley_oracle_builds_one_truth_table_per_call(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(boolfunc, name, counted(name))
-    f = example1()
     runs = [
         (count_oracle, lambda oracle: kcounts_from_counts(3, oracle) == (0, 1, 1, 1)),
         (and_count_oracle, lambda oracle: kcounts_from_counts_and(3, oracle) == (0, 1, 1, 1)),
@@ -246,9 +247,14 @@ def test_shapley_oracle_builds_one_truth_table_per_call(monkeypatch):
         (shapley_oracle, lambda oracle: oracle((1, 2, 2), 0) == Fraction(13, 15)),
     ]
     for make, run in runs:
-        calls.update(truth_table=0)
+        f = example1()
+        calls.update(_tables=0)
+        oracle = make(f)
+        assert calls == {"_tables": 1, "_rebuild": 0}, make.__name__
+        assert run(oracle)
+        assert calls == {"_tables": 1, "_rebuild": 0}, make.__name__
         assert run(make(f))
-        assert calls == {"truth_table": 1, "_rebuild": 0}, make.__name__
+        assert calls == {"_tables": 1, "_rebuild": 0}, make.__name__
 
 
 def test_shapley_oracle_equals_the_digit_route():
