@@ -43,7 +43,6 @@ from .lineage import (
     Schema,
     build_lineage,
     compile_hierarchical_lineage,
-    embed_nonhierarchical,
     is_hierarchical,
     is_self_join_free,
     parse_query,

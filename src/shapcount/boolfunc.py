@@ -17,6 +17,7 @@ which keeps exhaustive enumeration fast up to the configured bounds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, permutations, repeat
@@ -234,15 +235,9 @@ def evaluate(func: BoolFunc | Circuit, true_vars: Iterable[int]) -> int:
     return int(_fold(func, trues.__contains__, 0, 1, (1).__sub__, all, any)[func.output])
 
 
-_MASK_CACHE: dict[int, tuple[int, ...]] = {}
-_WEIGHT_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@functools.cache
 def _variable_masks(n: int) -> tuple[int, ...]:
     """masks[j] has bit i set iff variable j is true in valuation index i."""
-    cached = _MASK_CACHE.get(n)
-    if cached is not None:
-        return cached
     # grow the valuation space one variable at a time: doubling keeps every
     # step a single wide shift-or instead of a quadratic bignum division
     masks: list[int] = []
@@ -250,16 +245,12 @@ def _variable_masks(n: int) -> tuple[int, ...]:
         shift = 1 << m
         masks = [mask | (mask << shift) for mask in masks]
         masks.append(((1 << shift) - 1) << shift)
-    result = tuple(masks)
-    _MASK_CACHE[n] = result
-    return result
+    return tuple(masks)
 
 
+@functools.cache
 def _weight_masks(n: int) -> tuple[int, ...]:
     """masks[k] has bit i set iff valuation index i sets exactly k variables."""
-    cached = _WEIGHT_CACHE.get(n)
-    if cached is not None:
-        return cached
     rows = [1]  # n = 0: the empty valuation has weight 0
     for m in range(1, n + 1):
         shift = 1 << (m - 1)
@@ -268,9 +259,7 @@ def _weight_masks(n: int) -> tuple[int, ...]:
         for k in range(1, m):
             rows.append(prev[k] | (prev[k - 1] << shift))
         rows.append(prev[m - 1] << shift)
-    result = tuple(rows)
-    _WEIGHT_CACHE[n] = result
-    return result
+    return tuple(rows)
 
 
 def _check_bound(n: int, bound: int, what: str) -> None:

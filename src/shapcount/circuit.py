@@ -423,7 +423,9 @@ def check_deterministic_exhaustive(
             conflicts.append(conflict)
         return seen
 
-    _tables(circuit, disj)
+    table = _tables(circuit, disj)[circuit.output]  # `disj` returns the union
+    if circuit._table is None:
+        circuit._table = table  # so `truth_table` need not walk again
     if not conflicts:
         return ("verified", None)
     index = (conflicts[0] & -conflicts[0]).bit_length() - 1

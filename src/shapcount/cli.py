@@ -13,12 +13,11 @@ to standard error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import io
 import random
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,8 +73,8 @@ def _load(ns):
     if ns.kind == "lineage":
         return _load_instance(ns.inputs)
     parsed = circuit.parse_nnf(read_input(_single(ns.inputs)))
-    if circuit.validate(parsed).determinism == "assumed":
-        print("shapcount: note: assumed-deterministic (too many variables to verify)", file=sys.stderr)
+    for note in circuit.validate(parsed).notes:
+        print(f"shapcount: note: {note}", file=sys.stderr)
     return parsed
 
 
@@ -135,12 +134,8 @@ def cmd_kcount(ns) -> str:
 
 
 def _shapley_csv(values, db) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for var, value in enumerate(values):
-        rel, row = db.tuple_map[var]
-        writer.writerow([rel, row, value.numerator, value.denominator])
-    return buf.getvalue()
+    rows = ((*entry, v.numerator, v.denominator) for entry, v in zip(db.tuple_map, values))
+    return lineage._csv_text(rows)
 
 
 def cmd_shapley(ns) -> str:
@@ -201,14 +196,11 @@ def cmd_stretch(ns) -> str:
     out = Path(ns.out)
     lineage.write_database(stretched.database, out)
     (out / "query.txt").write_text(lineage.query_text(stretched_query))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for new_var in range(stretched.database.var_count):
-        rel, row = stretched.database.tuple_map[new_var]
-        writer.writerow(
-            [new_var, rel, row, stretched.var_map[new_var], stretched.fresh_values[new_var]]
-        )
-    (out / "var_map.csv").write_text(buf.getvalue())
+    var_map = lineage._csv_text(
+        (new_var, rel, row, stretched.var_map[new_var], stretched.fresh_values[new_var])
+        for new_var, (rel, row) in enumerate(stretched.database.tuple_map)
+    )
+    (out / "var_map.csv").write_text(var_map)
     return lineage.query_text(stretched_query)
 
 
@@ -216,17 +208,14 @@ def cmd_lineage(ns) -> str:
     query, db = _load_instance(ns.inputs)
     built = lineage.build_lineage(query, db)
     text = formats.format_sexpr(built.func) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for var, (rel, row) in enumerate(built.tuple_map):
-        writer.writerow([var, rel, row])
+    tuple_map = lineage._csv_text((var, *entry) for var, entry in enumerate(built.tuple_map))
     if ns.out:
         out = Path(ns.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "lineage.txt").write_text(text)
-        (out / "tuple_map.csv").write_text(buf.getvalue())
+        (out / "tuple_map.csv").write_text(tuple_map)
         return text
-    return text + buf.getvalue()
+    return text + tuple_map
 
 
 def cmd_pp2dnf(ns) -> str:
@@ -471,6 +460,9 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)
+    # a library warning, such as the hard-branch fallback, prints as a note
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"shapcount: note: {message}\n"
     try:
         if min(ns.max_vars or 0, getattr(ns, "fuzz", 0)) < 0:
             raise InputError("--max-vars and --fuzz take nonnegative counts")
@@ -496,6 +488,7 @@ def main(argv: list[str] | None = None) -> int:
         print("shapcount: refused: this input nests too deeply", file=sys.stderr)
         return EXIT_REFUSAL
     finally:
+        warnings.formatwarning = formatwarning
         if limit:
             sys.set_int_max_str_digits(limit)
     sys.stdout.write(output)

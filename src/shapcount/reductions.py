@@ -25,6 +25,7 @@ the elimination's final pivot.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Callable, Sequence
@@ -208,9 +209,7 @@ def shapley_from_kcounts(n: int, oracle: KCountOracle) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-_WEIGHT_CACHE: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-
-
+@functools.cache  # a refused call raises, and nothing is cached for it
 def expansion_weights(n: int, ell: int) -> tuple[Fraction, ...]:
     """Weights w_k tying a distinguished variable's Shapley value, after every
     other variable is replaced by a disjunction of ell fresh ones, to the
@@ -225,19 +224,13 @@ def expansion_weights(n: int, ell: int) -> tuple[Fraction, ...]:
     """
     if n < 1 or ell < 1:
         raise InputError("weights need n >= 1 and ell >= 1")
-    key = (n, ell)
-    cached = _WEIGHT_CACHE.get(key)
-    if cached is not None:
-        return cached
     weights = []
     for k in range(n):
         total = Fraction(0)
         for j in range(k + 1):
             total += Fraction((-1) ** j * comb(k, j), ell * (n - 1 - k + j) + 1)
         weights.append(total)
-    result = tuple(weights)
-    _WEIGHT_CACHE[key] = result
-    return result
+    return tuple(weights)
 
 
 def count_from_shapley(n: int, value_at_zero: int, oracle: ShapleyOracle) -> int:

@@ -575,7 +575,8 @@ def test_bottom_up_passes_drop_values_after_their_last_reader(monkeypatch):
     assert {i for i, p in enumerate(polys) if p is not None} == feeds_and | {c.output}
 
     # every other pass keeps only the output's value: validation's scope
-    # masks and truth tables, the count, the evaluator and the truth table
+    # masks and truth tables, the count and the evaluator; the truth table
+    # is the one validation kept
     passes = []
 
     def recording(*args, **kwargs):
@@ -590,7 +591,7 @@ def test_bottom_up_passes_drop_values_after_their_last_reader(monkeypatch):
     assert model_count_dd(fresh) == 4
     assert truth_table(fresh) == 0b11100100  # models {1}, {0, 2}, {1, 2}, {0, 1, 2}
     assert feval(fresh, (0, 2)) == 1
-    assert len(passes) == 5  # masks, tables, count, table, evaluation
+    assert len(passes) == 4  # masks, tables, count, evaluation
     for values in passes:
         assert [i for i, v in enumerate(values) if v is not None] == [fresh.output]
 

@@ -268,6 +268,31 @@ def test_stretch_round_trip(workspace, capsys):
     assert code == 2  # --out is required
 
 
+def test_csv_outputs_are_pinned_byte_for_byte(workspace, capsys):
+    hard = [workspace / "rst.q", workspace / "rst", "--kind", "lineage"]
+    with pytest.warns(UserWarning, match="exhaustive enumeration"):
+        code, out = run(capsys, "shapley", *hard)
+    assert code == 0 and out == "R,0,1,4\nR,1,1,4\nT,0,1,4\nT,1,1,4\n"
+
+    code, _ = run(capsys, "lineage", *hard[:2], "--out", workspace / "lin")
+    assert code == 0
+    assert (workspace / "lin" / "tuple_map.csv").read_bytes() == b"0,R,0\n1,R,1\n2,T,0\n3,T,1\n"
+
+    outdir = workspace / "stretched"
+    code, _ = run(capsys, "stretch", *hard[:2], "--mode", "expand:2,1,0,3", "--out", outdir)
+    assert code == 0
+    want = {
+        "var_map.csv": b"0,R,0,0,z!R!1\n1,R,1,0,z!R!2\n2,R,2,1,z!R!3\n"
+        b"3,T,0,3,z!T!1\n4,T,1,3,z!T!2\n5,T,2,3,z!T!3\n",
+        "R.csv": b"z!R!1,a1\nz!R!2,a1\nz!R!3,a2\n",
+        "S.csv": b"a1,b1\na2,b2\n",
+        "T.csv": b"z!T!1,b2\nz!T!2,b2\nz!T!3,b2\n",
+        "schema.txt": b"R 2 endo\nS 2 exo\nT 2 endo\n",
+        "query.txt": b"Q :- R(z1, x), S(x, y), T(z2, y)\n",
+    }
+    assert {p.name: p.read_bytes() for p in outdir.iterdir()} == want
+
+
 def test_stretch_checks_the_query_against_the_schema(workspace, capsys):
     (workspace / "bad.q").write_text("Q :- R(x, y), S(x)\n")
     schema = lg.Schema((lg.Relation("R", 1, True), lg.Relation("S", 2, False)))
@@ -306,7 +331,7 @@ def test_compare_all_kinds(workspace, capsys):
 
 def test_compare_builds_one_truth_table_per_input(workspace, capsys, monkeypatch):
     # every brute-force answer and oracle reads the table the input keeps; a
-    # circuit's exhaustive determinism check is the one other table pass
+    # circuit's exhaustive determinism check builds it
     from shapcount import boolfunc
     from shapcount import circuit as ct
 
@@ -321,7 +346,7 @@ def test_compare_builds_one_truth_table_per_input(workspace, capsys, monkeypatch
     monkeypatch.setattr(ct, "_tables", counting)
     for argv, want in (
         (("compare", workspace / "ex1.bf"), 1),
-        (("compare", workspace / "ex.nnf", "--kind", "circuit"), 2),
+        (("compare", workspace / "ex.nnf", "--kind", "circuit"), 1),
         (("compare", "--fuzz", "10", "--kind", "circuit"), 10),
     ):
         passes.clear()
@@ -383,6 +408,47 @@ def test_compare_is_silent_on_success(workspace, capsys, argv):
     captured = capsys.readouterr()
     assert code == 0 and captured.out.endswith("agreement ok\n")
     assert captured.err == ""
+
+
+# runs the command line on its arguments, showing each warning once as a
+# shell run does (the suite itself turns UserWarning into an error)
+SHELL_MAIN = """
+import sys, warnings
+from shapcount.cli import main
+warnings.simplefilter("default")
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_notes_print_as_one_line_each(workspace):
+    src = Path(shapcount.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+
+    def shell(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", SHELL_MAIN, *map(str, argv)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+
+    child = shell("shapley", workspace / "rst.q", workspace / "rst", "--kind", "lineage")
+    assert child.returncode == 0 and child.stdout == "R,0,1,4\nR,1,1,4\nT,0,1,4\nT,1,1,4\n"
+    assert child.stderr == (
+        "shapcount: note: non-hierarchical query: falling back to exhaustive "
+        "enumeration of the lineage\n"
+    )
+    # the conjunction of 21 literals: above the exhaustive determinism bound
+    (workspace / "wide.nnf").write_text(
+        "nnf 22 21 21\n" + "".join(f"L {v}\n" for v in range(1, 22))
+        + "A 21 " + " ".join(map(str, range(21))) + "\n"
+    )
+    child = shell("count", workspace / "wide.nnf", "--kind", "circuit")
+    assert child.returncode == 0 and child.stdout == "1\n"
+    assert child.stderr == (
+        "shapcount: note: determinism assumed: 21 variables exceed the exhaustive bound of 20\n"
+    )
 
 
 def test_compare_refuses_an_undecomposable_circuit_before_the_bound(workspace, capsys):

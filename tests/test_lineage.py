@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import chain_instance, join_instance, substituted_clauses
+from helpers import chain_instance, embed_nonhierarchical, join_instance, substituted_clauses
 from shapcount import circuit as ct
 from shapcount import gen
 from shapcount import lineage as lg
@@ -585,7 +585,7 @@ def test_pp2dnf_random_edges():
 
 def test_embed_identity_on_chain_query():
     q, db = chain_instance()
-    emb = lg.embed_nonhierarchical(q, db)
+    emb = embed_nonhierarchical(q, db)
     original = lg.build_lineage(q, db)
     embedded = lg.build_lineage(q, emb.database)
     mapped = {frozenset(emb.var_map[v] for v in c) for c in original.clauses}
@@ -595,7 +595,7 @@ def test_embed_identity_on_chain_query():
 def test_embed_larger_query():
     _, db = chain_instance()
     q = lg.parse_query("Q :- R(x), S(x,y), T(y), U(x,y)")
-    emb = lg.embed_nonhierarchical(q, db)
+    emb = embed_nonhierarchical(q, db)
     kinds = {r.name: r.endogenous for r in emb.database.schema.relations}
     assert kinds == {"R": True, "S": False, "T": True, "U": False}
     original = lg.build_lineage(chain_instance()[0], db)
@@ -620,7 +620,7 @@ def test_embed_random_nonhierarchical_queries():
             for a in q.atoms
         )
         done += 1
-        emb = lg.embed_nonhierarchical(q, db)
+        emb = embed_nonhierarchical(q, db)
         original = lg.build_lineage(chain_instance()[0], db)
         embedded = lg.build_lineage(q, emb.database)
         mapped = {frozenset(emb.var_map[v] for v in c) for c in original.clauses}
@@ -631,7 +631,7 @@ def test_embed_random_nonhierarchical_queries():
 def test_embed_refuses_hierarchical():
     _, db = chain_instance()
     with pytest.raises(RefusalError):
-        lg.embed_nonhierarchical(lg.parse_query("Q :- R(x), S(x, y)"), db)
+        embed_nonhierarchical(lg.parse_query("Q :- R(x), S(x, y)"), db)
 
 
 def test_database_rows_deduplicate_in_first_seen_order():
@@ -655,6 +655,17 @@ def test_database_roundtrip_and_determinism(tmp_path):
     assert again.rows == db.rows
     assert again.tuple_map == db.tuple_map
     assert lg.build_lineage(q, again).clauses == lg.build_lineage(q, db).clauses
+
+
+def test_written_relation_csv_is_pinned_byte_for_byte(tmp_path):
+    # a comma or a quote inside a value is quoted, a quote doubled; an empty
+    # value leaves an empty field; every line ends in a bare newline
+    schema = lg.Schema((lg.Relation("R", 2, True),))
+    db = lg.Database(schema, {"R": [("a,b", 'say "hi"'), (" x", "")]})
+    lg.write_database(db, tmp_path)
+    assert (tmp_path / "schema.txt").read_bytes() == b"R 2 endo\n"
+    assert (tmp_path / "R.csv").read_bytes() == b'"a,b","say ""hi"""\n x,\n'
+    assert lg.load_database(tmp_path).rows == db.rows
 
 
 def test_query_text_roundtrip():
