@@ -3,11 +3,14 @@
 Functions are built from expression nodes (shared subterms allowed) over a
 dense variable index space 0..n-1.  A BoolFunc validates its nodes and
 lowers them to the gate array a `circuit.Circuit` holds, one `Gate` per
-distinct node, children first.  Every per-gate pass, here and in `circuit`
-and `formats`, is one bottom-up walk of that array (`_fold`) that drops each
-value after its last reader, so it takes circuits too, accepts any nesting
-depth and walks shared subterms once.  Everything is exact: counts are ints,
-Shapley values Fractions.
+distinct node, children first, and keeps only that array.  Nodes are for
+construction only: they compare and hash by identity, and no method of
+theirs walks a node tree.  `formats.format_sexpr` renders a function, and
+`truth_table` compares two semantically.  Every per-gate pass, here and in
+`circuit` and `formats`, is one bottom-up walk of the gate array (`_fold`)
+that drops each value after its last reader, so it takes circuits too,
+accepts any nesting depth and walks shared subterms once.  Everything is
+exact: counts are ints, Shapley values Fractions.
 
 The brute-force routines in this module are the ground truth the rest of the
 package is checked against.  They enumerate the full valuation space as big
@@ -18,7 +21,7 @@ which keeps exhaustive enumeration fast up to the configured bounds.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import accumulate, permutations, repeat
 from math import comb, factorial
@@ -49,27 +52,27 @@ class Gate(NamedTuple):
     inputs: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not:
     child: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class And:
     children: tuple["Node", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or:
     children: tuple["Node", ...]
 
@@ -102,28 +105,28 @@ def disjunction(children: Sequence[Node]) -> Node:
 
 @dataclass(frozen=True)
 class BoolFunc:
-    """A Boolean function: expression nodes lowered to a gate array, plus
-    its declared variable count.
+    """A Boolean function: its gate array and declared variable count.
 
-    Variables carry dense indices 0..var_count-1; not every index has to
-    occur.  `gates` holds one gate per distinct node (by identity), children
-    first, so the root is the last gate, `output`.  Equality, hashing and
-    repr read the flat gates, never the nodes, so they do not recurse: two
+    `BoolFunc(root, n)` lowers the expression node `root` and keeps only the
+    gates.  Variables carry dense indices 0..var_count-1; not every index
+    has to occur.  `gates` holds one gate per distinct node (by identity),
+    children first, so the root is the last gate, `output`.  Equality,
+    hashing and repr read the flat gates, so they do not recurse: two
     functions are equal when they are the same DAG.  `truth_table` keeps the
     function's table on it once built.
     """
 
-    root: Node = field(compare=False, repr=False)
+    root: InitVar[Node]
     var_count: int
     gates: tuple[Gate, ...] = field(init=False)
     _table: int | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, root: Node) -> None:
         if self.var_count < 0:
             raise InputError("variable count must be nonnegative")
         gates: list[Gate] = []
         index: dict[int, int] = {}  # id(node) -> its gate; -1 until its children have one
-        stack: list[tuple[Node, bool]] = [(self.root, False)]
+        stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, children_done = stack.pop()
             if not children_done and id(node) in index:

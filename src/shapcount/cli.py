@@ -93,7 +93,7 @@ def _resolve(ns, method: str | None = None):
     if ns.kind != "lineage":
         return loaded, None
     query, db = loaded
-    if method != "brute" and lineage.dichotomy_branch(query) == "FP":
+    if method != "brute" and lineage.dichotomy_branch(query)[0] == "FP":
         return lineage.compile_hierarchical_lineage(query, db), db
     if ns.verb == "kcount" and method != "brute":
         raise RefusalError(
@@ -160,17 +160,17 @@ def cmd_shapley(ns) -> str:
 
 def cmd_check(ns) -> str:
     query = lineage.parse_query(read_input(_single(ns.inputs)))
-    hierarchical, witness = lineage.is_hierarchical(query)
+    branch, witness = lineage.dichotomy_branch(query)
     sjf = lineage.is_self_join_free(query)
     lines = [
         f"atoms: {query.size()}",
         f"variables: {','.join(query.variables())}",
         f"self_join_free: {'yes' if sjf else 'no'}",
-        f"hierarchical: {'yes' if hierarchical else 'no'}",
+        f"hierarchical: {'no' if witness else 'yes'}",
     ]
     if witness:
         lines.append(f"witness: {witness[0]},{witness[1]}")
-    lines.append(f"branch: {lineage.dichotomy_branch(query)}")
+    lines.append(f"branch: {branch}")
     return "\n".join(lines) + "\n"
 
 
@@ -327,7 +327,7 @@ def _compare_lineage(instance: tuple[lineage.Query, lineage.Database], bound: in
     query, db = instance
     built = lineage.build_lineage(query, db, bound=bound)
     count, kc_brute, sh_brute, invariants = _brute(built.func, bound)
-    branch = lineage.dichotomy_branch(query)
+    branch = lineage.dichotomy_branch(query)[0]
     lines = [
         f"count brute={count}",
         f"branch {branch}",
@@ -466,7 +466,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if min(ns.max_vars or 0, getattr(ns, "fuzz", 0)) < 0:
             raise InputError("--max-vars and --fuzz take nonnegative counts")
-        output = _HANDLERS[ns.verb](ns)
+        # every call shows its notes: the filters are the caller's again
+        # afterwards, and appending "always" keeps any filter of theirs first
+        with warnings.catch_warnings():
+            warnings.filterwarnings("always", category=UserWarning, append=True)
+            output = _HANDLERS[ns.verb](ns)
         if ns.out and ns.verb not in _DIRECTORY_VERBS:
             Path(ns.out).write_text(output)
             return 0

@@ -17,16 +17,8 @@ from __future__ import annotations
 import re
 
 from .boolfunc import (
-    And,
-    BoolFunc,
-    Const,
-    Node,
-    Not,
-    Or,
-    Var,
-    conjunction,
-    disjunction,
-    _fold,
+    AND, CONST0, CONST1, NOT, OR, VAR, And, BoolFunc, Const, Node, Not, Or, Var,
+    conjunction, disjunction, _fold,
 )
 from .errors import InputError
 
@@ -205,31 +197,27 @@ def format_dimacs(func: BoolFunc, kind: str) -> str:
     """Render a flat CNF/DNF-shaped function back to DIMACS text."""
     if kind not in ("cnf", "dnf"):
         raise InputError("kind must be 'cnf' or 'dnf'")
-    outer, inner = (And, Or) if kind == "cnf" else (Or, And)
+    outer, inner = (AND, OR) if kind == "cnf" else (OR, AND)
+    gates = func.gates
 
-    def literal(node: Node) -> int:
-        if isinstance(node, Var):
-            return node.index + 1
-        if isinstance(node, Not) and isinstance(node.child, Var):
-            return -(node.child.index + 1)
-        raise InputError(f"not a flat {kind} function")
+    def literal(index: int) -> int:
+        gate, sign = gates[index], 1
+        if gate.kind == NOT:
+            gate, sign = gates[gate.inputs[0]], -1
+        if gate.kind != VAR:
+            raise InputError(f"not a flat {kind} function")
+        return sign * (gate.var + 1)
 
-    def clause(node: Node) -> list[int]:
-        if isinstance(node, inner):
-            return [literal(c) for c in node.children]
-        return [literal(node)]
+    def clause(index: int) -> list[int]:
+        gate = gates[index]
+        return [literal(c) for c in gate.inputs] if gate.kind == inner else [literal(index)]
 
-    root = func.root
-    if isinstance(root, Const):
-        empty_means_true = kind == "cnf"
-        if (root.value == 1) == empty_means_true:
-            clauses: list[list[int]] = []
-        else:
-            clauses = [[]]
-    elif isinstance(root, outer):
-        clauses = [clause(c) for c in root.children]
+    root = gates[func.output]
+    if root.kind in (CONST0, CONST1):
+        # the empty conjunction is true, the empty disjunction false
+        clauses: list[list[int]] = [] if (root.kind == CONST1) == (kind == "cnf") else [[]]
     else:
-        clauses = [clause(root)]
+        clauses = [clause(c) for c in (root.inputs if root.kind == outer else (func.output,))]
     lines = [f"p {kind} {func.var_count} {len(clauses)}"]
     lines.extend(" ".join(str(l) for l in cl + [0]) for cl in clauses)
     return "\n".join(lines) + "\n"

@@ -413,13 +413,15 @@ def is_self_join_free(query: Query) -> bool:
     return len(set(names)) == len(names)
 
 
-def dichotomy_branch(query: Query) -> str:
-    """Where the query falls in the dichotomy: "FP" when it is self-join-free
-    and hierarchical, "hard" when it is self-join-free but not, and outside
-    the dichotomy when it has a self-join."""
+def dichotomy_branch(query: Query) -> tuple[str, tuple[str, str] | None]:
+    """Where the query falls in the dichotomy, from one hierarchy scan, with
+    its non-hierarchical witness pair (None when hierarchical): "FP" when it
+    is self-join-free and hierarchical, "hard" when it is self-join-free but
+    not, and outside the dichotomy when it has a self-join."""
+    hierarchical, witness = is_hierarchical(query)
     if not is_self_join_free(query):
-        return "outside the dichotomy (self-join)"
-    return "FP" if is_hierarchical(query)[0] else "hard"
+        return "outside the dichotomy (self-join)", witness
+    return ("FP" if hierarchical else "hard"), witness
 
 
 # ---------------------------------------------------------------------------
@@ -660,12 +662,13 @@ def shapley_tuples(
     the bound.  A query with a self-join is outside the dichotomy and is
     refused: only brute force answers it.
     """
-    if not is_self_join_free(query):
+    branch = dichotomy_branch(query)[0]
+    if branch == "FP":
+        return shapley_direct(compile_hierarchical_lineage(query, db))
+    if branch != "hard":
         raise RefusalError(
             "the dichotomy pipeline handles self-join-free queries only; pass --method brute"
         )
-    if is_hierarchical(query)[0]:
-        return shapley_direct(compile_hierarchical_lineage(query, db))
     _check_query(query, db.schema)
     if db.var_count > bound:
         raise RefusalError(

@@ -13,6 +13,7 @@ from shapcount.boolfunc import (
     And,
     BoolFunc,
     Const,
+    Node,
     Not,
     Or,
     Var,
@@ -75,32 +76,22 @@ def test_evaluate_worked_example():
         evaluate(f, {5})
 
 
-def distinct_nodes(func: BoolFunc) -> int:
-    seen, stack = set(), [func.root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(getattr(node, "children", (getattr(node, "child", None),)))
-    seen.discard(id(None))
-    return len(seen)
-
-
-def shared_tower(base: BoolFunc, levels: int) -> BoolFunc:
-    node = base.root
+def shared_tower(node: Node, levels: int) -> Node:
     for _ in range(levels):
         node = And((node, node))
-    return BoolFunc(node, base.var_count)
+    return node
 
 
 def test_shared_dag_operations_are_linear():
     # (x0 or (x1 and 0) or not x1) = x0 or not x1, from 7 distinct nodes; 41
-    # levels make a tree of about 1.5e13 nodes from 48 distinct ones.  Only
-    # numbers appear in the asserts: the dataclass repr of the DAG is a tree.
-    base = BoolFunc(Or((Var(0), And((Var(1), Const(0))), Not(Var(1)))), 2)
+    # levels make a tree of about 1.5e13 nodes from 48 distinct ones, and a
+    # function holds one gate per distinct node
+    base_node = Or((Var(0), And((Var(1), Const(0))), Not(Var(1))))
+    base = BoolFunc(base_node, 2)
     want = truth_table(base)
-    tower = shared_tower(base, 41)
-    tower_nodes = distinct_nodes(tower)
+    top = shared_tower(base_node, 41)
+    tower = BoolFunc(top, 2)
+    tower_nodes = len(tower.gates)
     assert tower_nodes == 7 + 41
 
     def timed(fn):
@@ -114,26 +105,26 @@ def test_shared_dag_operations_are_linear():
     assert size == (1 << 41) * (base.size() + 1) - 1
     # each variable's replacement is built once and shared by its
     # occurrences: the two x1 nodes of the base become one
-    pinned = timed(lambda: cofactors(BoolFunc(tower.root, 3), 2)[0])
-    pinned_table, pinned_nodes = truth_table(pinned), distinct_nodes(pinned)
+    pinned = timed(lambda: cofactors(BoolFunc(top, 3), 2)[0])
+    pinned_table, pinned_nodes = truth_table(pinned), len(pinned.gates)
     assert pinned_table == want and pinned_nodes == tower_nodes - 1
     widened = timed(lambda: or_substitute(tower, (2, 3)).func)
-    widened_nodes = distinct_nodes(widened)
+    widened_nodes = len(widened.gates)
     assert widened_nodes == tower_nodes - 3 + 2 + 5
     assert or_substituted_count(tower, (2, 3)) == truth_table(widened).bit_count()
     many = BoolFunc(Or(tuple(Var(0) for _ in range(200))), 1)
-    grouped_nodes = distinct_nodes(or_substitute(many, (3,)).func)
+    grouped_nodes = len(or_substitute(many, (3,)).func.gates)
     assert grouped_nodes == 1 + 4
 
 
 def test_equality_hash_and_repr_read_the_gates():
-    # the generated dataclass methods would recurse through the nodes: past
-    # the recursion limit on the chain, through a 1.5e13-node tree on the tower
+    # methods that recursed through the nodes would pass the recursion limit
+    # on the chain and walk a 1.5e13-node tree on the tower
     chain = Var(0)
     for _ in range(3000):
         chain = Not(chain)
-    tower = shared_tower(BoolFunc(Or((Var(0), Not(Var(1)))), 2), 41)
-    for root, n, gates in ((chain, 1, 3001), (tower.root, 2, 4 + 41)):
+    tower = shared_tower(Or((Var(0), Not(Var(1)))), 41)
+    for root, n, gates in ((chain, 1, 3001), (tower, 2, 4 + 41)):
         a, b = BoolFunc(root, n), BoolFunc(root, n)
         start = time.perf_counter()
         same, hashes, text = a == b, hash(a) == hash(b), repr(a)
@@ -147,17 +138,37 @@ def test_equality_hash_and_repr_read_the_gates():
     unshared = BoolFunc(And((Var(0), Or((Var(0), Var(1))))), 2)
     assert len(shared.gates) == 4 and len(unshared.gates) == 5
     assert shared != unshared and truth_table(shared) == truth_table(unshared)
+    # a function keeps its gates, not the node it was built from
+    assert not hasattr(shared, "root")
+
+
+def test_nodes_compare_by_identity_and_never_walk_their_tree():
+    chain = Var(0)
+    for _ in range(3000):
+        chain = Not(chain)
+    tower = shared_tower(Or((Var(0), Not(Var(1)))), 41)
+    # each twin is built like its node from the same children: equal as trees
+    for node, twin in ((chain, Not(chain.child)), (tower, And(tower.children))):
+        for method in (lambda: node == twin, lambda: hash(node), lambda: repr(node)):
+            start = time.perf_counter()
+            method()
+            assert time.perf_counter() - start < 0.01
+        assert node == node and node != twin
+        assert hash(node) == object.__hash__(node) and repr(node) == object.__repr__(node)
+    # leaves keep their flat dataclass repr, and also compare by identity
+    assert repr(Var(0)) == "Var(index=0)" and repr(Const(1)) == "Const(value=1)"
+    assert Var(0) != Var(0) and len({Const(0), Const(0)}) == 2
 
 
 def test_or_substitute_shapes():
     single = BoolFunc(Var(0), 1)
-    assert or_substitute(single, (3,)).func.root == Or((Var(0), Var(1), Var(2)))
+    assert or_substitute(single, (3,)).func == BoolFunc(Or((Var(0), Var(1), Var(2))), 3)
 
     pair = BoolFunc(And((Var(0), Var(1))), 2)
     res = or_substitute(pair, (2, 2))
     assert res.func.var_count == 4
     assert res.groups == ((0, 1), (2, 3))
-    assert res.func.root == And((Or((Var(0), Var(1))), Or((Var(2), Var(3)))))
+    assert res.func == BoolFunc(And((Or((Var(0), Var(1))), Or((Var(2), Var(3))))), 4)
 
     iso = or_substitute(example1(), (1, 1, 1))
     assert truth_table(iso.func) == truth_table(example1())
@@ -165,7 +176,7 @@ def test_or_substitute_shapes():
     # arity 0 leaves an explicit constant: no implicit folding
     zero = or_substitute(example1(), (0, 1, 1))
     assert zero.groups == ((), (0,), (1,))
-    assert zero.func.root == And((Const(0), Or((Var(0), Not(Var(1))))))
+    assert zero.func == BoolFunc(And((Const(0), Or((Var(0), Not(Var(1)))))), 2)
 
     with pytest.raises(InputError):
         or_substitute(pair, (2,))
@@ -173,7 +184,7 @@ def test_or_substitute_shapes():
 
 def test_and_substitute():
     single = BoolFunc(Var(0), 1)
-    assert and_substitute(single, (2,)).func.root == And((Var(0), Var(1)))
+    assert and_substitute(single, (2,)).func == BoolFunc(And((Var(0), Var(1))), 2)
     iso = and_substitute(example1(), (1, 1, 1))
     assert truth_table(iso.func) == truth_table(example1())
     # (x0 or x1) with widths (2, 1): models where both clones or the single one
@@ -446,9 +457,9 @@ def test_positive_dnf_clause_round_trip():
 
     clauses = {frozenset({0, 2}), frozenset({1,})}
     f = dnf_from_clauses(clauses, 3)
-    assert f.root == Or((And((Var(0), Var(2))), Var(1)))
+    assert f == BoolFunc(Or((And((Var(0), Var(2))), Var(1))), 3)
     assert minimal_models(f) == clauses
-    assert dnf_from_clauses([], 2).root == Const(0)
+    assert dnf_from_clauses([], 2) == BoolFunc(Const(0), 2)
     assert minimal_models(dnf_from_clauses([], 2)) == set()
-    assert dnf_from_clauses([frozenset()], 2).root == Const(1)
+    assert dnf_from_clauses([frozenset()], 2) == BoolFunc(Const(1), 2)
     assert minimal_models(dnf_from_clauses([frozenset(), frozenset({1})], 2)) == {frozenset()}

@@ -153,8 +153,16 @@ def test_lineage_shapley_takes_the_direct_pass(workspace, capsys, monkeypatch):
     assert code == 0 and out == "0/1,1/2,1/2\n"
 
 
-@pytest.mark.parametrize("verb", ["count", "compare"])
-def test_lineage_query_is_classified_once(workspace, capsys, monkeypatch, verb):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("count", "{ws}/join.q", "{ws}/join", "--kind", "lineage"), id="count"),
+        pytest.param(("compare", "{ws}/join.q", "{ws}/join", "--kind", "lineage"), id="compare"),
+        pytest.param(("check", "{ws}/join.q"), id="check-hierarchical"),
+        pytest.param(("check", "{ws}/rst.q"), id="check-not-hierarchical"),
+    ],
+)
+def test_lineage_query_is_classified_once(workspace, capsys, monkeypatch, argv):
     calls = []
     is_hierarchical = lg.is_hierarchical
 
@@ -163,7 +171,7 @@ def test_lineage_query_is_classified_once(workspace, capsys, monkeypatch, verb):
         return is_hierarchical(query)
 
     monkeypatch.setattr(lg, "is_hierarchical", counting)
-    code, _ = run(capsys, verb, workspace / "join.q", workspace / "join", "--kind", "lineage")
+    code, _ = run(capsys, *(a.format(ws=workspace) for a in argv))
     assert code == 0 and len(calls) == 1
 
 
@@ -411,28 +419,29 @@ def test_compare_is_silent_on_success(workspace, capsys, argv):
 
 
 # runs the command line on its arguments, showing each warning once as a
-# shell run does (the suite itself turns UserWarning into an error)
+# shell run does (the suite itself turns UserWarning into an error), as
+# many times in the one process as its first argument says
 SHELL_MAIN = """
 import sys, warnings
 from shapcount.cli import main
 warnings.simplefilter("default")
-sys.exit(main(sys.argv[1:]))
+sys.exit(max(main(sys.argv[2:]) for _ in range(int(sys.argv[1]))))
 """
 
 
-def test_notes_print_as_one_line_each(workspace):
+def shell(*argv, runs=1):
     src = Path(shapcount.__file__).parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", SHELL_MAIN, str(runs), *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
 
-    def shell(*argv):
-        return subprocess.run(
-            [sys.executable, "-c", SHELL_MAIN, *map(str, argv)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=60,
-        )
 
+def test_notes_print_as_one_line_each(workspace):
     child = shell("shapley", workspace / "rst.q", workspace / "rst", "--kind", "lineage")
     assert child.returncode == 0 and child.stdout == "R,0,1,4\nR,1,1,4\nT,0,1,4\nT,1,1,4\n"
     assert child.stderr == (
@@ -449,6 +458,22 @@ def test_notes_print_as_one_line_each(workspace):
     assert child.stderr == (
         "shapcount: note: determinism assumed: 21 variables exceed the exhaustive bound of 20\n"
     )
+
+
+def test_every_call_in_one_process_prints_its_note(workspace, capsys):
+    # the bipartite DNF of a three-edge list is a hard-branch instance
+    (workspace / "edges.txt").write_text("1 1\n1 2\n2 2\n")
+    code, _ = run(capsys, "pp2dnf", workspace / "edges.txt", "--out", workspace / "pp2dnf")
+    assert code == 0
+    instance = [workspace / "pp2dnf" / "query.txt", workspace / "pp2dnf", "--kind", "lineage"]
+    once = shell("shapley", *instance)
+    child = shell("shapley", *instance, runs=2)
+    assert once.returncode == 0 and child.returncode == 0
+    assert child.stdout == once.stdout * 2
+    assert child.stderr == once.stderr * 2 == (
+        "shapcount: note: non-hierarchical query: falling back to exhaustive "
+        "enumeration of the lineage\n"
+    ) * 2
 
 
 def test_compare_refuses_an_undecomposable_circuit_before_the_bound(workspace, capsys):

@@ -12,7 +12,9 @@ from shapcount import circuit as ct
 from shapcount import gen
 from shapcount import lineage as lg
 from shapcount.boolfunc import (
-    Const,
+    CONST0,
+    CONST1,
+    Gate,
     brute_count,
     brute_kcounts,
     brute_shapley_permutations,
@@ -45,7 +47,7 @@ def test_build_lineage_empty_relation_gives_false():
     schema = lg.Schema((lg.Relation("R", 1, True), lg.Relation("U", 1, True)))
     db = lg.Database(schema, {"R": [("a",)], "U": []})
     built = lg.build_lineage(lg.parse_query("Q :- R(x), U(x)"), db)
-    assert built.func.root == Const(0)
+    assert built.func.gates == (Gate(CONST0),)
     assert built.clauses == ()
 
 
@@ -53,7 +55,7 @@ def test_build_lineage_exogenous_only_match_absorbs():
     schema = lg.Schema((lg.Relation("R", 1, True), lg.Relation("W", 1, False)))
     db = lg.Database(schema, {"R": [("a",)], "W": [("a",), ("b",)]})
     built = lg.build_lineage(lg.parse_query("Q :- W(x)"), db)
-    assert built.func.root == Const(1)
+    assert built.func.gates == (Gate(CONST1),)
     assert built.clauses == (frozenset(),)
 
 
@@ -141,13 +143,13 @@ def test_indexed_build_constant_lineages():
     q = lg.parse_query("Q :- W(x, y), W(y, y)")
     built = lg.build_lineage(q, db)
     assert built.clauses == (frozenset(),) == nested_loop_clauses(q, db)
-    assert built.func.root == Const(1)
+    assert built.func.gates == (Gate(CONST1),)
     # an empty relation makes it the constant 0, wherever the atom sits
     for text in ("Q :- U(x), R(x)", "Q :- R(x), W(x, y), U(y)"):
         q = lg.parse_query(text)
         built = lg.build_lineage(q, db)
         assert built.clauses == () == nested_loop_clauses(q, db)
-        assert built.func.root == Const(0)
+        assert built.func.gates == (Gate(CONST0),)
 
 
 def test_relational_layer_scales_linearly():
