@@ -7,6 +7,8 @@ deterministic-decomposable circuits (circuit), and conjunctive-query lineage
 with the hierarchical dichotomy (lineage).  The cli module wires them into a command-line tool.
 """
 
+from types import ModuleType as _ModuleType
+
 from .boolfunc import (
     And,
     BoolFunc,
@@ -53,15 +55,17 @@ from .lineage import (
     stretch_query,
 )
 from .reductions import (
-    coefficients,
     count_from_shapley,
     expansion_weights,
     kcounts_from_counts,
     kcounts_from_counts_and,
     shapley_from_kcounts,
-    vandermonde_solve,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules bind here too once imported; they are not exported names
+__all__ = [
+    name for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -46,12 +46,11 @@ class Circuit:
 
     Gate inputs always point at smaller indices, so index order is a
     topological order.  Exactly one gate (the output) feeds nothing; as
-    nothing can read the last gate, that is the last one.
+    nothing can read the last gate, that is the last one, never passed in.
     """
 
     __slots__ = (
         "gates",
-        "output",
         "var_count",
         "deterministic_by_construction",
         "_report",
@@ -61,26 +60,26 @@ class Circuit:
     def __init__(
         self,
         gates: Sequence[Gate],
-        output: int,
         var_count: int,
         deterministic_by_construction: bool = False,
     ):
         self.gates = tuple(gates)
-        self.output = output
         self.var_count = var_count
         self.deterministic_by_construction = deterministic_by_construction
         self._report: ValidationReport | None = None
         self._table: int | None = None
         self._validate()
 
+    @property
+    def output(self) -> int:
+        return len(self.gates) - 1
+
     def _validate(self) -> None:
-        gates, output, var_count = self.gates, self.output, self.var_count
+        gates, var_count = self.gates, self.var_count
         if not gates:
             raise InputError("a circuit needs at least one gate")
         if var_count < 0:
             raise InputError("variable count must be nonnegative")
-        if not 0 <= output < len(gates):
-            raise InputError("output gate index out of range")
         referenced = bytearray(len(gates))
         for idx, (kind, var, inputs) in enumerate(gates):
             if kind == AND or kind == OR:
@@ -100,7 +99,7 @@ class Circuit:
                 raise InputError(f"gate {idx}: input {ref} does not precede it")
             for ref in inputs:
                 referenced[ref] = 1
-        if referenced.count(0) != 1 or referenced[output]:
+        if referenced.count(0) != 1:
             sinks = [idx for idx, seen in enumerate(referenced) if not seen]
             raise InputError(
                 f"expected the output to be the only unreferenced gate, found {sinks}"
@@ -200,7 +199,7 @@ class CircuitBuilder:
             Gate(kind, var, tuple(remap[r] for r in inputs))
             for kind, var, inputs in map(self._gates.__getitem__, order)
         ]
-        return Circuit(gates, remap[output], self.var_count, deterministic_by_construction)
+        return Circuit(gates, self.var_count, deterministic_by_construction)
 
 
 def _chain(gates: list[Gate], branches: Sequence[int], negated: Callable[[int], int]) -> int:
@@ -326,7 +325,7 @@ def parse_nnf(text: str) -> Circuit:
             "every gate but the last must feed another gate; "
             f"unreferenced lines: {sorted(unreferenced)}"
         )
-    return Circuit(gates, line_gate[-1], n)
+    return Circuit(gates, n)
 
 
 def to_nnf_text(circuit: Circuit) -> str:
@@ -692,11 +691,6 @@ def _occurrences(circuit: Circuit) -> list[int]:
     return counts
 
 
-def literal_occurrences(circuit: Circuit, var: int) -> int:
-    """The k_v of one variable (see `_occurrences`)."""
-    return _occurrences(circuit)[var]
-
-
 def or_substitute_all(circuit: Circuit, arities: Sequence[int]) -> Circuit:
     """Replace variable v by a disjunction of arities[v] fresh variables in
     one pass, keeping determinism and decomposability.  Variable v's fresh
@@ -732,7 +726,7 @@ def or_substitute_all(circuit: Circuit, arities: Sequence[int]) -> Circuit:
             gates.append(Gate(kind, -1, tuple([mapping[r] for r in inputs])))
         mapping.append(roots[var] if kind == VAR else len(gates) - 1)
     certified = validate(circuit).determinism == "verified"
-    result = Circuit(gates, mapping[circuit.output], fresh, certified)
+    result = Circuit(gates, fresh, certified)
     grown = result.size() - circuit.size()
     bound = 6 * sum(map(mul, occurrences, arities))
     if grown > bound:

@@ -37,16 +37,6 @@ KCountOracle = Callable[[tuple[int, ...]], Sequence[int]]
 ShapleyOracle = Callable[[tuple[int, ...], int], Fraction]
 
 
-def coefficients(n: int) -> tuple[Fraction, ...]:
-    """The weights k!(n-k-1)!/n! tying cofactor k-counts to Shapley values."""
-    if n < 1:
-        raise InputError("coefficients need at least one variable")
-    denom = factorial(n)
-    return tuple(
-        Fraction(factorial(k) * factorial(n - k - 1), denom) for k in range(n)
-    )
-
-
 def _solve_fraction_free(
     matrix: Sequence[Sequence], columns: Sequence[Sequence]
 ) -> tuple[int, list[list[int]]]:
@@ -78,36 +68,6 @@ def _solve_fraction_free(
                 f = rows[r][k]
                 rows[r] = [(pivot * x - f * y) // prev for x, y in zip(rows[r], top)]
     return pivot, [[row[n + c] for row in rows] for c in range(len(columns))]
-
-
-def vandermonde_solve(nodes: Sequence[int], rhs: Sequence) -> tuple[Fraction, ...]:
-    """Solve V s = rhs where V[j][k] = nodes[j]**k.
-
-    Nodes must be pairwise distinct (the system is then nonsingular).
-    Bjorck-Pereyra: Newton divided differences of the right-hand side, then
-    their expansion into monomial coefficients, in O(n^2) operations.  The
-    solution is re-substituted and must reproduce the right-hand side
-    exactly; with rational arithmetic a mismatch can only mean a bug.
-    """
-    if len(set(nodes)) != len(nodes):
-        raise InputError("duplicate nodes make the system singular")
-    if len(nodes) != len(rhs):
-        raise InputError("need one equation per node")
-    n = len(nodes)
-    sol = [Fraction(y) for y in rhs]
-    for k in range(n - 1):
-        for j in range(n - 1, k, -1):
-            sol[j] = (sol[j] - sol[j - 1]) / (nodes[j] - nodes[j - k - 1])
-    for k in range(n - 2, -1, -1):
-        for j in range(k, n - 1):
-            sol[j] -= nodes[k] * sol[j + 1]
-    for x, want in zip(nodes, rhs):
-        value = Fraction(0)
-        for s in reversed(sol):
-            value = value * x + s
-        if value != want:
-            raise InconsistencyError("back-substitution did not reproduce the right-hand side")
-    return tuple(sol)
 
 
 class CallCounter:

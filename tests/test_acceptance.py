@@ -130,7 +130,7 @@ def test_criterion_04_substitution_preserves_circuit_properties():
         fn = or_substitute(ct.unfold(circ), widths)
         assert truth_table(ct.unfold(sub)) == truth_table(fn.func)
 
-        k = ct.literal_occurrences(circ, x)
+        k = ct._occurrences(circ)[x]
         if k and ell:
             assert sub.size() <= circ.size() + GROWTH_CONSTANT * k * ell
         else:

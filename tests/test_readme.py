@@ -1,5 +1,6 @@
 import re
 from pathlib import Path
+from types import ModuleType
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -10,3 +11,16 @@ def test_library_use_example_runs():
     block = re.search(r"```python\n(.*?)```", section, re.S)
     assert block is not None
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_star_import_binds_functions_and_classes_only():
+    import shapcount
+    from shapcount import circuit, reductions
+
+    namespace = {}
+    exec("from shapcount import *", namespace)
+    assert [name for name in shapcount.__all__ if isinstance(namespace[name], ModuleType)] == []
+    # helpers that only duplicated another are gone
+    for name in ("vandermonde_solve", "coefficients", "literal_occurrences"):
+        assert name not in shapcount.__all__
+        assert not hasattr(reductions, name) and not hasattr(circuit, name)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -26,20 +26,18 @@ from shapcount.reductions import (
     CallCounter,
     _solve_counts,
     _solve_fraction_free,
-    coefficients,
     count_from_shapley,
     expansion_weights,
     kcounts_from_counts,
     kcounts_from_counts_and,
     shapley_from_kcounts,
-    vandermonde_solve,
 )
 
 
 def test_coefficients_values():
-    assert coefficients(3) == (Fraction(2, 6), Fraction(1, 6), Fraction(2, 6))
-    assert coefficients(1) == (Fraction(1),)
-    assert coefficients(5) == (
+    assert expansion_weights(3, 1) == (Fraction(2, 6), Fraction(1, 6), Fraction(2, 6))
+    assert expansion_weights(1, 1) == (Fraction(1),)
+    assert expansion_weights(5, 1) == (
         Fraction(24, 120),
         Fraction(6, 120),
         Fraction(4, 120),
@@ -47,12 +45,12 @@ def test_coefficients_values():
         Fraction(24, 120),
     )
     with pytest.raises(InputError):
-        coefficients(0)
+        expansion_weights(0, 1)
 
 
 def test_coefficient_identities_up_to_64():
     for n in range(1, 65):
-        c = coefficients(n)
+        c = expansion_weights(n, 1)
         assert c == tuple(reversed(c))
         assert n * c[0] == 1 and n * c[n - 1] == 1
         for k in range(n - 1):
@@ -60,43 +58,38 @@ def test_coefficient_identities_up_to_64():
 
 
 def test_vandermonde_worked_case():
-    assert vandermonde_solve((1, 3, 7, 15), (3, 39, 399, 3615)) == (
-        Fraction(0),
-        Fraction(1),
-        Fraction(1),
-        Fraction(1),
-    )
-    assert vandermonde_solve((1,), (9,)) == (Fraction(9),)
-
-
-def test_vandermonde_rejects_duplicates():
-    with pytest.raises(InputError):
-        vandermonde_solve((1, 3, 3), (1, 2, 3))
-    with pytest.raises(InputError):
-        vandermonde_solve((1, 3), (1, 2, 3))
+    # nodes 2^ell - 1 = 1, 3, 7, 15: the counts of example 1
+    assert _solve_counts(3, (3, 39, 399, 3615)) == (0, 1, 1, 1)
 
 
 def test_vandermonde_random_round_trips():
-    rng = random.Random(5)
-    for _ in range(40):
-        size = rng.randint(1, 7)
-        nodes = rng.sample(range(1, 40), size)
-        solution = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(size)]
-        rhs = [sum(Fraction(x) ** k * s for k, s in enumerate(solution)) for x in nodes]
-        assert vandermonde_solve(nodes, rhs) == tuple(solution)
-
-
-def test_vandermonde_equals_explicit_elimination():
+    # a known integer and a known fractional solution come back exactly
     rng = random.Random(6)
     for _ in range(30):
         size = rng.randint(1, 20)
         nodes = rng.sample(range(-60, 61), size)
-        matrix = [[Fraction(x) ** k for k in range(size)] for x in nodes]
+        matrix = [[x**k for k in range(size)] for x in nodes]
         ints = [rng.randint(-10**6, 10**6) for _ in range(size)]
         fracs = [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(size)]
-        pivot, (int_sol, frac_sol) = _solve_fraction_free(matrix, [ints, fracs])
-        assert vandermonde_solve(nodes, ints) == tuple(Fraction(x, pivot) for x in int_sol)
-        assert vandermonde_solve(nodes, fracs) == tuple(Fraction(x, pivot) for x in frac_sol)
+        columns = [
+            [sum(a * s for a, s in zip(row, known)) for row in matrix] for known in (ints, fracs)
+        ]
+        pivot, scaled = _solve_fraction_free(matrix, columns)
+        for known, solution in zip((ints, fracs), scaled):
+            assert [Fraction(x, pivot) for x in solution] == known
+
+
+def test_vandermonde_equals_explicit_elimination():
+    # the digit solve of the 2^ell - 1 system agrees with eliminating it outright
+    rng = random.Random(7)
+    for n in range(13):
+        nodes = [(1 << ell) - 1 for ell in range(1, n + 2)]
+        matrix = [[x**k for k in range(n + 1)] for x in nodes]
+        for _ in range(3):
+            counts = tuple(rng.randint(0, comb(n, k)) for k in range(n + 1))
+            rhs = [sum(a * s for a, s in zip(row, counts)) for row in matrix]
+            pivot, (scaled,) = _solve_fraction_free(matrix, [rhs])
+            assert _solve_counts(n, rhs) == tuple(Fraction(x, pivot) for x in scaled) == counts
 
 
 def test_fraction_free_solve_rejects_singular_matrices():
@@ -155,7 +148,8 @@ def test_count_from_shapley_worked_example():
 
 def test_expansion_weights_reduce_to_coefficients():
     for n in range(1, 10):
-        assert expansion_weights(n, 1) == coefficients(n)
+        closed = [Fraction(factorial(k) * factorial(n - k - 1), factorial(n)) for k in range(n)]
+        assert expansion_weights(n, 1) == tuple(closed)
 
 
 def test_expansion_weights_match_direct_shapley():
@@ -312,7 +306,6 @@ def test_the_digit_solve_returns_every_in_range_vector():
                     value = value * x + s
                 rhs.append(value)
             assert _solve_counts(n, rhs) == counts
-            assert vandermonde_solve(nodes, rhs) == counts
 
 
 def test_a_count_off_by_one_is_an_inconsistency(tmp_path, capsys, monkeypatch):
