@@ -25,7 +25,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import accumulate, permutations, repeat
 from math import comb, factorial
-from operator import mul
+from operator import mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, RefusalError
@@ -83,24 +83,23 @@ TRUE = Const(1)
 FALSE = Const(0)
 
 
+def _collapse(children: Sequence[Node], empty: Node, connective: Callable[[tuple], Node]) -> Node:
+    """`connective` over `children`, `empty` if there are none, the child
+    itself if there is one."""
+    items = tuple(children)
+    if len(items) < 2:
+        return items[0] if items else empty
+    return connective(items)
+
+
 def conjunction(children: Sequence[Node]) -> Node:
     """n-ary AND, collapsing the empty and single-child cases."""
-    items = tuple(children)
-    if not items:
-        return TRUE
-    if len(items) == 1:
-        return items[0]
-    return And(items)
+    return _collapse(children, TRUE, And)
 
 
 def disjunction(children: Sequence[Node]) -> Node:
     """n-ary OR, collapsing the empty and single-child cases."""
-    items = tuple(children)
-    if not items:
-        return FALSE
-    if len(items) == 1:
-        return items[0]
-    return Or(items)
+    return _collapse(children, FALSE, Or)
 
 
 @dataclass(frozen=True)
@@ -265,6 +264,12 @@ def _weight_masks(n: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _profile(table: int, n: int) -> list[int]:
+    """|T & W_k| for k = 0..n, for T a truth table over n variables and W_k
+    the valuations of size k: T's models counted by size."""
+    return [(table & w).bit_count() for w in _weight_masks(n)]
+
+
 def _check_bound(n: int, bound: int, what: str) -> None:
     if n > bound:
         raise RefusalError(f"{what} over {n} variables exceeds the bound of {bound}")
@@ -315,9 +320,7 @@ def brute_kcounts(
     func: BoolFunc | Circuit, *, bound: int = ENUMERATION_BOUND
 ) -> tuple[int, ...]:
     """Model counts bucketed by valuation size, by full enumeration."""
-    table = truth_table(func, bound=bound)
-    weights = _weight_masks(func.var_count)
-    return tuple((table & w).bit_count() for w in weights)
+    return tuple(_profile(truth_table(func, bound=bound), func.var_count))
 
 
 def brute_shapley_permutations(
@@ -355,24 +358,20 @@ def brute_shapley_subsets(
     if n == 0:
         return ()
     table = truth_table(func, bound=bound)
-    sizes = _weight_masks(n)
     weights = [factorial(k) * factorial(n - 1 - k) for k in range(n)]
     return tuple(
-        Fraction(sum(map(mul, weights, _cofactor_row(table, mask, sizes))), factorial(n))
+        Fraction(sum(map(mul, weights, _cofactor_row(table, mask, n))), factorial(n))
         for mask in _variable_masks(n)
     )
 
 
-def _cofactor_row(table: int, mask: int, sizes: Sequence[int]) -> list[int]:
+def _cofactor_row(table: int, mask: int, n: int) -> list[int]:
     """|T & x & W_(k+1)| - |T & ~x & W_k| for k = 0..n-1, for T the truth
-    table, x the variable `mask` and W_k the valuations of size k (`sizes`):
-    over the size-k subsets S of the other variables, the sum of
+    table over n variables, x the variable `mask` and W_k the valuations of
+    size k: over the size-k subsets S of the other variables, the sum of
     f(S + x) - f(S).  Dotted with the Shapley weights, it gives x's value."""
     hi = table & mask
-    lo = table ^ hi
-    return [
-        (hi & high).bit_count() - (lo & low).bit_count() for low, high in zip(sizes, sizes[1:])
-    ]
+    return list(map(sub, _profile(hi, n)[1:], _profile(table ^ hi, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +461,10 @@ def _weighted_count(table: int, n: int, weights: Sequence[int], falses: bool = F
             table &= masks[i] if falses else ~masks[i]
     w = max(weights, default=0)
     if all(x in (0, w) for x in weights):
-        sizes = _weight_masks(n)  # a model of size k weighs w^k, or w^(n-k)
+        profile = _profile(table, n)  # a model of size k weighs w^k, or w^(n-k)
         total = 0
-        for mask in sizes if falses else reversed(sizes):
-            total = total * w + (table & mask).bit_count()
+        for count in profile if falses else reversed(profile):
+            total = total * w + count
         return total
     # block j holds the weighted sum of the models whose index shifted right
     # by the merged variable count is j; the odd block of each pair has the
@@ -627,7 +626,7 @@ def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     """
     n = func.var_count
     table = truth_table(func, bound=bound)
-    masks, sizes = _variable_masks(n), _weight_masks(n)
+    masks = _variable_masks(n)
     rows: dict[int, tuple[list[int], int]] = {}
     diffs: dict[int, list[int]] = {}
 
@@ -640,7 +639,7 @@ def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
         if ell not in rows:
             rows[ell] = _uniform_shapley_row(n, ell)
         if target not in diffs:
-            diffs[target] = _cofactor_row(table, masks[target], sizes)
+            diffs[target] = _cofactor_row(table, masks[target], n)
         weights, denom = rows[ell]
         return Fraction(sum(map(mul, weights, diffs[target])), denom)
 

@@ -108,15 +108,14 @@ class Circuit:
     def size(self) -> int:
         return len(self.gates)
 
+
 class CircuitBuilder:
     """Bottom-up gate assembly; references must point at existing gates."""
 
     def __init__(self, var_count: int):
         self.var_count = var_count
         self._gates: list[Gate] = []
-        self._consts: dict[int, int] = {}
-        self._vars: dict[int, int] = {}
-        self._nots: dict[int, int] = {}
+        self._interned: dict[tuple[str, int, tuple[int, ...]], int] = {}
 
     def add(self, kind: str, var: int = -1, inputs: Iterable[int] = ()) -> int:
         refs = tuple(inputs)
@@ -126,17 +125,21 @@ class CircuitBuilder:
         self._gates.append(Gate(kind, var, refs))
         return len(self._gates) - 1
 
-    # deduplicating, constant-folding convenience layer
+    # deduplicating, constant-folding convenience layer: constants, variables
+    # and NOTs are interned, ANDs and ORs folded but never shared
+
+    def _intern(self, kind: str, var: int = -1, inputs: tuple[int, ...] = ()) -> int:
+        key = (kind, var, inputs)
+        idx = self._interned.get(key)
+        if idx is None:
+            idx = self._interned[key] = self.add(kind, var, inputs)
+        return idx
 
     def const(self, value: int) -> int:
-        if value not in self._consts:
-            self._consts[value] = self.add(CONST1 if value else CONST0)
-        return self._consts[value]
+        return self._intern(CONST1 if value else CONST0)
 
     def var(self, index: int) -> int:
-        if index not in self._vars:
-            self._vars[index] = self.add(VAR, var=index)
-        return self._vars[index]
+        return self._intern(VAR, index)
 
     def const_value(self, idx: int) -> int | None:
         kind = self._gates[idx].kind
@@ -150,37 +153,28 @@ class CircuitBuilder:
         val = self.const_value(idx)
         if val is not None:
             return self.const(1 - val)
-        if idx not in self._nots:
-            self._nots[idx] = self.add(NOT, inputs=(idx,))
-        return self._nots[idx]
+        return self._intern(NOT, inputs=(idx,))
+
+    def _connective(self, kind: str, absorbing: int, inputs: Sequence[int]) -> int:
+        """`kind` over the inputs that are not constants: the constant
+        `absorbing` if one input is it, the other constant if none is left,
+        the one input left itself."""
+        kept = []
+        for ref in inputs:
+            val = self.const_value(ref)
+            if val == absorbing:
+                return self.const(absorbing)
+            if val is None:
+                kept.append(ref)
+        if len(kept) < 2:
+            return kept[0] if kept else self.const(1 - absorbing)
+        return self.add(kind, inputs=kept)
 
     def and_(self, inputs: Sequence[int]) -> int:
-        kept = []
-        for ref in inputs:
-            val = self.const_value(ref)
-            if val == 0:
-                return self.const(0)
-            if val is None:
-                kept.append(ref)
-        if not kept:
-            return self.const(1)
-        if len(kept) == 1:
-            return kept[0]
-        return self.add(AND, inputs=kept)
+        return self._connective(AND, 0, inputs)
 
     def or_(self, inputs: Sequence[int]) -> int:
-        kept = []
-        for ref in inputs:
-            val = self.const_value(ref)
-            if val == 1:
-                return self.const(1)
-            if val is None:
-                kept.append(ref)
-        if not kept:
-            return self.const(0)
-        if len(kept) == 1:
-            return kept[0]
-        return self.add(OR, inputs=kept)
+        return self._connective(OR, 1, inputs)
 
     def exclusive_or(self, branches: Sequence[int]) -> int:
         """`_chain` over `branches` (constant 0 if none), NOTs from `negate`."""
@@ -601,19 +595,18 @@ def _shapley_moments(circuit: Circuit) -> tuple[Fraction, ...]:
     gates = circuit.gates
     feeds_and = frozenset(r for g in gates if g.kind == AND for r in g.inputs)
     polys = _probability_polys(circuit, feeds_and)
-    need: list[int] = []
-    for gate in gates:
-        if gate.kind in (CONST0, CONST1):
-            need.append(-1)
-        elif gate.kind == VAR:
-            need.append(0)
-        elif gate.kind == AND:
-            degrees = [len(polys[r]) - 1 for r in gate.inputs]
-            total = sum(degrees)
-            reach = (need[r] + total - d for r, d in zip(gate.inputs, degrees) if need[r] >= 0)
-            need.append(max(reach, default=-1))
-        else:
-            need.append(max(need[r] for r in gate.inputs))
+
+    # each gate's (need, deg Pr): deg Pr is 1 at a variable, 0 at a constant,
+    # kept by NOT, summed by AND and maxed by OR, so it is len(Pr) - 1
+    def conj(pairs: Iterator[tuple[int, int]]) -> tuple[int, int]:
+        pairs = list(pairs)
+        total = sum(d for _, d in pairs)
+        return max((n + total - d for n, d in pairs if n >= 0), default=-1), total
+
+    disj = lambda pairs: tuple(map(max, zip(*pairs)))
+    every = range(len(gates))
+    pairs = _fold(circuit, lambda v: (0, 1), (-1, 0), (-1, 0), lambda p: p, conj, disj, every)
+    need = [n for n, _ in pairs]
     top = need[circuit.output]
     scale = lcm(*range(1, top + 2))
     values = [0] * circuit.var_count

@@ -187,15 +187,21 @@ def _parse_mode(mode: str, db) -> lineage.StretchedDatabase:
     raise InputError("--mode must be dummy or expand:<comma-separated arities>")
 
 
+def _write_instance(ns, db: lineage.Database, query: lineage.Query) -> Path:
+    """Write the database and its query.txt to the --out directory, and return it."""
+    if not ns.out:
+        raise InputError(f"{ns.verb} writes a database directory; pass --out")
+    out = Path(ns.out)
+    lineage.write_database(db, out)
+    (out / "query.txt").write_text(lineage.query_text(query))
+    return out
+
+
 def cmd_stretch(ns) -> str:
     query, db = _load_instance(ns.inputs)
     stretched_query = lineage.stretch_query(query, db.schema)
     stretched = _parse_mode(ns.mode, db)
-    if not ns.out:
-        raise InputError("stretch writes a database directory; pass --out")
-    out = Path(ns.out)
-    lineage.write_database(stretched.database, out)
-    (out / "query.txt").write_text(lineage.query_text(stretched_query))
+    out = _write_instance(ns, stretched.database, stretched_query)
     var_map = lineage._csv_text(
         (new_var, rel, row, stretched.var_map[new_var], stretched.fresh_values[new_var])
         for new_var, (rel, row) in enumerate(stretched.database.tuple_map)
@@ -233,11 +239,7 @@ def cmd_pp2dnf(ns) -> str:
         except ValueError:
             raise InputError(f"edge line {lineno}: bad indices") from None
     db, query = lineage.pp2dnf_instance(edges)
-    if not ns.out:
-        raise InputError("pp2dnf writes a database directory; pass --out")
-    out = Path(ns.out)
-    lineage.write_database(db, out)
-    (out / "query.txt").write_text(lineage.query_text(query))
+    _write_instance(ns, db, query)
     return lineage.query_text(query)
 
 

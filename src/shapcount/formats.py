@@ -47,7 +47,7 @@ def parse_sexpr(text: str) -> BoolFunc:
     if tokens[:2] == ["(", "vars"]:
         pos = 2
         count_tok = take()
-        if not count_tok.isdigit():
+        if not count_tok.isdecimal():  # what int() and the \d of _VARIABLE accept
             raise InputError("(vars ...) needs a nonnegative count")
         var_count = int(count_tok)
 

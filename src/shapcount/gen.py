@@ -119,17 +119,14 @@ def random_query(
         atoms.append(Atom(name, tuple(args)))
         if all(r.name != name for r in relations):
             relations.append(Relation(name, arity, rng.random() < 0.7))
-    # self-joins must agree on arity; regenerate conflicting atoms as fresh names
-    fixed_atoms = []
-    by_name = {r.name: r for r in relations}
-    for atom in atoms:
-        if len(atom.args) != by_name[atom.relation].arity:
-            rel = by_name[atom.relation]
-            atom = Atom(atom.relation, atom.args[: rel.arity] or (QueryVar("x"),) * rel.arity)
-            if len(atom.args) != rel.arity:
-                atom = Atom(atom.relation, atom.args + (QueryVar("x"),) * (rel.arity - len(atom.args)))
-        fixed_atoms.append(atom)
-    return Query(tuple(fixed_atoms)), Schema(tuple(relations))
+    # self-joins must agree on arity: each atom takes its relation's first
+    # arity, cut short or padded with x
+    arities = {r.name: r.arity for r in relations}
+    atoms = [
+        Atom(a.relation, (a.args + (QueryVar("x"),) * arities[a.relation])[: arities[a.relation]])
+        for a in atoms
+    ]
+    return Query(tuple(atoms)), Schema(tuple(relations))
 
 
 def random_database(

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -132,6 +133,22 @@ def test_to_text_rejects_inner_negation():
     c = b.build(b.add(NOT, inputs=(a,)))
     with pytest.raises(InputError):
         to_nnf_text(c)
+
+
+def test_builder_interns_leaves_and_folds_constants():
+    b = CircuitBuilder(2)
+    x, zero, one = b.var(0), b.const(0), b.const(1)
+    assert (b.var(0), b.const(0), b.const(1)) == (x, zero, one)
+    assert b.negate(x) == b.negate(x) != x
+    assert (b.negate(zero), b.negate(one)) == (one, zero)
+    for fold, absorbing in ((b.and_, zero), (b.or_, one)):
+        neutral = one if absorbing == zero else zero
+        assert fold([x, absorbing, b.var(1)]) == absorbing
+        assert fold([neutral, x, neutral]) == x
+        assert fold([neutral]) == fold([]) == neutral
+        # connectives are folded but never shared
+        assert fold([x, b.var(1)]) != fold([x, b.var(1)])
+    assert [g.kind for g in b._gates].count(VAR) == 2
 
 
 def test_check_decomposable():
@@ -789,3 +806,35 @@ def test_shapley_direct_on_a_large_hierarchical_lineage():
     expected = [value[True, b] for b in blocks]
     expected += [value[False, blocks[int(x[1:])]] for x, _ in rows["S"]]
     assert shapley_direct(compiled) == tuple(expected)
+
+
+# sha256 digests of the arrays pinned below
+DECISION_DIGEST = "a279459322ed9035a703ccf6ec5762ac47e4e28d110d515a58c6410f781c9261"
+COMPILED_DIGEST = "d276f7f08b6e07acf7c87cf5e4052ea04a4bb58a12c09800ae9c0eeaf335adbb"
+
+
+def _gate_array_digest(seeds, draw) -> str:
+    """sha256 over repr((gates, var_count)) of each drawn circuit, or over
+    the message of a refusal to build one."""
+    digest = hashlib.sha256()
+    for seed in seeds:
+        try:
+            c = draw(random.Random(seed), seed)
+        except RefusalError as exc:
+            digest.update(str(exc).encode())
+        else:
+            digest.update(repr((c.gates, c.var_count)).encode())
+    return digest.hexdigest()
+
+
+def test_generated_gate_arrays_are_pinned():
+    # the benchmark's nnf files and `compare`'s input digest are written from
+    # these arrays, so building them differently must show here first
+    decision = _gate_array_digest(range(3000), lambda rng, _: gen.random_decision_circuit(rng))
+    assert decision == DECISION_DIGEST
+
+    def compiled(rng, seed):
+        query, db = gen.random_sjf_instance(rng, hierarchical=seed % 2 == 0)
+        return lg.compile_hierarchical_lineage(query, db)
+
+    assert _gate_array_digest(range(1000), compiled) == COMPILED_DIGEST

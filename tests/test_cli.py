@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -322,6 +323,17 @@ def test_pp2dnf_emission(workspace, capsys):
     assert code == 0 and out == "Q :- R(x), S(x, y), T(y)\n"
     code, out = run(capsys, "count", outdir / "query.txt", outdir, "--kind", "lineage")
     assert code == 0 and out == "7\n"
+
+
+@pytest.mark.parametrize("verb", ["stretch", "pp2dnf"])
+def test_instance_writers_need_an_out_directory(workspace, capsys, verb):
+    (workspace / "edges.txt").write_text("1 1\n")
+    inputs = ["edges.txt"] if verb == "pp2dnf" else ["rst.q", "rst"]
+    code = main([verb, *(str(workspace / name) for name in inputs)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    want = f"{verb} writes a database directory; pass --out"
+    assert captured.err == f"shapcount: input error: {want}\n"
 
 
 def test_compare_all_kinds(workspace, capsys):
@@ -859,6 +871,71 @@ def test_every_truncated_input_exits_cleanly(tmp_path, capsys, name):
         capsys.readouterr()
     assert set(codes) <= {0, 2, 3}
     assert codes[-1] == 0  # the whole example is read
+
+
+def test_vars_count_in_non_ascii_digits_is_an_input_error(tmp_path, capsys):
+    # str.isdigit accepts superscript and circled digits, which int rejects
+    for count in ("\u00b2", "\u2460", "4\u00b2"):
+        path = tmp_path / "f.bf"
+        path.write_text(f"(vars {count} x0)\n", encoding="utf-8")
+        code = main(["count", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("shapcount: input error: ")
+    path.write_text("(vars \u0664 x0)\n", encoding="utf-8")  # an Arabic-Indic 4
+    assert run(capsys, "count", path) == (0, "8\n")
+
+
+MUTATION_ALPHABET = "\u00b2\u2460'\"#c()x, 01-\n"
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """`text` with one to three characters inserted, deleted or replaced."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(text))
+        edit = rng.choice(("insert", "delete", "replace"))
+        tail = text[at + (edit != "insert") :]
+        text = text[:at] + ("" if edit == "delete" else rng.choice(MUTATION_ALPHABET)) + tail
+    return text
+
+
+def test_mutated_inputs_of_every_kind_exit_cleanly(tmp_path, capsys):
+    (tmp_path / "rst").mkdir()
+    for path, text in TRUNCATION_EXAMPLES.values():
+        (tmp_path / path).write_text(text)
+    (tmp_path / "rst" / "R.csv").write_text("a1\na2\n")
+    (tmp_path / "rst" / "T.csv").write_text("b1,b1\nb2,b1\n")
+    query, db, out = tmp_path / "rst.q", tmp_path / "rst", tmp_path / "out"
+    modes = ("dummy", "expand:1,2,0,1")  # one width per endogenous tuple
+    # per kind: the files mutated, the input arguments, and the calls that
+    # only lineage inputs take
+    kinds = [
+        (["formula.bf"], [tmp_path / "formula.bf"], []),
+        (["circuit.nnf"], [tmp_path / "circuit.nnf", "--kind", "circuit"], []),
+        (
+            ["rst.q", "rst/schema.txt", "rst/R.csv", "rst/S.csv", "rst/T.csv"],
+            [query, db, "--kind", "lineage"],
+            [["check", query], ["lineage", query, db]]
+            + [["stretch", query, db, "--mode", m, "--out", out] for m in modes],
+        ),
+    ]
+    rng = random.Random(2306)
+    codes = []
+    for files, args, extra in kinds:
+        calls = [[verb, *args] for verb in ("count", "kcount", "shapley", "compare")] + extra
+        originals = {name: (tmp_path / name).read_text() for name in files}
+        for _ in range(500):
+            name = rng.choice(files)
+            (tmp_path / name).write_text(_mutate(rng, originals[name]), encoding="utf-8")
+            for argv in calls:
+                with warnings.catch_warnings():
+                    # the hard-branch note, which the suite turns into an error
+                    warnings.simplefilter("ignore", UserWarning)
+                    codes.append(main([str(a) for a in argv]))
+                capsys.readouterr()
+            (tmp_path / name).write_text(originals[name])
+    assert set(codes) <= {0, 2, 3, 4}
+    assert {0, 2} <= set(codes)
 
 
 def test_malformed_relation_csv_exits_2(workspace, capsys):
