@@ -16,13 +16,11 @@ from .boolfunc import (
     Not,
     Or,
     Var,
-    and_substitute,
     brute_count,
     brute_kcounts,
     brute_shapley_permutations,
     brute_shapley_subsets,
     evaluate,
-    or_substitute,
 )
 from .circuit import (
     Circuit,

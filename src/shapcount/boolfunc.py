@@ -212,18 +212,6 @@ def _fold(
     return values
 
 
-def _rebuild(func: BoolFunc | Circuit, replace: Callable[[int], Node]) -> Node:
-    """The output of `func` as nodes, each variable gate replaced by
-    replace(its variable index).
-
-    Connectives are rebuilt as they are, constants kept, and every gate is
-    rebuilt once, so shared subterms stay shared.
-    """
-    conj = lambda nodes: And(tuple(nodes))
-    disj = lambda nodes: Or(tuple(nodes))
-    return _fold(func, replace, FALSE, TRUE, Not, conj, disj)[func.output]
-
-
 # ---------------------------------------------------------------------------
 # Evaluation and exhaustive truth tables, for functions and circuits alike
 
@@ -323,15 +311,14 @@ def brute_kcounts(
     return tuple(_profile(truth_table(func, bound=bound), func.var_count))
 
 
-def brute_shapley_permutations(
-    func: BoolFunc | Circuit, *, bound: int = PERMUTATION_BOUND
-) -> tuple[Fraction, ...]:
-    """Shapley vector by averaging marginal contributions over all n! orders."""
+def brute_shapley_permutations(func: BoolFunc | Circuit) -> tuple[Fraction, ...]:
+    """Shapley vector by averaging marginal contributions over all n! orders,
+    refused above PERMUTATION_BOUND variables."""
     n = func.var_count
-    _check_bound(n, bound, "permutation enumeration")
+    _check_bound(n, PERMUTATION_BOUND, "permutation enumeration")
     if n == 0:
         return ()
-    table = truth_table(func, bound=max(bound, n))
+    table = truth_table(func)
     totals = [0] * n
     for perm in permutations(range(n)):
         index = 0
@@ -375,58 +362,6 @@ def _cofactor_row(table: int, mask: int, n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Substitutions
-
-
-@dataclass(frozen=True, eq=False)
-class GroupedSubstitution:
-    """Function after replacing every variable by a group of fresh ones.
-
-    groups[i] lists the new indices that replaced old variable i; the new
-    index space is the concatenation of the groups in old-index order.
-    """
-
-    func: BoolFunc
-    groups: tuple[tuple[int, ...], ...]
-
-
-def _check_arities(arities: Sequence[int], var_count: int) -> None:
-    """Every substitution takes one nonnegative width per variable."""
-    if len(arities) != var_count:
-        raise InputError(f"need one arity per variable of {var_count}, got {len(arities)}")
-    if any(m < 0 for m in arities):
-        raise InputError("arities must be nonnegative")
-
-
-def _grouped_substitute(func: BoolFunc, arities: Sequence[int], connective) -> GroupedSubstitution:
-    _check_arities(arities, func.var_count)
-    groups = []
-    offset = 0
-    for m in arities:
-        groups.append(tuple(range(offset, offset + m)))
-        offset += m
-    # one replacement node per variable, shared by all of its occurrences
-    replacements = [connective([Var(z) for z in group]) for group in groups]
-    root = _rebuild(func, lambda index: replacements[index])
-    return GroupedSubstitution(BoolFunc(root, offset), tuple(groups))
-
-
-def or_substitute(func: BoolFunc, arities: Sequence[int]) -> GroupedSubstitution:
-    """Replace variable i by a disjunction of arities[i] fresh variables.
-
-    Arity 0 replaces the variable by the constant 0.  Arity 1 everywhere
-    yields an isomorphic copy.
-    """
-    return _grouped_substitute(func, arities, disjunction)
-
-
-def and_substitute(func: BoolFunc, arities: Sequence[int]) -> GroupedSubstitution:
-    """Replace variable i by a conjunction of arities[i] fresh variables
-    (arity 0 gives the constant 1)."""
-    return _grouped_substitute(func, arities, conjunction)
-
-
-# ---------------------------------------------------------------------------
 # Enumeration oracles for substituted functions.
 #
 # A function with n variables, each replaced by a group of m_i fresh
@@ -449,6 +384,14 @@ def and_substitute(func: BoolFunc, arities: Sequence[int]) -> GroupedSubstitutio
 # a query with mixed widths takes the digit route.  The oracles are still
 # exhaustive enumeration over the base space and never solve any linear
 # system, so they stay independent of the reductions they feed.
+
+
+def _check_arities(arities: Sequence[int], var_count: int) -> None:
+    """Every substitution takes one nonnegative width per variable."""
+    if len(arities) != var_count:
+        raise InputError(f"need one arity per variable of {var_count}, got {len(arities)}")
+    if any(m < 0 for m in arities):
+        raise InputError("arities must be nonnegative")
 
 
 def _weighted_count(table: int, n: int, weights: Sequence[int], falses: bool = False) -> int:

@@ -34,8 +34,8 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import reductions
-from .boolfunc import AND, CONST0, CONST1, NOT, OR, VAR, BoolFunc, Gate, Var
-from .boolfunc import _check_arities, _fold, _rebuild, _tables, _union, evaluate
+from .boolfunc import AND, CONST0, CONST1, NOT, OR, VAR, Gate
+from .boolfunc import _check_arities, _fold, _tables, _union, evaluate
 from .errors import InconsistencyError, InputError, RefusalError
 
 DETERMINISM_BOUND = 20
@@ -395,15 +395,13 @@ def check_decomposable(circuit: Circuit) -> tuple[bool, tuple[int, ...]]:
     return (not bad, bad)
 
 
-def check_deterministic_exhaustive(
-    circuit: Circuit, *, bound: int = DETERMINISM_BOUND
-) -> tuple[str, tuple[int, ...] | None]:
+def check_deterministic_exhaustive(circuit: Circuit) -> tuple[str, tuple[int, ...] | None]:
     """Exhaustively verify that no valuation satisfies two children of any
     OR gate.  Returns ("verified", None), ("refuted", witness) with the
     witness as a sorted tuple of true variables, or ("assumed", None) when
-    the variable count exceeds the bound.  The witness is the lowest
+    the variable count exceeds DETERMINISM_BOUND.  The witness is the lowest
     conflicting valuation of the first conflicting OR in gate order."""
-    if circuit.var_count > bound:
+    if circuit.var_count > DETERMINISM_BOUND:
         return ("assumed", None)
     conflicts: list[int] = []
 
@@ -662,12 +660,6 @@ def shapley_direct(circuit: Circuit) -> tuple[Fraction, ...]:
     return values
 
 
-def unfold(circuit: Circuit) -> BoolFunc:
-    """The circuit as function nodes, one per gate, so shared gates stay
-    shared and the result is as small as the circuit."""
-    return BoolFunc(_rebuild(circuit, Var), circuit.var_count)
-
-
 # ---------------------------------------------------------------------------
 # Substitution of variables by disjunctions of fresh variables
 
@@ -687,8 +679,7 @@ def _occurrences(circuit: Circuit) -> list[int]:
 def or_substitute_all(circuit: Circuit, arities: Sequence[int]) -> Circuit:
     """Replace variable v by a disjunction of arities[v] fresh variables in
     one pass, keeping determinism and decomposability.  Variable v's fresh
-    block follows those of variables 0..v-1, the numbering of
-    `boolfunc.or_substitute`.
+    block follows those of variables 0..v-1.
 
     The copy's gate array is written directly: a constant 0 first if a
     width-0 variable occurs, each occurring variable's fresh gates and

@@ -101,7 +101,9 @@ def _resolve(ns, method: str | None = None):
             "self-join-free query; pass --method brute"
         )
     what = "subset enumeration" if ns.verb == "shapley" else "exhaustive enumeration"
-    return lineage.build_lineage(query, db, bound=_bound(ns), what=what).func, db
+    lineage._check_query(query, db.schema)
+    boolfunc._check_bound(db.var_count, _bound(ns), what)
+    return lineage.build_lineage(query, db).func, db
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +329,9 @@ def _compare_circuit(parsed: circuit.Circuit, bound: int) -> list[str]:
 
 def _compare_lineage(instance: tuple[lineage.Query, lineage.Database], bound: int) -> list[str]:
     query, db = instance
-    built = lineage.build_lineage(query, db, bound=bound)
+    lineage._check_query(query, db.schema)
+    boolfunc._check_bound(db.var_count, bound, "exhaustive enumeration")
+    built = lineage.build_lineage(query, db)
     count, kc_brute, sh_brute, invariants = _brute(built.func, bound)
     branch = lineage.dichotomy_branch(query)[0]
     lines = [
@@ -370,6 +374,8 @@ def cmd_compare(ns) -> str:
     bound = _bound(ns)
     compare, draw = _COMPARES[ns.kind]
     if ns.fuzz:
+        if ns.inputs:
+            raise InputError("--fuzz draws its own inputs and takes no input paths")
         rng = random.Random(ns.seed)
         for case in range(ns.fuzz):
             compare(draw(rng, case), bound)

@@ -23,15 +23,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .boolfunc import (
     BoolFunc,
-    Const,
     ENUMERATION_BOUND,
-    Node,
-    Var,
     _check_arities,
-    _check_bound,
     brute_shapley_subsets,
-    conjunction,
-    disjunction,
     dnf_from_clauses,
 )
 from .circuit import Circuit, CircuitBuilder, shapley_direct
@@ -138,13 +132,6 @@ class Database:
             return self._var_ids[(relation, row_index)]
         except KeyError:
             raise InputError(f"no variable for {relation} row {row_index}") from None
-
-    def active_domain(self) -> tuple[str, ...]:
-        values: set[str] = set()
-        for rows in self.rows.values():
-            for row in rows:
-                values.update(row)
-        return tuple(sorted(values))
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +265,11 @@ class Lineage:
     tuple_map: tuple[tuple[str, int], ...]
 
 
-def build_lineage(
-    query: Query, db: Database, *, bound: int | None = None, what: str = "exhaustive enumeration"
-) -> Lineage:
+def build_lineage(query: Query, db: Database) -> Lineage:
     """Lineage by enumerating all homomorphisms from the query into the
     database.  One clause per homomorphism (exogenous atoms contribute no
     literal); duplicates collapse, and a match using only exogenous atoms
-    makes the lineage the constant 1.  Given the `bound` of the enumeration
-    that will read it, a database with more tuple variables is refused
-    before any join, in that enumeration's words (`what`).
+    makes the lineage the constant 1.
 
     Atoms are joined left to right.  The variables bound before an atom are
     always those of the atoms to its left, so each atom is probed on fixed
@@ -295,8 +278,6 @@ def build_lineage(
     each step a lookup instead of a scan of the relation.
     """
     _check_query(query, db.schema)
-    if bound is not None:
-        _check_bound(db.var_count, bound, what)
     clauses: set[frozenset[int]] = set()
     # per atom: (relation, probe terms, free (position, variable) pairs, index)
     plans = []
@@ -352,39 +333,6 @@ def build_lineage(
             break
     ordered = tuple(sorted(clauses, key=lambda c: tuple(sorted(c))))
     return Lineage(dnf_from_clauses(ordered, db.var_count), ordered, db.tuple_map)
-
-
-def lineage_by_active_domain(query: Query, db: Database) -> BoolFunc:
-    """Reference construction that follows the recursive definition of
-    lineage literally: existential variables expand into disjunctions over
-    the whole active domain.  Exponential; for cross-checks only."""
-    _check_query(query, db.schema)
-    adom = db.active_domain()
-    variables = query.variables()
-    row_index: dict[str, dict[tuple[str, ...], int]] = {
-        rel.name: {row: i for i, row in enumerate(db.rows[rel.name])}
-        for rel in db.schema.relations
-    }
-
-    def ground_atom(atom: Atom, binding: dict[str, str]) -> Node:
-        values = tuple(
-            t.value if isinstance(t, QueryConst) else binding[t.name] for t in atom.args
-        )
-        rel = db.schema.get(atom.relation)
-        idx = row_index[atom.relation].get(values)
-        if idx is None:
-            return Const(0)
-        if rel.endogenous:
-            return Var(db.var_of(atom.relation, idx))
-        return Const(1)
-
-    def rec(binding: dict[str, str], remaining: tuple[str, ...]) -> Node:
-        if not remaining:
-            return conjunction([ground_atom(a, binding) for a in query.atoms])
-        v, rest = remaining[0], remaining[1:]
-        return disjunction([rec({**binding, v: a}, rest) for a in adom])
-
-    return BoolFunc(rec({}, variables), db.var_count)
 
 
 # ---------------------------------------------------------------------------
@@ -483,18 +431,9 @@ DUMMY_VALUE = "d"
 
 def stretch_database_dummy(db: Database) -> StretchedDatabase:
     """Stretch with a single shared dummy value, preserving the lineage of
-    any stretched query exactly (variable ids included)."""
-    rows = {
-        rel.name: [
-            ((DUMMY_VALUE,) + row) if rel.endogenous else row
-            for row in db.rows[rel.name]
-        ]
-        for rel in db.schema.relations
-    }
-    stretched = Database(_stretched_schema(db.schema), rows)
-    var_map = {i: i for i in range(db.var_count)}
-    fresh = {i: DUMMY_VALUE for i in range(db.var_count)}
-    return StretchedDatabase(stretched, var_map, fresh)
+    any stretched query exactly (variable ids included): the width-1
+    expansion with the constant leading value `DUMMY_VALUE`."""
+    return _stretch(db, [1] * db.var_count, lambda relation, counter: DUMMY_VALUE)
 
 
 def stretch_database_expand(db: Database, arities: Sequence[int]) -> StretchedDatabase:
@@ -504,6 +443,12 @@ def stretch_database_expand(db: Database, arities: Sequence[int]) -> StretchedDa
     lineage with variable v replaced by the disjunction of its copies.
     """
     _check_arities(arities, db.var_count)
+    return _stretch(db, arities, lambda relation, counter: f"z!{relation}!{counter}")
+
+
+def _stretch(db: Database, arities: Sequence[int], leading) -> StretchedDatabase:
+    """The tuple carrying variable v becomes arities[v] tuples, the c-th new
+    tuple of relation R led by the value leading(R, c)."""
     rows: dict[str, list[tuple[str, ...]]] = {}
     origins: list[int] = []
     fresh_values: list[str] = []
@@ -517,7 +462,7 @@ def stretch_database_expand(db: Database, arities: Sequence[int]) -> StretchedDa
             source = db.var_of(rel.name, row_index)
             for _ in range(arities[source]):
                 counter += 1
-                value = f"z!{rel.name}!{counter}"
+                value = leading(rel.name, counter)
                 expanded.append((value,) + row)
                 origins.append(source)
                 fresh_values.append(value)

@@ -82,8 +82,8 @@ class CallCounter:
         return self.oracle(*args)
 
 
-def _as_count(value: int | Fraction, what: str, cap: int | None = None) -> int:
-    if value.denominator != 1 or value < 0 or (cap is not None and value > cap):
+def _as_count(value: int | Fraction, what: str, cap: int) -> int:
+    if value.denominator != 1 or not 0 <= value <= cap:
         raise InconsistencyError(f"{what} must be an integer in [0, {cap}], got {value}")
     return int(value)
 

@@ -1,16 +1,32 @@
 """Shared fixtures: the running worked example, small relational instances,
-and the embedding of the bipartite-DNF instance into any non-hierarchical
-query."""
+the embedding of the bipartite-DNF instance into any non-hierarchical
+query, and the independent references the tests check the package against:
+substitution by grouped fresh variables built as a formula, a circuit
+unfolded into function nodes, and lineage by the active-domain recursion."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from shapcount import circuit as ct
 from shapcount import lineage as lg
-from shapcount.boolfunc import And, BoolFunc, Not, Or, Var, and_substitute, or_substitute
+from shapcount.boolfunc import (
+    FALSE,
+    TRUE,
+    And,
+    BoolFunc,
+    Const,
+    Node,
+    Not,
+    Or,
+    Var,
+    _check_arities,
+    _fold,
+    conjunction,
+    disjunction,
+)
 from shapcount.errors import InputError, RefusalError
 from shapcount.lineage import (
     Atom,
@@ -20,6 +36,7 @@ from shapcount.lineage import (
     QueryVar,
     Relation,
     Schema,
+    _check_query,
     is_hierarchical,
     is_self_join_free,
 )
@@ -41,6 +58,113 @@ def example1_circuit() -> ct.Circuit:
     both = b.add(ct.AND, inputs=(n1, n2))
     either = b.add(ct.OR, inputs=(x1, both))
     return b.build(b.add(ct.AND, inputs=(x0, either)))
+
+
+# ---------------------------------------------------------------------------
+# Formula-level substitution, the reference for the oracles that count it
+
+
+def _rebuild(func: BoolFunc | ct.Circuit, replace: Callable[[int], Node]) -> Node:
+    """The output of `func` as nodes, each variable gate replaced by
+    replace(its variable index).
+
+    Connectives are rebuilt as they are, constants kept, and every gate is
+    rebuilt once, so shared subterms stay shared.
+    """
+    conj = lambda nodes: And(tuple(nodes))
+    disj = lambda nodes: Or(tuple(nodes))
+    return _fold(func, replace, FALSE, TRUE, Not, conj, disj)[func.output]
+
+
+@dataclass(frozen=True, eq=False)
+class GroupedSubstitution:
+    """Function after replacing every variable by a group of fresh ones.
+
+    groups[i] lists the new indices that replaced old variable i; the new
+    index space is the concatenation of the groups in old-index order.
+    """
+
+    func: BoolFunc
+    groups: tuple[tuple[int, ...], ...]
+
+
+def _grouped_substitute(func: BoolFunc, arities: Sequence[int], connective) -> GroupedSubstitution:
+    _check_arities(arities, func.var_count)
+    groups = []
+    offset = 0
+    for m in arities:
+        groups.append(tuple(range(offset, offset + m)))
+        offset += m
+    # one replacement node per variable, shared by all of its occurrences
+    replacements = [connective([Var(z) for z in group]) for group in groups]
+    root = _rebuild(func, lambda index: replacements[index])
+    return GroupedSubstitution(BoolFunc(root, offset), tuple(groups))
+
+
+def or_substitute(func: BoolFunc, arities: Sequence[int]) -> GroupedSubstitution:
+    """Replace variable i by a disjunction of arities[i] fresh variables.
+
+    Arity 0 replaces the variable by the constant 0.  Arity 1 everywhere
+    yields an isomorphic copy.
+    """
+    return _grouped_substitute(func, arities, disjunction)
+
+
+def and_substitute(func: BoolFunc, arities: Sequence[int]) -> GroupedSubstitution:
+    """Replace variable i by a conjunction of arities[i] fresh variables
+    (arity 0 gives the constant 1)."""
+    return _grouped_substitute(func, arities, conjunction)
+
+
+def unfold(circuit: ct.Circuit) -> BoolFunc:
+    """The circuit as function nodes, one per gate, so shared gates stay
+    shared and the result is as small as the circuit."""
+    return BoolFunc(_rebuild(circuit, Var), circuit.var_count)
+
+
+# ---------------------------------------------------------------------------
+# Lineage by its recursive definition, the reference for build_lineage
+
+
+def active_domain(db: Database) -> tuple[str, ...]:
+    values: set[str] = set()
+    for rows in db.rows.values():
+        for row in rows:
+            values.update(row)
+    return tuple(sorted(values))
+
+
+def lineage_by_active_domain(query: Query, db: Database) -> BoolFunc:
+    """Reference construction that follows the recursive definition of
+    lineage literally: existential variables expand into disjunctions over
+    the whole active domain.  Exponential; for cross-checks only."""
+    _check_query(query, db.schema)
+    adom = active_domain(db)
+    variables = query.variables()
+    row_index: dict[str, dict[tuple[str, ...], int]] = {
+        rel.name: {row: i for i, row in enumerate(db.rows[rel.name])}
+        for rel in db.schema.relations
+    }
+
+    def ground_atom(atom: Atom, binding: dict[str, str]) -> Node:
+        values = tuple(
+            t.value if isinstance(t, QueryConst) else binding[t.name] for t in atom.args
+        )
+        rel = db.schema.get(atom.relation)
+        idx = row_index[atom.relation].get(values)
+        if idx is None:
+            return Const(0)
+        if rel.endogenous:
+            return Var(db.var_of(atom.relation, idx))
+        return Const(1)
+
+    def rec(binding: dict[str, str], remaining: tuple[str, ...]) -> Node:
+        if not remaining:
+            return conjunction([ground_atom(a, binding) for a in query.atoms])
+        v, rest = remaining[0], remaining[1:]
+        return disjunction([rec({**binding, v: a}, rest) for a in adom])
+
+    return BoolFunc(rec({}, variables), db.var_count)
 
 
 def cofactors(func: BoolFunc, var: int) -> tuple[BoolFunc, BoolFunc]:

@@ -13,7 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import EXAMPLE_NNF, chain_instance, example1, example1_circuit, substituted_clauses
+from helpers import (
+    EXAMPLE_NNF,
+    chain_instance,
+    example1,
+    example1_circuit,
+    or_substitute,
+    substituted_clauses,
+    unfold,
+)
 from shapcount import circuit as ct
 from shapcount import gen
 from shapcount import lineage as lg
@@ -29,7 +37,6 @@ from shapcount.boolfunc import (
     evaluate,
     kcount_oracle,
     dnf_from_clauses,
-    or_substitute,
     shapley_oracle,
     truth_table,
 )
@@ -127,8 +134,8 @@ def test_criterion_04_substitution_preserves_circuit_properties():
         assert ok, bad
         assert ct.check_deterministic_exhaustive(sub) == ("verified", None)
 
-        fn = or_substitute(ct.unfold(circ), widths)
-        assert truth_table(ct.unfold(sub)) == truth_table(fn.func)
+        fn = or_substitute(unfold(circ), widths)
+        assert truth_table(unfold(sub)) == truth_table(fn.func)
 
         k = ct._occurrences(circ)[x]
         if k and ell:
@@ -144,7 +151,7 @@ def test_criterion_05_circuit_counting_cross_checks():
     circuits = [example1_circuit(), ct.parse_nnf(EXAMPLE_NNF)]
     circuits += [gen.random_decision_circuit(rng, max_vars=12, max_gates=40) for _ in range(40)]
     for circ in circuits:
-        f = ct.unfold(circ)
+        f = unfold(circ)
         reference = brute_kcounts(f)
         assert ct.model_count_dd(circ) == sum(reference)
         assert ct.size_polynomial_count(circ) == reference

@@ -5,7 +5,14 @@ from math import comb
 
 import pytest
 
-from helpers import cofactors, example1, example1_circuit, substituted_clauses
+from helpers import (
+    and_substitute,
+    cofactors,
+    example1,
+    example1_circuit,
+    or_substitute,
+    substituted_clauses,
+)
 from shapcount import circuit as ct
 from shapcount import gen
 from shapcount import lineage as lg
@@ -16,9 +23,9 @@ from shapcount.boolfunc import (
     Node,
     Not,
     Or,
+    PERMUTATION_BOUND,
     Var,
     and_count_oracle,
-    and_substitute,
     and_substituted_count,
     brute_count,
     brute_kcounts,
@@ -28,7 +35,6 @@ from shapcount.boolfunc import (
     dnf_from_clauses,
     evaluate,
     kcount_oracle,
-    or_substitute,
     or_substituted_count,
     or_substituted_kcounts,
     or_substituted_shapley,
@@ -252,7 +258,7 @@ def test_brute_shapley_permutations():
         Fraction(1, 2),
     )
     with pytest.raises(RefusalError):
-        brute_shapley_permutations(BoolFunc(Var(0), 5), bound=4)
+        brute_shapley_permutations(BoolFunc(Var(0), PERMUTATION_BOUND + 1))
 
 
 def test_brute_shapley_subsets():

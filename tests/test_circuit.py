@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 
-from helpers import EXAMPLE_NNF, example1_circuit
+from helpers import EXAMPLE_NNF, example1_circuit, or_substitute, unfold
 from shapcount import boolfunc
 from shapcount import circuit as ct
 from shapcount import gen
@@ -18,7 +18,6 @@ from shapcount.boolfunc import (
     brute_shapley_permutations,
     brute_shapley_subsets,
     evaluate as feval,
-    or_substitute,
     truth_table,
 )
 from shapcount.circuit import (
@@ -44,7 +43,6 @@ from shapcount.circuit import (
     shapley_direct,
     size_polynomial_count,
     to_nnf_text,
-    unfold,
     validate,
 )
 from shapcount.errors import InconsistencyError, InputError, RefusalError
@@ -209,7 +207,9 @@ def test_check_deterministic():
     status, witness = check_deterministic_exhaustive(plain_or)
     assert status == "refuted" and witness == (0, 1)
 
-    status, witness = check_deterministic_exhaustive(plain_or, bound=1)
+    b = CircuitBuilder(ct.DETERMINISM_BOUND + 1)
+    wide_or = b.build(b.add(OR, inputs=(b.add(VAR, var=0), b.add(VAR, var=1))))
+    status, witness = check_deterministic_exhaustive(wide_or)
     assert status == "assumed" and witness is None
 
     # (x0 and x1) or (x1 and x2) conflicts only on {0, 1, 2}; x0 or not x1
@@ -458,7 +458,7 @@ def test_uniform_substitution_counts():
 
 
 def test_mixed_substitution_matches_function_substitution():
-    # one rebuild for all variables, numbered like boolfunc.or_substitute
+    # one rebuild for all variables, numbered like helpers.or_substitute
     rng = random.Random(81)
     done = 0
     while done < 40:

@@ -625,6 +625,14 @@ def test_compare_fuzz_deterministic(workspace, capsys):
     assert second == first
 
 
+def test_compare_fuzz_refuses_input_paths(workspace, capsys):
+    # --fuzz draws its own cases, so a path given with it would go unchecked
+    code = main(["compare", str(workspace / "ex1.bf"), "--fuzz", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "input error: --fuzz draws its own inputs and takes no input paths" in captured.err
+
+
 def test_compare_fuzz_circuits(workspace, capsys, monkeypatch):
     code, out = run(capsys, "compare", "--fuzz", "3", "--kind", "circuit", "--seed", "5")
     assert code == 0 and out == "fuzz cases=3 seed=5 agreement ok\n"
@@ -835,6 +843,14 @@ def test_lineage_refusal_above_the_bound_is_immediate(
     assert code == 3 and message in err
     assert built == []
     assert elapsed < 5.0, f"{argv} took {elapsed:.1f} s to refuse"
+
+
+@pytest.mark.parametrize("verb", ["count", "compare"])
+def test_malformed_query_over_the_bound_is_an_input_error(wide_chain, tmp_path, capsys, verb):
+    # the query is checked against the schema before the bound
+    (tmp_path / "bad.q").write_text("Q :- R(x), S(x,y), U(y)\n")
+    code = main([verb, str(tmp_path / "bad.q"), str(wide_chain / "db"), "--kind", "lineage"])
+    assert code == 2 and "input error: unknown relation U" in capsys.readouterr().err
 
 
 # one small example of every input the parsers read

@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import chain_instance, embed_nonhierarchical, join_instance, substituted_clauses
+from helpers import (
+    active_domain,
+    chain_instance,
+    embed_nonhierarchical,
+    join_instance,
+    lineage_by_active_domain,
+    or_substitute,
+    substituted_clauses,
+)
 from shapcount import circuit as ct
 from shapcount import gen
 from shapcount import lineage as lg
@@ -19,7 +27,6 @@ from shapcount.boolfunc import (
     brute_kcounts,
     brute_shapley_permutations,
     brute_shapley_subsets,
-    or_substitute,
     truth_table,
 )
 from shapcount.errors import InputError, RefusalError
@@ -216,11 +223,11 @@ def test_lineage_matches_active_domain_recursion():
     checked = 0
     while checked < 40:
         q, db = gen.random_sjf_instance(rng, max_atoms=2, max_arity=2, max_rows=3)
-        if len(q.variables()) > 2 or len(db.active_domain()) > 3:
+        if len(q.variables()) > 2 or len(active_domain(db)) > 3:
             continue
         checked += 1
         built = lg.build_lineage(q, db)
-        reference = lg.lineage_by_active_domain(q, db)
+        reference = lineage_by_active_domain(q, db)
         assert truth_table(reference) == truth_table(built.func)
 
 

@@ -15,7 +15,7 @@ def test_library_use_example_runs():
 
 def test_star_import_binds_functions_and_classes_only():
     import shapcount
-    from shapcount import circuit, reductions
+    from shapcount import boolfunc, circuit, lineage, reductions
 
     namespace = {}
     exec("from shapcount import *", namespace)
@@ -24,3 +24,18 @@ def test_star_import_binds_functions_and_classes_only():
     for name in ("vandermonde_solve", "coefficients", "literal_occurrences"):
         assert name not in shapcount.__all__
         assert not hasattr(reductions, name) and not hasattr(circuit, name)
+    # references only the tests use live in tests/helpers.py
+    moved = (
+        "or_substitute",
+        "and_substitute",
+        "GroupedSubstitution",
+        "_grouped_substitute",
+        "_rebuild",
+        "unfold",
+        "lineage_by_active_domain",
+        "active_domain",
+    )
+    for name in moved:
+        assert name not in shapcount.__all__
+        assert not any(hasattr(module, name) for module in (boolfunc, circuit, lineage))
+    assert not hasattr(lineage.Database, "active_domain")
