@@ -14,13 +14,18 @@ exact: counts are ints, Shapley values Fractions.
 
 The brute-force routines in this module are the ground truth the rest of the
 package is checked against.  They enumerate the full valuation space as big
-integer bitmasks (one bit per valuation, bit index = set of true variables),
-which keeps exhaustive enumeration fast up to the configured bounds.
+integer bitmasks, one bit per valuation, graded by size: the valuations with
+k true variables fill one byte-aligned block, in increasing order of their
+index (bit v set for each true variable v), for k = 0..n.  Every per-size
+count is then the popcount of one byte slice, which keeps exhaustive
+enumeration fast up to the configured bounds (bit-parallel tables as in
+Knuth, TAOCP 4A, 7.1.3).
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import accumulate, permutations, repeat
@@ -226,36 +231,69 @@ def evaluate(func: BoolFunc | Circuit, true_vars: Iterable[int]) -> int:
 
 
 @functools.cache
-def _variable_masks(n: int) -> tuple[int, ...]:
-    """masks[j] has bit i set iff variable j is true in valuation index i."""
-    # grow the valuation space one variable at a time: doubling keeps every
-    # step a single wide shift-or instead of a quadratic bignum division
-    masks: list[int] = []
-    for m in range(n):
-        shift = 1 << m
-        masks = [mask | (mask << shift) for mask in masks]
-        masks.append(((1 << shift) - 1) << shift)
-    return tuple(masks)
+def _blocks(n: int) -> tuple[slice, ...]:
+    """The bytes of the size blocks of a truth table over n variables: block
+    k, the valuations of size k, is bytes blocks[k] of the little-endian
+    table."""
+    ends = list(accumulate((comb(n, k) + 7) // 8 for k in range(n + 1)))
+    return tuple(map(slice, [0, *ends], ends))
+
+
+def _pack(rows: Iterable[int], n: int) -> int:
+    """The table whose size blocks 0..n hold `rows`, each at its byte offset."""
+    sizes = [block.stop - block.start for block in _blocks(n)]
+    return int.from_bytes(b"".join(map(int.to_bytes, rows, sizes, repeat("little"))), "little")
 
 
 @functools.cache
-def _weight_masks(n: int) -> tuple[int, ...]:
-    """masks[k] has bit i set iff valuation index i sets exactly k variables."""
-    rows = [1]  # n = 0: the empty valuation has weight 0
-    for m in range(1, n + 1):
-        shift = 1 << (m - 1)
-        prev = rows
-        rows = [prev[0]]
-        for k in range(1, m):
-            rows.append(prev[k] | (prev[k - 1] << shift))
-        rows.append(prev[m - 1] << shift)
-    return tuple(rows)
+def _valid(n: int) -> int:
+    """The mask of the valid positions, which is the table of the constant 1."""
+    return _pack([(1 << comb(n, k)) - 1 for k in range(n + 1)], n)
+
+
+@functools.cache
+def _variable_masks(n: int) -> tuple[int, ...]:
+    """masks[j] has the bit of each valuation that sets variable j."""
+    masks = []
+    for j in range(n):
+        # block k over j + 1 variables: the C(j, k) valuations without j first
+        rows = [0] + [((1 << comb(j, k - 1)) - 1) << comb(j, k) for k in range(1, j + 2)]
+        for m in range(j + 1, n):
+            # block k over m + 1 variables: block k over m, then block k - 1
+            # with variable m true
+            rows.append(0)
+            rows = [0] + [rows[k] | (rows[k - 1] << comb(m, k)) for k in range(1, m + 2)]
+        masks.append(_pack(rows, n))
+    return tuple(masks)
 
 
 def _profile(table: int, n: int) -> list[int]:
     """|T & W_k| for k = 0..n, for T a truth table over n variables and W_k
-    the valuations of size k: T's models counted by size."""
-    return [(table & w).bit_count() for w in _weight_masks(n)]
+    the valuations of size k: T's models counted by size, one popcount of
+    each size block."""
+    blocks = _blocks(n)
+    raw = table.to_bytes(blocks[-1].stop, "little")
+    return [int.from_bytes(raw[block], "little").bit_count() for block in blocks]
+
+
+def _models(table: int, n: int) -> Iterator[int]:
+    """The valuation index of each model of a truth table over n variables,
+    by colex unranking: the rank-r valuation of size k sets the largest c
+    with C(c, k) <= r, and below it the rank-(r - C(c, k)) one of size k - 1."""
+    blocks = _blocks(n)
+    raw = table.to_bytes(blocks[-1].stop, "little")
+    columns = [[comb(c, k) for c in range(n)] for k in range(n + 1)]
+    for size, block in enumerate(blocks):
+        bits = bin(int.from_bytes(raw[block], "little"))[:1:-1]  # bits[r]: rank r
+        rank = bits.find("1")
+        while rank >= 0:
+            index, rest = 0, rank
+            for k in range(size, 0, -1):
+                c = bisect_right(columns[k], rest) - 1
+                index |= 1 << c
+                rest -= columns[k][c]
+            yield index
+            rank = bits.find("1", rank + 1)
 
 
 def _check_bound(n: int, bound: int, what: str) -> None:
@@ -281,14 +319,16 @@ def _tables(func: BoolFunc | Circuit, disj: Callable[[Iterator[int]], int] = _un
     """The truth-table walk over the full variable space, ORs combined by
     `disj`; only the output's table is kept."""
     n = func.var_count
-    full = (1 << (1 << n)) - 1
+    full = _valid(n)
     return _fold(func, _variable_masks(n).__getitem__, 0, full, full.__xor__, _intersect, disj)
 
 
 def truth_table(func: BoolFunc | Circuit, *, bound: int = ENUMERATION_BOUND) -> int:
-    """All 2^n values as a bitmask; bit i is the value on valuation index i.
-    Built on the first call and kept on the function; every call checks
-    the bound first, so a kept table never answers above it."""
+    """All 2^n values as a bitmask in the graded layout: the valuations of
+    size k = 0..n fill one byte-aligned block each, in increasing order of
+    their index (bit v set for each true variable v), and every padding
+    bit is 0.  Built on the first call and kept on the function; every call
+    checks the bound first, so a kept table never answers above it."""
     _check_bound(func.var_count, bound, "exhaustive enumeration")
     if func._table is None:
         object.__setattr__(func, "_table", _tables(func)[func.output])
@@ -318,14 +358,14 @@ def brute_shapley_permutations(func: BoolFunc | Circuit) -> tuple[Fraction, ...]
     _check_bound(n, PERMUTATION_BOUND, "permutation enumeration")
     if n == 0:
         return ()
-    table = truth_table(func)
+    models = frozenset(_models(truth_table(func), n))
     totals = [0] * n
     for perm in permutations(range(n)):
         index = 0
-        prev = table & 1
+        prev = 0 in models
         for v in perm:
             index |= 1 << v
-            cur = (table >> index) & 1
+            cur = index in models
             totals[v] += cur - prev
             prev = cur
     denom = factorial(n)
@@ -338,27 +378,28 @@ def brute_shapley_subsets(
     """Shapley vector from size-bucketed counts of the two cofactors per
     variable, all read off one truth table T: the k-subsets S of the other
     variables with f(S + x_i) true number |T & x_i & W_(k+1)|, those with
-    f(S) true |T & ~x_i & W_k|, for W_k the valuations of size k.  Must
-    agree exactly with the permutation average."""
+    f(S) true |T & ~x_i & W_k|, for W_k the valuations of size k.  That
+    takes T's profile once and T & x_i's once per variable, n + 1 in all.
+    Must agree exactly with the permutation average."""
     n = func.var_count
     _check_bound(n, bound, "subset enumeration")
     if n == 0:
         return ()
     table = truth_table(func, bound=bound)
+    whole = _profile(table, n)
     weights = [factorial(k) * factorial(n - 1 - k) for k in range(n)]
-    return tuple(
-        Fraction(sum(map(mul, weights, _cofactor_row(table, mask, n))), factorial(n))
-        for mask in _variable_masks(n)
-    )
+    rows = (_cofactor_row(whole, _profile(table & mask, n)) for mask in _variable_masks(n))
+    return tuple(Fraction(sum(map(mul, weights, row)), factorial(n)) for row in rows)
 
 
-def _cofactor_row(table: int, mask: int, n: int) -> list[int]:
-    """|T & x & W_(k+1)| - |T & ~x & W_k| for k = 0..n-1, for T the truth
-    table over n variables, x the variable `mask` and W_k the valuations of
-    size k: over the size-k subsets S of the other variables, the sum of
-    f(S + x) - f(S).  Dotted with the Shapley weights, it gives x's value."""
-    hi = table & mask
-    return list(map(sub, _profile(hi, n)[1:], _profile(table ^ hi, n)))
+def _cofactor_row(whole: Sequence[int], hi: Sequence[int]) -> list[int]:
+    """|T & x & W_(k+1)| - |T & ~x & W_k| for k = 0..n-1, from the profiles
+    `whole` of a truth table T over n variables and `hi` of T & x, for x a
+    variable's mask and W_k the valuations of size k: over the size-k
+    subsets S of the other variables, the sum of f(S + x) - f(S).  Dotted
+    with the Shapley weights, it gives x's value.  T & ~x needs no profile
+    of its own, as |T & ~x & W_k| = |T & W_k| - |T & x & W_k|."""
+    return list(map(sub, hi[1:], map(sub, whole, hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +420,7 @@ def _cofactor_row(table: int, mask: int, n: int) -> list[int]:
 # truth table that `truth_table` keeps on the function; a factory builds it
 # when the oracle is made.  The Shapley oracle answers a query that widens
 # every other variable to one width ell from the per-size popcounts
-# of the target's two cofactors, taken once per target, dotted with a row
+# of the table and of its part that sets the target, dotted with a row
 # of integer weights it builds once per ell from the Shapley coefficients;
 # a query with mixed widths takes the digit route.  The oracles are still
 # exhaustive enumeration over the base space and never solve any linear
@@ -409,21 +450,17 @@ def _weighted_count(table: int, n: int, weights: Sequence[int], falses: bool = F
         for count in profile if falses else reversed(profile):
             total = total * w + count
         return total
-    # block j holds the weighted sum of the models whose index shifted right
-    # by the merged variable count is j; the odd block of each pair has the
+    # sums[j] holds the weighted sum of the models whose index shifted right
+    # by the merged variable count is j; the odd entry of each pair has the
     # next variable true and takes its weight (the even one, with `falses`)
-    blocks: dict[int, int] = {}
-    while table:
-        low = table & -table
-        blocks[low.bit_length() - 1] = 1
-        table ^= low
+    sums = dict.fromkeys(_models(table, n), 1)
     for w in weights:
         merged: dict[int, int] = {}
-        for index, value in blocks.items():
+        for index, value in sums.items():
             key = index >> 1
             merged[key] = merged.get(key, 0) + (value * w if (index & 1) != falses else value)
-        blocks = merged
-    return blocks.get(0, 0)
+        sums = merged
+    return sums.get(0, 0)
 
 
 def _size_digits(arities: Sequence[int]):
@@ -563,13 +600,15 @@ def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     """Shapley oracle: (arities, target) -> Shapley value of the fresh
     variable standing in for `target` under the group replacement.  A
     query that gives every other variable one width ell is the target's
-    _cofactor_row, built once per target, dotted with the weights of
+    _cofactor_row, built once per target from the profile of T & x and
+    T's own, taken when the oracle is made, dotted with the weights of
     _uniform_shapley_row, built once per ell; a query with mixed widths
     goes through or_substituted_shapley.  Made as count_oracle is.
     """
     n = func.var_count
     table = truth_table(func, bound=bound)
     masks = _variable_masks(n)
+    whole = _profile(table, n)
     rows: dict[int, tuple[list[int], int]] = {}
     diffs: dict[int, list[int]] = {}
 
@@ -582,7 +621,7 @@ def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
         if ell not in rows:
             rows[ell] = _uniform_shapley_row(n, ell)
         if target not in diffs:
-            diffs[target] = _cofactor_row(table, masks[target], n)
+            diffs[target] = _cofactor_row(whole, _profile(table & masks[target], n))
         weights, denom = rows[ell]
         return Fraction(sum(map(mul, weights, diffs[target])), denom)
 

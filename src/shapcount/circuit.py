@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import reductions
 from .boolfunc import AND, CONST0, CONST1, NOT, OR, VAR, Gate
-from .boolfunc import _check_arities, _fold, _tables, _union, evaluate
+from .boolfunc import _check_arities, _fold, _tables, _union, _variable_masks, evaluate
 from .errors import InconsistencyError, InputError, RefusalError
 
 DETERMINISM_BOUND = 20
@@ -419,8 +419,16 @@ def check_deterministic_exhaustive(circuit: Circuit) -> tuple[str, tuple[int, ..
         circuit._table = table  # so `truth_table` need not walk again
     if not conflicts:
         return ("verified", None)
-    index = (conflicts[0] & -conflicts[0]).bit_length() - 1
-    return ("refuted", tuple(v for v in range(circuit.var_count) if (index >> v) & 1))
+    # the lowest index leaves the top variable false if any conflict does,
+    # then the next one down among those left
+    conflict, witness, masks = conflicts[0], [], _variable_masks(circuit.var_count)
+    for v in reversed(range(circuit.var_count)):
+        high = conflict & masks[v]
+        if high == conflict:
+            witness.append(v)
+        else:
+            conflict ^= high
+    return ("refuted", tuple(reversed(witness)))
 
 
 @dataclass(frozen=True)

@@ -498,10 +498,11 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
         D(a_i..) = branch(a_i) or (not branch(a_i) and D(a_(i+1)..)),
 
     so negation sits above whole branches.  Both steps are generators that
-    yield the step below them, walked with an explicit stack.  A state is
-    only each atom's surviving row indices: every atom's rows are first
-    restricted to those matching its constants and agreeing on its repeated
-    variables, so a row grouped under a value holds it at every position.
+    yield the arguments of the step below them, walked with an explicit
+    stack.  A state is only each atom's surviving row indices: every atom's
+    rows are first restricted to those matching its constants and agreeing
+    on its repeated variables, so a row grouped under a value holds it at
+    every position.
     """
     _check_query(query, db.schema)
     if not is_self_join_free(query):
@@ -553,7 +554,7 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
         # deduplicated rows make each ground match unique
         parts = [builder.var(db.var_of(rels[a].name, rows[a][0])) for a in ground[node]]
         for child in children[node]:
-            parts.append((yield decide(rows, child)))
+            parts.append((yield rows, child))
         return builder.and_(parts)
 
     def decide(rows: dict[int, list[int]], v: str):
@@ -567,7 +568,7 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
         branches = []
         # every group holds each value of the intersection, so no branch is empty
         for value in sorted(set(first).intersection(*rest)):
-            branch = yield conjoin({a: group[value] for a, group in groups.items()}, v)
+            branch = yield {a: group[value] for a, group in groups.items()}, v
             constant = builder.const_value(branch)
             if constant == 0:
                 continue
@@ -579,15 +580,20 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
     initial = {a: restrict(a) for a in range(len(rels))}
     if not all(initial.values()):
         return builder.build(builder.const(0), deterministic_by_construction=True)
-    # a step yields the step below it, and is sent that step's gate once it returns
+    # a step yields the arguments of the step below it and is sent that
+    # step's gate once it returns; the steps alternate, conjoin at the even
+    # depths, so neither names the other and no reference cycle keeps the
+    # builder and the database alive past the compile
     stack, result = [conjoin(initial, None)], None
     while stack:
         try:
-            stack.append(stack[-1].send(result))
-            result = None
+            args = stack[-1].send(result)
         except StopIteration as done:
             stack.pop()
             result = done.value
+        else:
+            stack.append((decide if len(stack) % 2 else conjoin)(*args))
+            result = None
     return builder.build(result, deterministic_by_construction=True)
 
 

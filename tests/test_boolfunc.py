@@ -270,6 +270,61 @@ def test_brute_shapley_subsets():
     )
 
 
+def _graded_position(trues: list[int], n: int) -> int:
+    """The bit of a valuation in the graded table, from the layout's
+    definition: the byte-aligned blocks of the smaller sizes, then the
+    valuation's colex rank among those of its size."""
+    block = 8 * sum((comb(n, k) + 7) // 8 for k in range(len(trues)))
+    return block + sum(comb(v, i + 1) for i, v in enumerate(sorted(trues)))
+
+
+def test_graded_table_matches_evaluation():
+    # for formulas and circuits with n = 0..10: each valuation's bit sits
+    # where the layout puts it, the per-size popcounts are the models
+    # counted by size, and the padding bits are 0, so a function and its
+    # negation split the 2^n valuations
+    from shapcount.boolfunc import NOT, Gate, _profile
+
+    rng = random.Random(27)
+    funcs = [BoolFunc(Const(0), 0), BoolFunc(Const(1), 0), BoolFunc(Const(1), 3)]
+    funcs += [gen.random_boolfunc(rng, max_vars=10) for _ in range(60)]
+    funcs += [gen.random_decision_circuit(rng, max_vars=10) for _ in range(60)]
+    assert {f.var_count for f in funcs} == set(range(11))
+    for f in funcs:
+        n, table = f.var_count, truth_table(f)
+        by_size = [0] * (n + 1)
+        for bits in range(1 << n):
+            trues = [v for v in range(n) if bits >> v & 1]
+            value = evaluate(f, trues)
+            assert table >> _graded_position(trues, n) & 1 == value
+            by_size[len(trues)] += value
+        assert _profile(table, n) == by_size
+        negation = ct.Circuit((*f.gates, Gate(NOT, inputs=(f.output,))), n)
+        assert brute_count(f) + brute_count(negation) == 1 << n
+
+
+def test_brute_shapley_subsets_takes_n_plus_one_profiles(monkeypatch):
+    # T's own profile once, then T & x once per variable: the profile of
+    # T & ~x is their difference
+    from shapcount import boolfunc
+
+    calls = []
+    profile = boolfunc._profile
+
+    def counting(table, n):
+        calls.append(n)
+        return profile(table, n)
+
+    monkeypatch.setattr(boolfunc, "_profile", counting)
+    rng = random.Random(28)
+    for _ in range(20):
+        f = gen.random_boolfunc(rng, max_vars=8)
+        want = brute_shapley_permutations(f)
+        calls.clear()
+        assert brute_shapley_subsets(f) == want
+        assert calls == [f.var_count] * (f.var_count + 1)
+
+
 def test_zero_arity_substitutions_are_cofactors():
     # F[x_0:=1] and F[x_0:=0] over x1, x2, renumbered 0, 1
     f = example1()
@@ -453,8 +508,8 @@ def test_clause_product_equals_or_substitution():
 def test_positive_dnf_clause_round_trip():
     # an antichain of clauses is the set of minimal models of its DNF
     def minimal_models(func):
-        table = truth_table(func)
-        models = [m for m in range(1 << func.var_count) if table >> m & 1]
+        n = func.var_count
+        models = [m for m in range(1 << n) if evaluate(func, [v for v in range(n) if m >> v & 1])]
         return {
             frozenset(v for v in range(func.var_count) if m >> v & 1)
             for m in models

@@ -229,6 +229,16 @@ def test_check_deterministic():
     assert check_deterministic_exhaustive(two_ors(True)) == ("refuted", (0, 1, 2))
     assert check_deterministic_exhaustive(two_ors(False)) == ("refuted", (0,))
 
+    # conflicts only at {2} and {0, 1}: the table lists {2} first, as it is
+    # smaller, but {0, 1} has the lower valuation index, 3 against 4
+    b = CircuitBuilder(3)
+    x0, x1, x2 = (b.var(v) for v in range(3))
+    only_2 = b.and_((b.negate(x0), b.negate(x1), x2))
+    only_01 = b.add(OR, inputs=(b.and_((x0, x1, b.negate(x2))), only_2))
+    with_01 = b.add(OR, inputs=(b.and_((x0, x1)), only_2))
+    split = b.build(b.add(OR, inputs=(only_01, with_01)))
+    assert check_deterministic_exhaustive(split) == ("refuted", (0, 1))
+
 
 def test_model_count_refusals():
     b = CircuitBuilder(1)
@@ -605,7 +615,8 @@ def test_bottom_up_passes_drop_values_after_their_last_reader(monkeypatch):
     monkeypatch.setattr(ct, "_fold", recording)
     fresh = parse_nnf(EXAMPLE_NNF)
     assert model_count_dd(fresh) == 4
-    assert truth_table(fresh) == 0b11100100  # models {1}, {0, 2}, {1, 2}, {0, 1, 2}
+    # one byte per size block: models {1}; {0, 2}, {1, 2}; {0, 1, 2}
+    assert truth_table(fresh) == int.from_bytes(bytes([0b000, 0b010, 0b110, 0b1]), "little")
     assert feval(fresh, (0, 2)) == 1
     assert len(passes) == 4  # masks, tables, count, evaluation
     for values in passes:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import re
@@ -372,6 +373,31 @@ def test_compile_hierarchical_examples():
     db1 = lg.Database(schema, {"R": [("a",), ("b",), ("c",)]})
     chain = lg.compile_hierarchical_lineage(lg.parse_query("Q :- R(x)"), db1)
     assert ct.model_count_dd(chain) == 7  # all subsets except the empty one
+
+
+def test_compile_leaves_no_reference_cycle():
+    # the compiler's two steps must not hold each other: a cycle between
+    # them kept the builder, its gates and the database alive until a full
+    # collection
+    schema = lg.Schema(
+        (lg.Relation("R", 1, True), lg.Relation("S", 2, True), lg.Relation("T", 3, True))
+    )
+    rows = {
+        "R": [(f"x{i}",) for i in range(3)],
+        "S": [(f"x{i}", f"y{j}") for i in range(3) for j in range(2)],
+        "T": [(f"x{i}", f"y{j}", f"z{k}") for i in range(3) for j in range(2) for k in range(2)],
+    }
+    q = lg.parse_query("Q :- R(x), S(x,y), T(x,y,z)")
+    full, empty = lg.Database(schema, rows), lg.Database(schema, {})
+    gc.collect()
+    gc.disable()
+    try:
+        compiled = lg.compile_hierarchical_lineage(q, full)
+        lg.compile_hierarchical_lineage(q, empty)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert ct.model_count_dd(compiled) == brute_count(lg.build_lineage(q, full).func)
 
 
 def test_compile_hierarchical_refusals():
