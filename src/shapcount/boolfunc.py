@@ -34,6 +34,7 @@ from operator import mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, RefusalError
+from .reductions import _shapley_value
 
 if TYPE_CHECKING:
     from .circuit import Circuit
@@ -422,9 +423,10 @@ def _cofactor_row(whole: Sequence[int], hi: Sequence[int]) -> list[int]:
 # every other variable to one width ell from the per-size popcounts
 # of the table and of its part that sets the target, dotted with a row
 # of integer weights it builds once per ell from the Shapley coefficients;
-# a query with mixed widths takes the digit route.  The oracles are still
-# exhaustive enumeration over the base space and never solve any linear
-# system, so they stay independent of the reductions they feed.
+# a query with mixed widths hands the function's own k-counts, with the
+# widths as asked and with the target set to 0, to the rule of
+# reductions.shapley_from_kcounts.  The oracles are still exhaustive
+# enumeration over the base space and never solve any linear system.
 
 
 def _check_arities(arities: Sequence[int], var_count: int) -> None:
@@ -463,23 +465,6 @@ def _weighted_count(table: int, n: int, weights: Sequence[int], falses: bool = F
     return sums.get(0, 0)
 
 
-def _size_digits(arities: Sequence[int]):
-    """Group weights (1+t)^m - 1 at t = 2^B, and the reader of the size-
-    bucketed counts 0..sum(arities) off a weighted count's base-2^B digits.
-    No count exceeds 2^sum(arities), so B, the least multiple of 8 above
-    sum(arities), holds each without carrying into the next digit."""
-    total = sum(arities)
-    width = total // 8 + 1
-
-    def unpack(packed: int) -> tuple[int, ...]:
-        raw = packed.to_bytes(width * (total + 1), "little")
-        return tuple(
-            int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)
-        )
-
-    return [((1 << 8 * width) + 1) ** m - 1 for m in arities], unpack
-
-
 def or_substituted_count(
     func: BoolFunc, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
 ) -> int:
@@ -504,11 +489,16 @@ def or_substituted_kcounts(
     func: BoolFunc, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
 ) -> tuple[int, ...]:
     """Size-bucketed model counts of the function under a disjunctive
-    group replacement, indexed 0..sum(arities)."""
+    group replacement, indexed 0..sum(arities), as base-2^B digits (see
+    above).  No count exceeds 2^sum(arities), so B, the least multiple of 8
+    above sum(arities), holds each without carrying into the next digit."""
     _check_arities(arities, func.var_count)
     table = truth_table(func, bound=bound)
-    weights, unpack = _size_digits(arities)
-    return unpack(_weighted_count(table, func.var_count, weights))
+    total = sum(arities)
+    width = total // 8 + 1
+    weights = [((1 << 8 * width) + 1) ** m - 1 for m in arities]
+    raw = _weighted_count(table, func.var_count, weights).to_bytes(width * (total + 1), "little")
+    return tuple(int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width))
 
 
 def _check_target(arities: Sequence[int], target: int, var_count: int) -> None:
@@ -518,31 +508,6 @@ def _check_target(arities: Sequence[int], target: int, var_count: int) -> None:
         raise InputError(f"no variable {target}")
     if arities[target] != 1:
         raise InputError("the distinguished variable must keep arity 1")
-
-
-def or_substituted_shapley(
-    func: BoolFunc, arities: Sequence[int], target: int, *, bound: int = ENUMERATION_BOUND
-) -> Fraction:
-    """Shapley value of the single fresh variable standing in for `target`
-    after the disjunctive group replacement (arities[target] must be 1)."""
-    n = func.var_count
-    _check_target(arities, target, n)
-    table = truth_table(func, bound=bound)
-    mask = _variable_masks(n)[target]
-    # the cofactors' counts: the target weighs as the largest other group (or
-    # 1), which keeps uniform weights uniform, and is divided out again
-    weights, unpack = _size_digits([m for i, m in enumerate(arities) if i != target])
-    weights.insert(target, max(weights, default=0) or 1)
-    hi = unpack(_weighted_count(table & mask, n, weights) // weights[target])
-    lo = unpack(_weighted_count(table & ~mask, n, weights))
-    total = sum(arities)
-    fact = [1]
-    for j in range(1, total + 1):
-        fact.append(fact[-1] * j)
-    num = sum(
-        fact[k] * fact[total - 1 - k] * (a - b) for k, (a, b) in enumerate(zip(hi, lo))
-    )
-    return Fraction(num, fact[total])
 
 
 def count_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
@@ -602,8 +567,10 @@ def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     query that gives every other variable one width ell is the target's
     _cofactor_row, built once per target from the profile of T & x and
     T's own, taken when the oracle is made, dotted with the weights of
-    _uniform_shapley_row, built once per ell; a query with mixed widths
-    goes through or_substituted_shapley.  Made as count_oracle is.
+    _uniform_shapley_row, built once per ell.  A query with mixed widths
+    passes the answers of the function's kcount_oracle, made on the first
+    such query, for the widths as asked and with the target set to 0, to
+    reductions._shapley_value.  Made as count_oracle is.
     """
     n = func.var_count
     table = truth_table(func, bound=bound)
@@ -611,12 +578,17 @@ def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     whole = _profile(table, n)
     rows: dict[int, tuple[list[int], int]] = {}
     diffs: dict[int, list[int]] = {}
+    kcounts = None  # the k-count oracle, made on the first mixed-width query
 
     def query(arities: Sequence[int], target: int) -> Fraction:
+        nonlocal kcounts
         _check_target(arities, target, n)
         widths = {m for i, m in enumerate(arities) if i != target}
         if len(widths) > 1:
-            return or_substituted_shapley(func, arities, target, bound=bound)
+            if kcounts is None:
+                kcounts = kcount_oracle(func, bound=bound)
+            low = tuple(0 if i == target else m for i, m in enumerate(arities))
+            return _shapley_value(kcounts(arities), kcounts(low))
         ell = widths.pop() if widths else 1  # one variable: T = 1 for any ell
         if ell not in rows:
             rows[ell] = _uniform_shapley_row(n, ell)

@@ -139,6 +139,9 @@ class Database:
 
 _ATOM = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)")
 _VAR = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+# one atom argument and the comma that ends it: a quoted constant, which may
+# hold commas, or the text up to the next comma
+_ARG = re.compile(r"""\s*('[^']*'|"[^"]*")\s*,|([^,]*),""")
 
 
 def parse_schema(text: str) -> Schema:
@@ -182,8 +185,8 @@ def parse_query(text: str) -> Query:
         body = m.group(2).strip()
         if not body:
             raise InputError(f"atom {m.group(1)} has no arguments")
-        for piece in body.split(","):
-            piece = piece.strip()
+        for quoted, plain in _ARG.findall(body + ","):
+            piece = (quoted or plain).strip()
             if not piece:
                 raise InputError(f"atom {m.group(1)}: empty argument")
             if (piece[0] == piece[-1] == "'") or (piece[0] == piece[-1] == '"'):

@@ -15,12 +15,13 @@ replacement:
 Everything is exact.  The k-count Vandermonde system is solved in integers,
 its solution read off the base-t digits of one answer and every equation
 checked (Kronecker substitution; von zur Gathen and Gerhard, Modern
-Computer Algebra, 8.4).  Shapley values are summed over one denominator.
-The n moment systems of
-count_from_shapley share one matrix, so they are solved together, after
-all n * n oracle answers are in, by one fraction-free (Bareiss)
-Gauss-Jordan elimination over integers; each solution must be divisible by
-the elimination's final pivot.
+Computer Algebra, 8.4).  One rule, `_shapley_value`, turns the k-counts of
+a function and of a cofactor into a Shapley value over one denominator,
+for shapley_from_kcounts and the formula Shapley oracle alike.  The n
+moment systems of count_from_shapley share one matrix, so they are solved
+together, after all n * n oracle answers are in, by one fraction-free
+(Bareiss) Gauss-Jordan elimination over integers; each solution must be
+divisible by the elimination's final pivot.
 """
 
 from __future__ import annotations
@@ -152,21 +153,32 @@ def shapley_from_kcounts(n: int, oracle: KCountOracle) -> tuple[Fraction, ...]:
         raise InputError("variable count must be nonnegative")
     if n == 0:
         return ()
-    weights = [factorial(k) * factorial(n - 1 - k) for k in range(n)]
-    denom = factorial(n)
-    full = list(oracle(tuple([1] * n)))
+    full = oracle(tuple([1] * n))
     if len(full) != n + 1:
         raise InputError(f"oracle returned {len(full)} buckets, expected {n + 1}")
     values = []
     for i in range(n):
-        arities = tuple(0 if p == i else 1 for p in range(n))
-        low = list(oracle(arities))
+        low = oracle(tuple(0 if p == i else 1 for p in range(n)))
         if len(low) != n:
             raise InputError(f"cofactor oracle returned {len(low)} buckets, expected {n}")
-        low.append(0)  # the (n-1)-variable cofactor has no size-n models
-        total = sum(w * (full[k + 1] - low[k + 1] - low[k]) for k, w in enumerate(weights))
-        values.append(Fraction(total, denom))
+        values.append(_shapley_value(full, low))
     return tuple(values)
+
+
+@functools.cache
+def _shapley_weights(n: int) -> tuple[tuple[int, ...], int]:
+    """k! (n-1-k)! for k = 0..n-1, and their denominator n!."""
+    return tuple(factorial(k) * factorial(n - 1 - k) for k in range(n)), factorial(n)
+
+
+def _shapley_value(full: Sequence[int], low: Sequence[int]) -> Fraction:
+    """Shap_x of an N-variable function F from the k-counts `full` of F and
+    `low` of F[x:=0], which has no size-N models, by the splitting above:
+    sum_k k! (N-1-k)! / N! (#_{k+1} F - #_{k+1} F[x:=0] - #_k F[x:=0])."""
+    weights, denom = _shapley_weights(len(low))
+    above = [*low[1:], 0]
+    total = sum(w * (full[k + 1] - above[k] - low[k]) for k, w in enumerate(weights))
+    return Fraction(total, denom)
 
 
 @functools.cache  # a refused call raises, and nothing is cached for it

@@ -37,7 +37,6 @@ from shapcount.boolfunc import (
     kcount_oracle,
     or_substituted_count,
     or_substituted_kcounts,
-    or_substituted_shapley,
     shapley_oracle,
     truth_table,
 )
@@ -226,17 +225,20 @@ def test_kept_table_never_bypasses_the_bound(monkeypatch):
 
     monkeypatch.setattr(boolfunc, "truth_table", recording)
     g = example1()
+    # a mixed-width Shapley query makes the k-count oracle on the first such
+    # query and asks it twice; each of those reads the table
     queries = [
-        (count_oracle, lambda oracle: oracle((1, 2, 3))),
-        (and_count_oracle, lambda oracle: oracle((1, 2, 3))),
-        (kcount_oracle, lambda oracle: oracle((1, 2, 3))),
-        (shapley_oracle, lambda oracle: oracle((1, 2, 3), 0)),  # mixed widths: the digit route
+        (count_oracle, lambda oracle: oracle((1, 2, 3)), 1),
+        (and_count_oracle, lambda oracle: oracle((1, 2, 3)), 1),
+        (kcount_oracle, lambda oracle: oracle((1, 2, 3)), 1),
+        (shapley_oracle, lambda oracle: oracle((1, 2, 3), 0), 3),
+        (shapley_oracle, lambda oracle: [oracle((1, 2, 3), 0), oracle((1, 3, 2), 0)], 5),
     ]
-    for make, ask in queries:
+    for make, ask, reads in queries:
         oracle = make(g, bound=30)
         bounds.clear()
         ask(oracle)
-        assert bounds == [30], make.__name__
+        assert bounds == [30] * reads, make.__name__
 
 
 def test_brute_kcounts():
@@ -446,7 +448,7 @@ def test_packed_kcount_digits_hold_binomial_rows():
         lambda widths: or_substituted_count(example1(), widths),
         lambda widths: and_substituted_count(example1(), widths),
         lambda widths: or_substituted_kcounts(example1(), widths),
-        lambda widths: or_substituted_shapley(example1(), widths, 1),
+        lambda widths: shapley_oracle(example1())(widths, 1),
         lambda widths: ct.count_oracle(example1_circuit())(widths),
         lambda widths: ct.kcount_oracle(example1_circuit())(widths),
         lambda widths: lg.stretch_database_expand(three_tuples(), widths),
@@ -481,9 +483,27 @@ def test_substituted_shapley_matches_materialized():
         res = or_substitute(f, arities)
         z = res.groups[target][0]
         want = brute_shapley_permutations(res.func)[z]
-        assert or_substituted_shapley(f, arities, target) == want
+        assert shapley_oracle(f)(arities, target) == want
     with pytest.raises(InputError):
-        or_substituted_shapley(BoolFunc(Var(0), 1), (2,), 0)
+        shapley_oracle(BoolFunc(Var(0), 1))((2,), 0)
+
+
+def test_mixed_width_shapley_matches_materialized():
+    # the mixed-width route, on draws whose other variables take at least
+    # two widths: the reductions' rule over the function's k-count oracle
+    rng = random.Random(109)
+    draws = 0
+    while draws < 300:
+        f = gen.random_boolfunc(rng, max_vars=5)
+        n = f.var_count
+        target = rng.randrange(n)
+        arities = tuple(1 if i == target else rng.randint(0, 3) for i in range(n))
+        if len(set(arities[:target] + arities[target + 1 :])) < 2 or sum(arities) > 12:
+            continue
+        res = or_substitute(f, arities)
+        want = brute_shapley_subsets(res.func)[res.groups[target][0]]
+        assert shapley_oracle(f)(arities, target) == want, (f, arities, target)
+        draws += 1
 
 
 def test_clause_product_equals_or_substitution():

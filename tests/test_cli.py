@@ -277,6 +277,21 @@ def test_stretch_round_trip(workspace, capsys):
     assert code == 2  # --out is required
 
 
+def test_stretch_writes_quoted_constants_unchanged(workspace, capsys):
+    (workspace / "comma.q").write_text("Q :- R(x), S(x, 'a,b')\n")
+    schema = lg.Schema((lg.Relation("R", 1, True), lg.Relation("S", 2, False)))
+    rows = {"R": [("a1",), ("a2",)], "S": [("a1", "a,b"), ("a2", "a")]}
+    lg.write_database(lg.Database(schema, rows), workspace / "comma")
+    outdir = workspace / "stretched"
+    argv = ("stretch", workspace / "comma.q", workspace / "comma", "--mode", "dummy")
+    code, out = run(capsys, *argv, "--out", outdir)
+    want = "Q :- R(z1, x), S(x, 'a,b')\n"
+    assert code == 0 and out == want and (outdir / "query.txt").read_text() == want
+    query = lg.parse_query(want)
+    assert query == lg.stretch_query(lg.parse_query("Q :- R(x), S(x, 'a,b')"), schema)
+    assert lg.build_lineage(query, lg.load_database(outdir)).clauses == (frozenset({0}),)
+
+
 def test_csv_outputs_are_pinned_byte_for_byte(workspace, capsys):
     hard = [workspace / "rst.q", workspace / "rst", "--kind", "lineage"]
     with pytest.warns(UserWarning, match="exhaustive enumeration"):
@@ -347,6 +362,72 @@ def test_compare_all_kinds(workspace, capsys):
     assert code == 0 and "branch FP" in out
     code, out = run(capsys, "compare", workspace / "rst.q", workspace / "rst", "--kind", "lineage")
     assert code == 0 and "branch hard" in out
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        pytest.param(
+            ("{ws}/ex1.bf",),
+            "compare kind=formula input=sha256:90e77787c05c2361\n"
+            "count brute=3 via_shapley=3\n"
+            "kcounts brute=0,1,1,1 paper=0,1,1,1 and=0,1,1,1\n"
+            "shapley brute=5/6,1/3,-1/6 reduction=5/6,1/3,-1/6\n"
+            "oracle_calls kcount_pipeline=4 shapley_count_pipeline=9\n"
+            "agreement ok\n",
+            id="formula",
+        ),
+        pytest.param(
+            ("{ws}/ex.nnf", "--kind", "circuit"),
+            "compare kind=circuit input=sha256:62bfcab405636e0d\n"
+            "count dd=4 brute=4\n"
+            "kcounts direct=0,1,2,1 paper=0,1,2,1 brute=0,1,2,1\n"
+            "shapley circuit=0/1,1/2,1/2 brute=0/1,1/2,1/2\n"
+            "agreement ok\n",
+            id="circuit",
+        ),
+        pytest.param(
+            ("{ws}/join.q", "{ws}/join", "--kind", "lineage"),
+            "compare kind=lineage input=sha256:cde6f411adde5f69\n"
+            "count brute=7\n"
+            "branch FP\n"
+            "kcounts brute=0,0,2,4,1\n"
+            "shapley brute=1/4,1/4,1/4,1/4\n"
+            "count circuit=7\n"
+            "kcounts direct=0,0,2,4,1 brute=0,0,2,4,1\n"
+            "shapley circuit=1/4,1/4,1/4,1/4 brute=1/4,1/4,1/4,1/4\n"
+            "agreement ok\n",
+            id="lineage-fp",
+        ),
+        pytest.param(
+            ("{ws}/rst.q", "{ws}/rst", "--kind", "lineage"),
+            "compare kind=lineage input=sha256:d9c124aadc2a18e3\n"
+            "count brute=7\n"
+            "branch hard\n"
+            "kcounts brute=0,0,2,4,1\n"
+            "shapley brute=1/4,1/4,1/4,1/4\n"
+            "agreement ok\n",
+            id="lineage-hard",
+        ),
+        pytest.param(
+            ("{ws}/path.q", "{ws}/path", "--kind", "lineage"),
+            "compare kind=lineage input=sha256:7fb804e95b06a8ec\n"
+            "count brute=1\n"
+            "branch outside the dichotomy (self-join)\n"
+            "kcounts brute=0,0,1\n"
+            "shapley brute=1/2,1/2\n"
+            "agreement ok\n",
+            id="lineage-self-join",
+        ),
+    ],
+)
+def test_compare_stdout_is_pinned_byte_for_byte(workspace, capsys, argv, want):
+    # every kind and lineage branch, line for line
+    (workspace / "path.q").write_text("Q :- R(x,y), R(y,z)\n")
+    schema = lg.Schema((lg.Relation("R", 2, True),))
+    lg.write_database(lg.Database(schema, {"R": [("a", "b"), ("b", "c")]}), workspace / "path")
+    code, out = run(capsys, "compare", *(a.format(ws=workspace) for a in argv))
+    assert code == 0 and out == want
 
 
 def test_compare_builds_one_truth_table_per_input(workspace, capsys, monkeypatch):

@@ -275,6 +275,20 @@ def test_stretch_query_forms():
     assert len(set(names)) == len(names)
 
 
+def test_quoted_constants_keep_their_commas():
+    q = lg.parse_query("""Q :- R(x), S(x, 'a,b', "c, d" , y), T(y, ',')""")
+    x, y = lg.QueryVar("x"), lg.QueryVar("y")
+    assert [a.args for a in q.atoms] == [
+        (x,),
+        (x, lg.QueryConst("a,b"), lg.QueryConst("c, d"), y),
+        (y, lg.QueryConst(",")),
+    ]
+    assert lg.query_text(q) == "Q :- R(x), S(x, 'a,b', 'c, d', y), T(y, ',')\n"
+    assert lg.parse_query(lg.query_text(q)) == q
+    with pytest.raises(InputError, match="empty argument"):
+        lg.parse_query("Q :- S(x, 'a,b',, y)")
+
+
 def test_stretch_dummy_rows_and_lineage():
     q, db = chain_instance()
     stretched = lg.stretch_database_dummy(db)

@@ -5,7 +5,7 @@ from math import comb, factorial
 import pytest
 
 from helpers import cofactors, example1, or_substitute
-from shapcount import boolfunc, formats, gen
+from shapcount import boolfunc, formats, gen, reductions
 from shapcount.boolfunc import (
     BoolFunc,
     Const,
@@ -17,12 +17,12 @@ from shapcount.boolfunc import (
     count_oracle,
     evaluate,
     kcount_oracle,
-    or_substituted_shapley,
     shapley_oracle,
 )
 from shapcount.errors import InconsistencyError, InputError, RefusalError
 from shapcount.reductions import (
     CallCounter,
+    _shapley_value,
     _solve_counts,
     _solve_fraction_free,
     count_from_shapley,
@@ -31,6 +31,15 @@ from shapcount.reductions import (
     kcounts_from_counts_and,
     shapley_from_kcounts,
 )
+
+
+def digit_route(f, arities, target):
+    """The target's Shapley value under the group replacement, by the
+    reductions' rule over the k-counts of the replacement as asked and with
+    the target set to 0: independent of _uniform_shapley_row."""
+    kcounts = kcount_oracle(f)
+    low = tuple(0 if p == target else m for p, m in enumerate(arities))
+    return _shapley_value(kcounts(arities), kcounts(low))
 
 
 def test_coefficients_values():
@@ -162,7 +171,7 @@ def test_expansion_weights_match_direct_shapley():
         hi, lo = map(brute_kcounts, cofactors(f, i))
         for ell in range(1, 4):
             arities = tuple(1 if p == i else ell for p in range(n))
-            direct = or_substituted_shapley(f, arities, i)
+            direct = digit_route(f, arities, i)
             weights = expansion_weights(n, ell)
             assert direct == sum(w * (a - b) for w, a, b in zip(weights, hi, lo))
             if sum(arities) <= 8:
@@ -207,6 +216,11 @@ def test_oracle_call_counts():
         counting = CallCounter(count_oracle(f))
         kcounts_from_counts(n, counting)
         assert counting.calls == n + 1
+        # the function's own k-counts, then one cofactor per variable: the
+        # rule shared with the formula Shapley oracle adds no query
+        kcounts = CallCounter(kcount_oracle(f))
+        shapley_from_kcounts(n, kcounts)
+        assert kcounts.calls == n + 1
         shap = CallCounter(shapley_oracle(f))
         count_from_shapley(n, evaluate(f, ()), shap)
         assert shap.calls == n * n
@@ -236,8 +250,10 @@ def test_shapley_oracle_builds_one_truth_table_per_call(monkeypatch):
         (and_count_oracle, lambda oracle: kcounts_from_counts_and(3, oracle) == (0, 1, 1, 1)),
         (kcount_oracle, lambda oracle: shapley_from_kcounts(3, oracle)[0] == Fraction(5, 6)),
         (shapley_oracle, lambda oracle: count_from_shapley(3, 0, oracle) == 3),
-        # a query with mixed widths takes the digit route, on the same table
+        # a query that widens both others to 2 reads the same table, and so
+        # does a mixed-width query's k-count oracle
         (shapley_oracle, lambda oracle: oracle((1, 2, 2), 0) == Fraction(13, 15)),
+        (shapley_oracle, lambda oracle: oracle((1, 3, 1), 0) == Fraction(19, 20)),
     ]
     for make, run in runs:
         f = example1()
@@ -261,7 +277,7 @@ def test_shapley_oracle_equals_the_digit_route():
             queries = [tuple(1 if p == target else ell for p in range(n)) for ell in range(1, 5)]
             queries.append(tuple(1 if p == target else rng.randint(0, 3) for p in range(n)))
             for arities in queries:
-                want = or_substituted_shapley(f, arities, target)
+                want = digit_route(f, arities, target)
                 assert oracle(arities, target) == want, (f, arities, target)
     with pytest.raises(InputError):
         shapley_oracle(example1())((2, 1, 1), 0)
@@ -271,9 +287,10 @@ def test_shapley_oracle_equals_the_digit_route():
 
 def test_shapley_oracle_refuses_over_the_function_bound():
     f = example1()
-    assert or_substituted_shapley(f, (1, 2, 2), 0, bound=3) == Fraction(13, 15)
+    assert shapley_oracle(f, bound=3)((1, 2, 2), 0) == Fraction(13, 15)
+    assert shapley_oracle(f, bound=3)((1, 2, 3), 0) == digit_route(f, (1, 2, 3), 0)
     with pytest.raises(RefusalError):
-        or_substituted_shapley(f, (1, 2, 2), 0, bound=2)
+        shapley_oracle(f, bound=2)
 
 
 def test_inconsistent_oracles_are_reported():
@@ -343,7 +360,6 @@ def test_shapley_oracle_rows_answer_every_uniform_query(monkeypatch):
     # each target's row is taken on its first uniform query and serves every
     # width after it
     rng = random.Random(44)
-    digit_route = boolfunc.or_substituted_shapley
     for _ in range(25):
         f = gen.random_boolfunc(rng, max_vars=8)
         n = f.var_count
@@ -360,13 +376,15 @@ def test_shapley_oracle_rows_answer_every_uniform_query(monkeypatch):
         target = targets[0]
         others = [p for p in range(n) if p != target]
         arities = tuple(1 if p == target else 2 + (p == others[0]) for p in range(n))
+        want = digit_route(f, arities, target)
+        rule = reductions._shapley_value
         with monkeypatch.context() as patch:
             patch.setattr(
                 boolfunc,
-                "or_substituted_shapley",
-                lambda *args, **kwargs: calls.append(args) or digit_route(*args, **kwargs),
+                "_shapley_value",
+                lambda *args: calls.append(args) or rule(*args),
             )
-            assert oracle(arities, target) == digit_route(f, arities, target)
+            assert oracle(arities, target) == want
         assert len(calls) == 1
 
 
