@@ -17,7 +17,6 @@ import functools
 import hashlib
 import random
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,6 +64,10 @@ def _single(paths: list[str]) -> str:
     return paths[0]
 
 
+def _note(text: str) -> None:
+    print(f"shapcount: note: {text}", file=sys.stderr)
+
+
 def _load(ns):
     """The input --kind names: a formula, a validated circuit, or a lineage
     query with its database."""
@@ -74,7 +77,7 @@ def _load(ns):
         return _load_instance(ns.inputs)
     parsed = circuit.parse_nnf(read_input(_single(ns.inputs)))
     for note in circuit.validate(parsed).notes:
-        print(f"shapcount: note: {note}", file=sys.stderr)
+        _note(note)
     return parsed
 
 
@@ -143,9 +146,14 @@ def _shapley_csv(values, db) -> str:
 def cmd_shapley(ns) -> str:
     method = ns.method or "reduction"
     if ns.kind == "lineage" and method == "reduction":
-        # the dichotomy pipeline, with its own refusals and its hard-branch fallback
         query, db = _load_instance(ns.inputs)
-        return _shapley_csv(lineage.shapley_tuples(query, db, bound=_bound(ns)), db)
+        if lineage.dichotomy_branch(query)[0] == "FP":
+            values = circuit.shapley_direct(lineage.compile_hierarchical_lineage(query, db))
+        else:
+            # the dichotomy pipeline's refusals, then its hard-branch enumeration
+            values = lineage.shapley_tuples(query, db, bound=_bound(ns))
+            _note("non-hierarchical query: falling back to exhaustive enumeration of the lineage")
+        return _shapley_csv(values, db)
     func, db = _resolve(ns, method)
     if method == "brute":
         values = boolfunc.brute_shapley_subsets(func, bound=_bound(ns))
@@ -468,17 +476,10 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)
-    # a library warning, such as the hard-branch fallback, prints as a note
-    formatwarning = warnings.formatwarning
-    warnings.formatwarning = lambda message, *_: f"shapcount: note: {message}\n"
     try:
         if min(ns.max_vars or 0, getattr(ns, "fuzz", 0)) < 0:
             raise InputError("--max-vars and --fuzz take nonnegative counts")
-        # every call shows its notes: the filters are the caller's again
-        # afterwards, and appending "always" keeps any filter of theirs first
-        with warnings.catch_warnings():
-            warnings.filterwarnings("always", category=UserWarning, append=True)
-            output = _HANDLERS[ns.verb](ns)
+        output = _HANDLERS[ns.verb](ns)
         if ns.out and ns.verb not in _DIRECTORY_VERBS:
             Path(ns.out).write_text(output)
             return 0
@@ -500,7 +501,6 @@ def main(argv: list[str] | None = None) -> int:
         print("shapcount: refused: this input nests too deeply", file=sys.stderr)
         return EXIT_REFUSAL
     finally:
-        warnings.formatwarning = formatwarning
         if limit:
             sys.set_int_max_str_digits(limit)
     sys.stdout.write(output)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -137,11 +136,13 @@ class Database:
 # ---------------------------------------------------------------------------
 # Text formats
 
-_ATOM = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)")
+# the text between atoms, an atom's name and opening parenthesis, and one
+# argument (a quoted constant, which may hold commas and parentheses, or else
+# the text up to the next of those) with the comma or parenthesis ending it
+_GAP = re.compile(r"[\s,]*")
+_NAME = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(")
+_ARG = re.compile(r"""(\s*(?:'[^']*'|"[^"]*")\s*(?=[,)])|[^(),]*)([,)])""")
 _VAR = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
-# one atom argument and the comma that ends it: a quoted constant, which may
-# hold commas, or the text up to the next comma
-_ARG = re.compile(r"""\s*('[^']*'|"[^"]*")\s*,|([^,]*),""")
 
 
 def parse_schema(text: str) -> Schema:
@@ -179,26 +180,28 @@ def parse_query(text: str) -> Query:
     line = text.strip()
     if ":-" in line:
         line = line.split(":-", 1)[1]
-    atoms = []
-    for m in _ATOM.finditer(line):
-        args = []
-        body = m.group(2).strip()
-        if not body:
-            raise InputError(f"atom {m.group(1)} has no arguments")
-        for quoted, plain in _ARG.findall(body + ","):
-            piece = (quoted or plain).strip()
+    atoms, pos = [], 0
+    while (pos := _GAP.match(line, pos).end()) < len(line):
+        name = _NAME.match(line, pos)
+        if not name:
+            raise InputError(f"unparsed query text: {line[pos:]!r}")
+        args, end, pos = [], ",", name.end()
+        while end == ",":
+            arg = _ARG.match(line, pos)
+            if not arg:
+                raise InputError(f"unparsed query text: {line[name.start():]!r}")
+            piece, end, pos = arg[1].strip(), arg[2], arg.end()
+            if not piece and end == ")" and not args:
+                raise InputError(f"atom {name.group(1)} has no arguments")
             if not piece:
-                raise InputError(f"atom {m.group(1)}: empty argument")
+                raise InputError(f"atom {name.group(1)}: empty argument")
             if (piece[0] == piece[-1] == "'") or (piece[0] == piece[-1] == '"'):
                 args.append(QueryConst(piece[1:-1]))
             elif _VAR.match(piece):
                 args.append(QueryVar(piece))
             else:
                 args.append(QueryConst(piece))
-        atoms.append(Atom(m.group(1), tuple(args)))
-    leftovers = _ATOM.sub("", line).replace(",", "").strip()
-    if leftovers:
-        raise InputError(f"unparsed query text: {leftovers!r}")
+        atoms.append(Atom(name.group(1), tuple(args)))
     if not atoms:
         raise InputError("a query needs at least one atom")
     return Query(tuple(atoms))
@@ -611,10 +614,10 @@ def shapley_tuples(
 
     Hierarchical queries go through the compiled circuit, whose Shapley
     vector one forward and one transposed pass give exactly at any size
-    (`circuit.shapley_direct`); non-hierarchical ones fall back to
-    exhaustive enumeration of the lineage (with a warning), refusing above
-    the bound.  A query with a self-join is outside the dichotomy and is
-    refused: only brute force answers it.
+    (`circuit.shapley_direct`); non-hierarchical ones are enumerated
+    exhaustively, refusing above the bound (`dichotomy_branch` says which
+    branch a query is on).  A query with a self-join is outside the
+    dichotomy and is refused: only brute force answers it.
     """
     branch = dichotomy_branch(query)[0]
     if branch == "FP":
@@ -630,10 +633,6 @@ def shapley_tuples(
             f"general, and {db.var_count} tuple variables exceed the exhaustive "
             f"bound of {bound}"
         )
-    warnings.warn(
-        "non-hierarchical query: falling back to exhaustive enumeration of the lineage",
-        stacklevel=2,
-    )
     return brute_shapley_subsets(build_lineage(query, db).func, bound=bound)
 
 

@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 import time
-import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -47,6 +46,12 @@ def workspace(tmp_path):
         lg.Database(schema2, {"R1": [("a1",), ("a2",)], "R2": [("a1",), ("a2",)]}), join
     )
     return tmp_path
+
+
+FALLBACK_NOTE = (
+    "shapcount: note: non-hierarchical query: falling back to exhaustive "
+    "enumeration of the lineage\n"
+)
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -124,9 +129,9 @@ def test_shapley_lineage_csv(workspace, capsys):
     hard = [workspace / "rst.q", workspace / "rst", "--kind", "lineage"]
     code, brute = run(capsys, "shapley", *hard, "--method", "brute")
     assert code == 0
-    with pytest.warns(UserWarning, match="exhaustive enumeration"):
-        code, same = run(capsys, "shapley", *hard)
-    assert code == 0 and same == brute
+    code = main(["shapley", *map(str, hard)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == brute and captured.err == FALLBACK_NOTE
 
 
 def test_lineage_shapley_takes_the_direct_pass(workspace, capsys, monkeypatch):
@@ -158,6 +163,7 @@ def test_lineage_shapley_takes_the_direct_pass(workspace, capsys, monkeypatch):
     "argv",
     [
         pytest.param(("count", "{ws}/join.q", "{ws}/join", "--kind", "lineage"), id="count"),
+        pytest.param(("shapley", "{ws}/join.q", "{ws}/join", "--kind", "lineage"), id="shapley"),
         pytest.param(("compare", "{ws}/join.q", "{ws}/join", "--kind", "lineage"), id="compare"),
         pytest.param(("check", "{ws}/join.q"), id="check-hierarchical"),
         pytest.param(("check", "{ws}/rst.q"), id="check-not-hierarchical"),
@@ -292,11 +298,26 @@ def test_stretch_writes_quoted_constants_unchanged(workspace, capsys):
     assert lg.build_lineage(query, lg.load_database(outdir)).clauses == (frozenset({0}),)
 
 
+def test_stretch_writes_parenthesized_constants_that_lineage_reads(workspace, capsys):
+    (workspace / "paren.q").write_text("Q :- R(x), S(x, 'f(a, b)')\n")
+    schema = lg.Schema((lg.Relation("R", 1, True), lg.Relation("S", 2, False)))
+    rows = {"R": [("a1",), ("a2",)], "S": [("a1", "f(a, b)"), ("a2", "f(a")]}
+    lg.write_database(lg.Database(schema, rows), workspace / "paren")
+    outdir = workspace / "stretched"
+    argv = ("stretch", workspace / "paren.q", workspace / "paren", "--mode", "dummy")
+    code, out = run(capsys, *argv, "--out", outdir)
+    want = "Q :- R(z1, x), S(x, 'f(a, b)')\n"
+    assert code == 0 and out == want and (outdir / "query.txt").read_text() == want
+    code, out = run(capsys, "lineage", outdir / "query.txt", outdir)
+    assert code == 0 and out == "(vars 2 x0)\n0,R,0\n1,R,1\n"
+
+
 def test_csv_outputs_are_pinned_byte_for_byte(workspace, capsys):
     hard = [workspace / "rst.q", workspace / "rst", "--kind", "lineage"]
-    with pytest.warns(UserWarning, match="exhaustive enumeration"):
-        code, out = run(capsys, "shapley", *hard)
-    assert code == 0 and out == "R,0,1,4\nR,1,1,4\nT,0,1,4\nT,1,1,4\n"
+    code = main(["shapley", *map(str, hard)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == "R,0,1,4\nR,1,1,4\nT,0,1,4\nT,1,1,4\n"
+    assert captured.err == FALLBACK_NOTE
 
     code, _ = run(capsys, "lineage", *hard[:2], "--out", workspace / "lin")
     assert code == 0
@@ -511,25 +532,25 @@ def test_compare_is_silent_on_success(workspace, capsys, argv):
     assert captured.err == ""
 
 
-# runs the command line on its arguments, showing each warning once as a
-# shell run does (the suite itself turns UserWarning into an error), as
-# many times in the one process as its first argument says
+# runs the command line on its arguments, as many times in the one process
+# as its first argument says
 SHELL_MAIN = """
-import sys, warnings
+import sys
 from shapcount.cli import main
-warnings.simplefilter("default")
 sys.exit(max(main(sys.argv[2:]) for _ in range(int(sys.argv[1]))))
 """
 
 
-def shell(*argv, runs=1):
+def shell(*argv, runs=1, flags=(), **env):
+    """A fresh interpreter, started with `flags` and the extra environment
+    variables `env`, running the command line on `argv`."""
     src = Path(shapcount.__file__).parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", SHELL_MAIN, str(runs), *map(str, argv)],
+        [sys.executable, *flags, "-c", SHELL_MAIN, str(runs), *map(str, argv)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
         timeout=60,
     )
 
@@ -551,6 +572,16 @@ def test_notes_print_as_one_line_each(workspace):
     assert child.stderr == (
         "shapcount: note: determinism assumed: 21 variables exceed the exhaustive bound of 20\n"
     )
+
+
+def test_warning_filters_cannot_crash_a_run(workspace):
+    # the notes are the CLI's own lines, not warnings a filter could raise
+    hard = ["shapley", workspace / "rst.q", workspace / "rst", "--kind", "lineage"]
+    default = shell(*hard)
+    assert default.returncode == 0 and default.stderr == FALLBACK_NOTE
+    for child in (shell(*hard, flags=("-W", "error")), shell(*hard, PYTHONWARNINGS="error")):
+        assert child.returncode == 0
+        assert (child.stdout, child.stderr) == (default.stdout, default.stderr)
 
 
 def test_every_call_in_one_process_prints_its_note(workspace, capsys):
@@ -1025,10 +1056,7 @@ def test_mutated_inputs_of_every_kind_exit_cleanly(tmp_path, capsys):
             name = rng.choice(files)
             (tmp_path / name).write_text(_mutate(rng, originals[name]), encoding="utf-8")
             for argv in calls:
-                with warnings.catch_warnings():
-                    # the hard-branch note, which the suite turns into an error
-                    warnings.simplefilter("ignore", UserWarning)
-                    codes.append(main([str(a) for a in argv]))
+                codes.append(main([str(a) for a in argv]))
                 capsys.readouterr()
             (tmp_path / name).write_text(originals[name])
     assert set(codes) <= {0, 2, 3, 4}
