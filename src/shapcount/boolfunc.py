@@ -422,8 +422,9 @@ def _cofactor_row(whole: Sequence[int], hi: Sequence[int]) -> list[int]:
 # when the oracle is made.  The Shapley oracle answers a query that widens
 # every other variable to one width ell from the per-size popcounts
 # of the table and of its part that sets the target, dotted with a row
-# of integer weights it builds once per ell from the Shapley coefficients;
-# a query with mixed widths hands the function's own k-counts, with the
+# of integer weights, cached per (n, ell), in a closed form of its own:
+# count_from_shapley checks it against the reductions' separate table.  A
+# query with mixed widths hands the function's own k-counts, with the
 # widths as asked and with the target set to 0, to the rule of
 # reductions.shapley_from_kcounts.  The oracles are still exhaustive
 # enumeration over the base space and never solve any linear system.
@@ -532,7 +533,8 @@ def kcount_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     return lambda arities: or_substituted_kcounts(func, arities, bound=bound)
 
 
-def _uniform_shapley_row(n: int, ell: int) -> tuple[list[int], int]:
+@functools.cache
+def _uniform_shapley_row(n: int, ell: int) -> tuple[tuple[int, ...], int]:
     """Integer weights S_j T! for j = 0..n-1, and T!, that turn the target's
     cofactor subset counts into its Shapley value when every other variable
     becomes a disjunction of ell fresh ones.
@@ -544,21 +546,17 @@ def _uniform_shapley_row(n: int, ell: int) -> tuple[list[int], int]:
 
         S_j T! = sum_k k! (T-1-k)! [t^k] ((1+t)^ell - 1)^j,
 
-    with the coefficient expanded by the binomial theorem as
-    sum_m (-1)^(j-m) C(j, m) C(m ell, k).
+    by the binomial theorem the j-th forward difference at 0 of the moments
+    M_m = sum_k k! (T-1-k)! C(m ell, k) = T! / (T - m ell), closed by parallel
+    summation (Concrete Mathematics, 5.1): with a = m ell, each term is
+    a! (T-1-a)! C(T-1-k, a-k), and those binomials sum over k to C(T, a).
     """
     total = 1 + (n - 1) * ell
-    fact = list(accumulate(range(1, total + 1), mul, initial=1))
-    coeff = [fact[k] * fact[total - 1 - k] for k in range(total)]
-    # moments[m]: the coefficients summed over the subsets of the m * ell
-    # clones of m true groups, by size
-    moments = [
-        sum(map(mul, coeff, map(comb, repeat(m * ell), range(m * ell + 1)))) for m in range(n)
-    ]
-    weights = [
-        sum((-1) ** (j - m) * comb(j, m) * moments[m] for m in range(j + 1)) for j in range(n)
-    ]
-    return weights, fact[total]
+    denom = factorial(total)
+    diffs = [denom // (total - m * ell) for m in range(n)]
+    for j in range(1, n):  # diffs[j:] become the j-th differences
+        diffs[j:] = map(sub, diffs[j:], diffs[j - 1 : -1])
+    return tuple(diffs), denom
 
 
 def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
@@ -567,7 +565,7 @@ def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     query that gives every other variable one width ell is the target's
     _cofactor_row, built once per target from the profile of T & x and
     T's own, taken when the oracle is made, dotted with the weights of
-    _uniform_shapley_row, built once per ell.  A query with mixed widths
+    _uniform_shapley_row, cached per (n, ell).  A query with mixed widths
     passes the answers of the function's kcount_oracle, made on the first
     such query, for the widths as asked and with the target set to 0, to
     reductions._shapley_value.  Made as count_oracle is.
@@ -576,7 +574,6 @@ def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     table = truth_table(func, bound=bound)
     masks = _variable_masks(n)
     whole = _profile(table, n)
-    rows: dict[int, tuple[list[int], int]] = {}
     diffs: dict[int, list[int]] = {}
     kcounts = None  # the k-count oracle, made on the first mixed-width query
 
@@ -590,11 +587,9 @@ def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
             low = tuple(0 if i == target else m for i, m in enumerate(arities))
             return _shapley_value(kcounts(arities), kcounts(low))
         ell = widths.pop() if widths else 1  # one variable: T = 1 for any ell
-        if ell not in rows:
-            rows[ell] = _uniform_shapley_row(n, ell)
         if target not in diffs:
             diffs[target] = _cofactor_row(whole, _profile(table & masks[target], n))
-        weights, denom = rows[ell]
+        weights, denom = _uniform_shapley_row(n, ell)
         return Fraction(sum(map(mul, weights, diffs[target])), denom)
 
     return query

@@ -136,10 +136,12 @@ class Database:
 # ---------------------------------------------------------------------------
 # Text formats
 
-# the text between atoms, an atom's name and opening parenthesis, and one
-# argument (a quoted constant, which may hold commas and parentheses, or else
-# the text up to the next of those) with the comma or parenthesis ending it
-_GAP = re.compile(r"[\s,]*")
+# the head up to the first ":-" outside quotes, the comma (if any) after an
+# atom, an atom's name and opening parenthesis, and one argument (a quoted
+# constant, which may hold commas, parentheses and ":-", or else the text up
+# to the next comma or parenthesis) with the comma or parenthesis ending it
+_HEAD = re.compile(r"""\A(?:'[^']*'|"[^"]*"|[^'"])*?:-""")
+_COMMA = re.compile(r"\s*(,?)\s*")
 _NAME = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(")
 _ARG = re.compile(r"""(\s*(?:'[^']*'|"[^"]*")\s*(?=[,)])|[^(),]*)([,)])""")
 _VAR = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -175,13 +177,14 @@ def parse_query(text: str) -> Query:
     """One-line queries like `Q :- R(x), S(x,'a'), T(y)`.
 
     Lowercase-leading identifiers are variables; quoted strings and
-    anything else are constants.
+    anything else are constants.  One comma separates two atoms, and the
+    head, if any, ends at the first `:-` outside quotes.
     """
-    line = text.strip()
-    if ":-" in line:
-        line = line.split(":-", 1)[1]
+    line = _HEAD.sub("", text, count=1).strip()
+    if not line:
+        raise InputError("a query needs at least one atom")
     atoms, pos = [], 0
-    while (pos := _GAP.match(line, pos).end()) < len(line):
+    while True:
         name = _NAME.match(line, pos)
         if not name:
             raise InputError(f"unparsed query text: {line[pos:]!r}")
@@ -202,9 +205,14 @@ def parse_query(text: str) -> Query:
             else:
                 args.append(QueryConst(piece))
         atoms.append(Atom(name.group(1), tuple(args)))
-    if not atoms:
-        raise InputError("a query needs at least one atom")
-    return Query(tuple(atoms))
+        gap = _COMMA.match(line, pos)
+        pos = gap.end()
+        if not gap[1]:
+            if pos < len(line):
+                raise InputError(f"expected a comma between atoms at {line[pos:]!r}")
+            return Query(tuple(atoms))
+        if pos == len(line):
+            raise InputError(f"the query ends in a comma after atom {name.group(1)}")
 
 
 def query_text(query: Query) -> str:

@@ -21,7 +21,9 @@ for shapley_from_kcounts and the formula Shapley oracle alike.  The n
 moment systems of count_from_shapley share one matrix, so they are solved
 together, after all n * n oracle answers are in, by one fraction-free
 (Bareiss) Gauss-Jordan elimination over integers; each solution must be
-divisible by the elimination's final pivot.
+divisible by the elimination's final pivot.  The matrix and the Shapley
+coefficients are rows of `_weight_table`, a closed form the formula Shapley
+oracle must not share: with one table, a wrong entry would cancel out.
 """
 
 from __future__ import annotations
@@ -166,16 +168,25 @@ def shapley_from_kcounts(n: int, oracle: KCountOracle) -> tuple[Fraction, ...]:
 
 
 @functools.cache
-def _shapley_weights(n: int) -> tuple[tuple[int, ...], int]:
-    """k! (n-1-k)! for k = 0..n-1, and their denominator n!."""
-    return tuple(factorial(k) * factorial(n - 1 - k) for k in range(n)), factorial(n)
+def _weight_table(n: int, ell: int) -> tuple[tuple[int, ...], int]:
+    """The weights w_k of expansion_weights as integers w_k T!, k = 0..n-1,
+    and T!, for T = 1 + (n-1) ell.  With v = u^ell the integral is a Beta
+    integral, w_k = k! ell^k / prod_{i=0..k} (ell (n-1-k+i) + 1), whose factors
+    are distinct integers at most T: w_0 T! = (T-1)!, and each next entry is
+    the last times k ell / (ell (n-1-k) + 1), exactly.  At ell = 1 the row is
+    the Shapley coefficients k! (n-1-k)! over n!."""
+    total = 1 + (n - 1) * ell
+    row = [factorial(total - 1)]
+    for k in range(1, n):
+        row.append(row[-1] * k * ell // (ell * (n - 1 - k) + 1))
+    return tuple(row), total * row[0]
 
 
 def _shapley_value(full: Sequence[int], low: Sequence[int]) -> Fraction:
     """Shap_x of an N-variable function F from the k-counts `full` of F and
     `low` of F[x:=0], which has no size-N models, by the splitting above:
     sum_k k! (N-1-k)! / N! (#_{k+1} F - #_{k+1} F[x:=0] - #_k F[x:=0])."""
-    weights, denom = _shapley_weights(len(low))
+    weights, denom = _weight_table(len(low), 1)
     above = [*low[1:], 0]
     total = sum(w * (full[k + 1] - above[k] - low[k]) for k, w in enumerate(weights))
     return Fraction(total, denom)
@@ -196,13 +207,8 @@ def expansion_weights(n: int, ell: int) -> tuple[Fraction, ...]:
     """
     if n < 1 or ell < 1:
         raise InputError("weights need n >= 1 and ell >= 1")
-    weights = []
-    for k in range(n):
-        total = Fraction(0)
-        for j in range(k + 1):
-            total += Fraction((-1) ** j * comb(k, j), ell * (n - 1 - k + j) + 1)
-        weights.append(total)
-    return tuple(weights)
+    row, denom = _weight_table(n, ell)
+    return tuple(Fraction(s, denom) for s in row)
 
 
 def count_from_shapley(n: int, value_at_zero: int, oracle: ShapleyOracle) -> int:

@@ -2,12 +2,16 @@
 the embedding of the bipartite-DNF instance into any non-hierarchical
 query, and the independent references the tests check the package against:
 substitution by grouped fresh variables built as a formula, a circuit
-unfolded into function nodes, and lineage by the active-domain recursion."""
+unfolded into function nodes, lineage by the active-domain recursion, and
+the widened Shapley weights by their defining sums."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from fractions import Fraction
+from itertools import accumulate, product, repeat
+from math import comb
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from shapcount import circuit as ct
@@ -120,6 +124,41 @@ def unfold(circuit: ct.Circuit) -> BoolFunc:
     """The circuit as function nodes, one per gate, so shared gates stay
     shared and the result is as small as the circuit."""
     return BoolFunc(_rebuild(circuit, Var), circuit.var_count)
+
+
+# ---------------------------------------------------------------------------
+# Widened Shapley weights by their defining sums, the references for the
+# closed forms of boolfunc._uniform_shapley_row and reductions._weight_table
+
+
+def binomial_moment_row(n: int, ell: int) -> tuple[list[int], int]:
+    """S_j T! for j = 0..n-1, and T! for T = 1 + (n-1) ell: the sum over k of
+    k! (T-1-k)! [t^k] ((1+t)^ell - 1)^j, the coefficient expanded by the
+    binomial theorem as sum_m (-1)^(j-m) C(j, m) C(m ell, k)."""
+    total = 1 + (n - 1) * ell
+    fact = list(accumulate(range(1, total + 1), mul, initial=1))
+    coeff = [fact[k] * fact[total - 1 - k] for k in range(total)]
+    # moments[m]: the coefficients summed over the subsets of the m * ell
+    # clones of m true groups, by size
+    moments = [
+        sum(map(mul, coeff, map(comb, repeat(m * ell), range(m * ell + 1)))) for m in range(n)
+    ]
+    weights = [
+        sum((-1) ** (j - m) * comb(j, m) * moments[m] for m in range(j + 1)) for j in range(n)
+    ]
+    return weights, fact[total]
+
+
+def alternating_weights(n: int, ell: int) -> tuple[Fraction, ...]:
+    """w_k = integral_0^1 (1-u^ell)^k u^(ell(n-1-k)) du for k = 0..n-1, with
+    (1-u^ell)^k expanded by the binomial theorem and integrated termwise."""
+    weights = []
+    for k in range(n):
+        total = Fraction(0)
+        for j in range(k + 1):
+            total += Fraction((-1) ** j * comb(k, j), ell * (n - 1 - k + j) + 1)
+        weights.append(total)
+    return tuple(weights)
 
 
 # ---------------------------------------------------------------------------

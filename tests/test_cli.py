@@ -620,6 +620,23 @@ def test_compare_checks_the_efficiency_sum_on_circuits(workspace, capsys, monkey
     assert "methods disagree" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text, spot",
+    [
+        ("Q :- R(x) S(x,y)", "expected a comma between atoms at 'S(x,y)'"),
+        ("Q :- R(x),, S(x,y)", "unparsed query text: ', S(x,y)'"),
+        ("Q :- , R(x), S(x,y)", "unparsed query text: ', R(x), S(x,y)'"),
+        ("Q :- R(x), S(x,y),", "the query ends in a comma after atom S"),
+    ],
+)
+def test_atoms_take_exactly_one_comma_between_them(workspace, capsys, text, spot):
+    (workspace / "commas.q").write_text(text + "\n")
+    code = main(["check", str(workspace / "commas.q")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"shapcount: input error: {spot}\n"
+
+
 def test_compare_needs_an_input(workspace, capsys):
     code, _ = run(capsys, "compare")
     assert code == 2
@@ -633,6 +650,39 @@ def test_compare_exits_4_on_disagreement(workspace, capsys, monkeypatch):
     )
     code = main(["compare", str(workspace / "ex.nnf"), "--kind", "circuit"])
     assert code == 4 and "methods disagree" in capsys.readouterr().err
+
+
+def test_compare_checks_each_weight_table_against_the_other(workspace, capsys, monkeypatch):
+    # count_from_shapley solves with the reductions' weight table what the
+    # formula Shapley oracle answered with its own, so one entry off by one
+    # in either table must fail the count check; the stand-ins skip both
+    # caches, so no perturbed row outlives the test
+    from shapcount import boolfunc, formats, gen, reductions
+
+    rng = random.Random(3)
+    draws = iter(lambda: gen.random_boolfunc(rng, 13, "dnf"), None)
+    func = next(f for f in draws if f.var_count >= 11)  # above PERMUTATION_BOUND
+    (workspace / "wide.bf").write_text(formats.format_sexpr(func))
+    row, table = boolfunc._uniform_shapley_row.__wrapped__, reductions._weight_table.__wrapped__
+
+    def off_by_one(build, perturb):
+        def perturbed(n, ell):
+            weights, denom = build(n, ell)
+            if perturb and ell == 2:
+                weights = weights[: n // 2] + (weights[n // 2] + 1,) + weights[n // 2 + 1 :]
+            return weights, denom
+
+        return perturbed
+
+    monkeypatch.setattr(reductions, "expansion_weights", reductions.expansion_weights.__wrapped__)
+    for side, want in ((None, 0), ("oracle", 4), ("reduction", 4)):
+        monkeypatch.setattr(boolfunc, "_uniform_shapley_row", off_by_one(row, side == "oracle"))
+        monkeypatch.setattr(reductions, "_weight_table", off_by_one(table, side == "reduction"))
+        code, out = run(capsys, "compare", workspace / "wide.bf")
+        assert code == want, side
+        if side is None:
+            calls = int(out.rsplit("shapley_count_pipeline=", 1)[1].split()[0])
+            assert 121 <= calls <= 169  # n * n queries for 11 to 13 variables
 
 
 def test_compare_runs_each_reduction_once(workspace, capsys, monkeypatch):

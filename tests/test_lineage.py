@@ -302,6 +302,19 @@ def test_quoted_constants_keep_their_parentheses():
         lg.parse_query("Q :- S(x, 'a(b' c)")
 
 
+def test_random_queries_round_trip_through_their_text():
+    for seed in range(200):
+        rng = random.Random(seed)
+        query, _ = gen.random_query(rng, max_atoms=4, self_join_free=seed % 2 == 0)
+        assert lg.parse_query(lg.query_text(query)) == query
+
+
+def test_the_head_ends_at_the_first_turnstile_outside_quotes():
+    want = lg.Query((lg.Atom("R", (lg.QueryVar("x"), lg.QueryConst("a:-b"))),))
+    assert lg.parse_query("R(x, 'a:-b')") == lg.parse_query("Q :- R(x, 'a:-b')") == want
+    assert lg.parse_query('Q(y) :- R(x, "a:-b")') == want
+
+
 def test_stretch_dummy_rows_and_lineage():
     q, db = chain_instance()
     stretched = lg.stretch_database_dummy(db)

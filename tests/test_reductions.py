@@ -4,7 +4,13 @@ from math import comb, factorial
 
 import pytest
 
-from helpers import cofactors, example1, or_substitute
+from helpers import (
+    alternating_weights,
+    binomial_moment_row,
+    cofactors,
+    example1,
+    or_substitute,
+)
 from shapcount import boolfunc, formats, gen, reductions
 from shapcount.boolfunc import (
     BoolFunc,
@@ -155,9 +161,21 @@ def test_count_from_shapley_worked_example():
 
 
 def test_expansion_weights_reduce_to_coefficients():
-    for n in range(1, 10):
-        closed = [Fraction(factorial(k) * factorial(n - k - 1), factorial(n)) for k in range(n)]
+    for n in range(1, 25):
+        coefficients = tuple(factorial(k) * factorial(n - 1 - k) for k in range(n))
+        assert reductions._weight_table(n, 1) == (coefficients, factorial(n))
+        assert boolfunc._uniform_shapley_row(n, 1) == (coefficients, factorial(n))
+        closed = [Fraction(c, factorial(n)) for c in coefficients]
         assert expansion_weights(n, 1) == tuple(closed)
+
+
+def test_closed_form_weights_match_their_defining_sums():
+    # each side's closed form against its own defining sum
+    for n in range(1, 25):
+        for ell in range(1, n + 3):
+            weights, denom = binomial_moment_row(n, ell)
+            assert boolfunc._uniform_shapley_row(n, ell) == (tuple(weights), denom)
+            assert expansion_weights(n, ell) == alternating_weights(n, ell)
 
 
 def test_expansion_weights_match_direct_shapley():
