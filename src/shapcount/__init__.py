@@ -1,10 +1,12 @@
 """Exact Shapley values for Boolean functions via model counting.
 
-The package has four layers: Boolean functions as gate DAGs with
+The package has four layers: Boolean functions as gate DAGs, one
+`Circuit` type for formulas, d-D circuits and lineage alike, with
 brute-force ground-truth oracles (boolfunc), the rational-arithmetic
-reductions tying Shapley values to model counting (reductions),
-deterministic-decomposable circuits (circuit), and conjunctive-query lineage
-with the hierarchical dichotomy (lineage).  The cli module wires them into a command-line tool.
+reductions tying Shapley values to model counting (reductions), the
+linear-time passes over deterministic-decomposable circuits (circuit), and
+conjunctive-query lineage with the hierarchical dichotomy (lineage).  The
+cli module wires them into a command-line tool.
 """
 
 from types import ModuleType as _ModuleType
@@ -12,6 +14,7 @@ from types import ModuleType as _ModuleType
 from .boolfunc import (
     And,
     BoolFunc,
+    Circuit,
     Const,
     Not,
     Or,
@@ -23,14 +26,12 @@ from .boolfunc import (
     evaluate,
 )
 from .circuit import (
-    Circuit,
     CircuitBuilder,
     check_decomposable,
     check_deterministic_exhaustive,
     kcounts_circuit,
     model_count_dd,
     parse_nnf,
-    shapley_circuit,
     shapley_direct,
     size_polynomial_count,
     validate,

@@ -1,16 +1,18 @@
 """Boolean functions as gate DAGs, with exact enumeration oracles.
 
-Functions are built from expression nodes (shared subterms allowed) over a
-dense variable index space 0..n-1.  A BoolFunc validates its nodes and
-lowers them to the gate array a `circuit.Circuit` holds, one `Gate` per
-distinct node, children first, and keeps only that array.  Nodes are for
-construction only: they compare and hash by identity, and no method of
-theirs walks a node tree.  `formats.format_sexpr` renders a function, and
-`truth_table` compares two semantically.  Every per-gate pass, here and in
-`circuit` and `formats`, is one bottom-up walk of the gate array (`_fold`)
-that drops each value after its last reader, so it takes circuits too,
-accepts any nesting depth and walks shared subterms once.  Everything is
-exact: counts are ints, Shapley values Fractions.
+Every Boolean function is one `Circuit`: an array of `Gate`s over a dense
+variable index space 0..n-1, children first, the output last.  Formulas,
+d-D circuits and lineage differ only in the properties `circuit.validate`
+proves of that one DAG, not in their type.  `BoolFunc(root, n)` lowers
+expression nodes (shared subterms allowed) to a circuit, one gate per
+distinct node, and keeps only the gates.  Nodes are for construction only:
+they compare and hash by identity, and no method of theirs walks a node
+tree.  `formats.format_sexpr` renders a function, and `truth_table`
+compares two semantically.  Every per-gate pass, here and in `circuit` and
+`formats`, is one bottom-up walk of the gate array (`_fold`) that drops
+each value after its last reader, so it accepts any nesting depth and
+walks shared subterms once.  Everything is exact: counts are ints, Shapley
+values Fractions.
 
 The brute-force routines in this module are the ground truth the rest of the
 package is checked against.  They enumerate the full valuation space as big
@@ -26,18 +28,14 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations, repeat
 from math import comb, factorial
 from operator import mul, sub
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, RefusalError
-from .reductions import _shapley_value
-
-if TYPE_CHECKING:
-    from .circuit import Circuit
 
 ENUMERATION_BOUND = 24
 PERMUTATION_BOUND = 10
@@ -108,76 +106,113 @@ def disjunction(children: Sequence[Node]) -> Node:
     return _collapse(children, FALSE, Or)
 
 
-@dataclass(frozen=True)
-class BoolFunc:
-    """A Boolean function: its gate array and declared variable count.
+class Circuit:
+    """A Boolean function as a DAG of gates with one output: formulas,
+    d-D circuits and lineage alike.
 
-    `BoolFunc(root, n)` lowers the expression node `root` and keeps only the
-    gates.  Variables carry dense indices 0..var_count-1; not every index
-    has to occur.  `gates` holds one gate per distinct node (by identity),
-    children first, so the root is the last gate, `output`.  Equality,
-    hashing and repr read the flat gates, so they do not recurse: two
-    functions are equal when they are the same DAG.  `truth_table` keeps the
-    function's table on it once built.
+    Gate inputs always point at smaller indices, so index order is a
+    topological order.  Exactly one gate (the output) feeds nothing; as
+    nothing can read the last gate, that is the last one, never passed in.
+    Variables carry dense indices 0..var_count-1; not every index has to
+    occur.  The constructor checks all of this.  A circuit compares, hashes
+    and prints by identity, and keeps its truth table and its
+    `circuit.validate` report once built.
     """
 
-    root: InitVar[Node]
-    var_count: int
-    gates: tuple[Gate, ...] = field(init=False)
-    _table: int | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("gates", "var_count", "deterministic_by_construction", "_report", "_table")
 
-    def __post_init__(self, root: Node) -> None:
-        if self.var_count < 0:
-            raise InputError("variable count must be nonnegative")
-        gates: list[Gate] = []
-        index: dict[int, int] = {}  # id(node) -> its gate; -1 until its children have one
-        stack: list[tuple[Node, bool]] = [(root, False)]
-        while stack:
-            node, children_done = stack.pop()
-            if not children_done and id(node) in index:
-                continue
-            if isinstance(node, Const):
-                if node.value not in (0, 1):
-                    raise InputError(f"constant must be 0 or 1, got {node.value!r}")
-                gate = Gate(CONST1 if node.value else CONST0)
-            elif isinstance(node, Var):
-                if not 0 <= node.index < self.var_count:
-                    raise InputError(
-                        f"variable index {node.index} out of range for {self.var_count} variables"
-                    )
-                gate = Gate(VAR, node.index)
-            elif not isinstance(node, (Not, And, Or)):
-                raise InputError(f"not a function node: {node!r}")
-            elif children_done:
-                if isinstance(node, Not):
-                    gate = Gate(NOT, inputs=(index[id(node.child)],))
-                else:
-                    inputs = tuple([index[id(c)] for c in node.children])
-                    gate = Gate(AND if isinstance(node, And) else OR, inputs=inputs)
-            else:
-                children = (node.child,) if isinstance(node, Not) else node.children
-                if len(children) < 2 and not isinstance(node, Not):
-                    raise InputError("n-ary connectives need at least two children")
-                index[id(node)] = -1
-                stack.append((node, True))
-                stack.extend([(c, False) for c in reversed(children)])
-                continue
-            index[id(node)] = len(gates)
-            gates.append(gate)
-        object.__setattr__(self, "gates", tuple(gates))
+    def __init__(
+        self,
+        gates: Sequence[Gate],
+        var_count: int,
+        deterministic_by_construction: bool = False,
+    ):
+        self.gates = tuple(gates)
+        self.var_count = var_count
+        self.deterministic_by_construction = deterministic_by_construction
+        self._report = None  # `circuit.validate`'s, made on its first call
+        self._table: int | None = None
+        self._validate()
 
     @property
     def output(self) -> int:
         return len(self.gates) - 1
 
+    def _validate(self) -> None:
+        gates, var_count = self.gates, self.var_count
+        if not gates:
+            raise InputError("a circuit needs at least one gate")
+        if var_count < 0:
+            raise InputError("variable count must be nonnegative")
+        referenced = bytearray(len(gates))
+        for idx, (kind, var, inputs) in enumerate(gates):
+            if kind == AND or kind == OR:
+                arity_ok = len(inputs) >= 2
+            elif kind == NOT:
+                arity_ok = len(inputs) == 1
+            elif kind == VAR or kind == CONST0 or kind == CONST1:
+                if kind == VAR and not 0 <= var < var_count:
+                    raise InputError(f"gate {idx}: variable {var} out of range")
+                arity_ok = not inputs
+            else:
+                raise InputError(f"gate {idx}: unknown kind {kind!r}")
+            if not arity_ok:
+                raise InputError(f"gate {idx}: wrong arity for {kind}")
+            if inputs and (min(inputs) < 0 or max(inputs) >= idx):
+                ref = next(r for r in inputs if not 0 <= r < idx)
+                raise InputError(f"gate {idx}: input {ref} does not precede it")
+            for ref in inputs:
+                referenced[ref] = 1
+        if referenced.count(0) != 1:
+            sinks = [idx for idx, seen in enumerate(referenced) if not seen]
+            raise InputError(
+                f"expected the output to be the only unreferenced gate, found {sinks}"
+            )
+
     def size(self) -> int:
-        """Number of variable occurrences and connectives (constants free)."""
-        connective = lambda sizes: 1 + sum(sizes)
-        return _fold(self, lambda v: 1, 0, 0, (1).__add__, connective, connective)[self.output]
+        return len(self.gates)
+
+
+def BoolFunc(root: Node, var_count: int) -> Circuit:
+    """The circuit of the expression node `root` over variables
+    0..var_count-1: one gate per distinct node (by identity), children
+    first, so the root is the output.  Only what a gate array cannot say is
+    checked here, that each node is one and each constant 0 or 1; the
+    Circuit checks variable ranges and arities."""
+    gates: list[Gate] = []
+    index: dict[int, int] = {}  # id(node) -> its gate; -1 until its children have one
+    stack: list[tuple[Node, bool]] = [(root, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if not children_done and id(node) in index:
+            continue
+        if isinstance(node, Const):
+            if node.value not in (0, 1):
+                raise InputError(f"constant must be 0 or 1, got {node.value!r}")
+            gate = Gate(CONST1 if node.value else CONST0)
+        elif isinstance(node, Var):
+            gate = Gate(VAR, node.index)
+        elif not isinstance(node, (Not, And, Or)):
+            raise InputError(f"not a function node: {node!r}")
+        elif children_done:
+            if isinstance(node, Not):
+                gate = Gate(NOT, inputs=(index[id(node.child)],))
+            else:
+                inputs = tuple([index[id(c)] for c in node.children])
+                gate = Gate(AND if isinstance(node, And) else OR, inputs=inputs)
+        else:
+            children = (node.child,) if isinstance(node, Not) else node.children
+            index[id(node)] = -1
+            stack.append((node, True))
+            stack.extend([(c, False) for c in reversed(children)])
+            continue
+        index[id(node)] = len(gates)
+        gates.append(gate)
+    return Circuit(gates, var_count)
 
 
 def _fold(
-    func: BoolFunc | Circuit,
+    func: Circuit,
     var: Callable[[int], object],
     zero: object,
     one: object,
@@ -222,7 +257,7 @@ def _fold(
 # Evaluation and exhaustive truth tables, for functions and circuits alike
 
 
-def evaluate(func: BoolFunc | Circuit, true_vars: Iterable[int]) -> int:
+def evaluate(func: Circuit, true_vars: Iterable[int]) -> int:
     """Value of the function under the valuation setting exactly `true_vars`."""
     trues = frozenset(true_vars)
     for v in trues:
@@ -316,7 +351,7 @@ def _union(tables: Iterable[int]) -> int:
     return acc
 
 
-def _tables(func: BoolFunc | Circuit, disj: Callable[[Iterator[int]], int] = _union) -> list:
+def _tables(func: Circuit, disj: Callable[[Iterator[int]], int] = _union) -> list:
     """The truth-table walk over the full variable space, ORs combined by
     `disj`; only the output's table is kept."""
     n = func.var_count
@@ -324,7 +359,7 @@ def _tables(func: BoolFunc | Circuit, disj: Callable[[Iterator[int]], int] = _un
     return _fold(func, _variable_masks(n).__getitem__, 0, full, full.__xor__, _intersect, disj)
 
 
-def truth_table(func: BoolFunc | Circuit, *, bound: int = ENUMERATION_BOUND) -> int:
+def truth_table(func: Circuit, *, bound: int = ENUMERATION_BOUND) -> int:
     """All 2^n values as a bitmask in the graded layout: the valuations of
     size k = 0..n fill one byte-aligned block each, in increasing order of
     their index (bit v set for each true variable v), and every padding
@@ -332,7 +367,7 @@ def truth_table(func: BoolFunc | Circuit, *, bound: int = ENUMERATION_BOUND) -> 
     checks the bound first, so a kept table never answers above it."""
     _check_bound(func.var_count, bound, "exhaustive enumeration")
     if func._table is None:
-        object.__setattr__(func, "_table", _tables(func)[func.output])
+        func._table = _tables(func)[func.output]
     return func._table
 
 
@@ -340,19 +375,17 @@ def truth_table(func: BoolFunc | Circuit, *, bound: int = ENUMERATION_BOUND) -> 
 # Brute-force counting and Shapley oracles
 
 
-def brute_count(func: BoolFunc | Circuit, *, bound: int = ENUMERATION_BOUND) -> int:
+def brute_count(func: Circuit, *, bound: int = ENUMERATION_BOUND) -> int:
     """Model count by full enumeration."""
     return truth_table(func, bound=bound).bit_count()
 
 
-def brute_kcounts(
-    func: BoolFunc | Circuit, *, bound: int = ENUMERATION_BOUND
-) -> tuple[int, ...]:
+def brute_kcounts(func: Circuit, *, bound: int = ENUMERATION_BOUND) -> tuple[int, ...]:
     """Model counts bucketed by valuation size, by full enumeration."""
     return tuple(_profile(truth_table(func, bound=bound), func.var_count))
 
 
-def brute_shapley_permutations(func: BoolFunc | Circuit) -> tuple[Fraction, ...]:
+def brute_shapley_permutations(func: Circuit) -> tuple[Fraction, ...]:
     """Shapley vector by averaging marginal contributions over all n! orders,
     refused above PERMUTATION_BOUND variables."""
     n = func.var_count
@@ -373,9 +406,7 @@ def brute_shapley_permutations(func: BoolFunc | Circuit) -> tuple[Fraction, ...]
     return tuple(Fraction(t, denom) for t in totals)
 
 
-def brute_shapley_subsets(
-    func: BoolFunc | Circuit, *, bound: int = ENUMERATION_BOUND
-) -> tuple[Fraction, ...]:
+def brute_shapley_subsets(func: Circuit, *, bound: int = ENUMERATION_BOUND) -> tuple[Fraction, ...]:
     """Shapley vector from size-bucketed counts of the two cofactors per
     variable, all read off one truth table T: the k-subsets S of the other
     variables with f(S + x_i) true number |T & x_i & W_(k+1)|, those with
@@ -412,22 +443,20 @@ def _cofactor_row(whole: Sequence[int], hi: Sequence[int]) -> list[int]:
 # valuations and count group assignments combinatorially: a true group can
 # be set 2^m - 1 ways, a false group exactly one way, so each base model
 # weighs the product of its true variables' weights (of its false ones, for
-# conjunctive groups).  With one weight for every variable that product
-# depends only on the model's size, and the sum takes one popcount per
-# size; otherwise the models are merged one variable at a time.
-# Size-bucketed counts ride along as digits: the weight of a true group,
-# evaluated at t = 2^B, is its size polynomial (1+t)^m - 1, and the counts
-# are read off the total's base-2^B digits.  Every oracle reads the one
-# truth table that `truth_table` keeps on the function; a factory builds it
-# when the oracle is made.  The Shapley oracle answers a query that widens
-# every other variable to one width ell from the per-size popcounts
-# of the table and of its part that sets the target, dotted with a row
-# of integer weights, cached per (n, ell), in a closed form of its own:
-# count_from_shapley checks it against the reductions' separate table.  A
-# query with mixed widths hands the function's own k-counts, with the
-# widths as asked and with the target set to 0, to the rule of
-# reductions.shapley_from_kcounts.  The oracles are still exhaustive
-# enumeration over the base space and never solve any linear system.
+# conjunctive groups).  They answer the queries the reductions ask, which
+# widen every variable they keep to one width, and refuse mixed widths:
+# a model's weight then depends only on its size, and the sum takes one
+# popcount per size.  Size-bucketed counts ride along as digits: the
+# weight of a true group, evaluated at t = 2^B, is its size polynomial
+# (1+t)^m - 1, and the counts are read off the total's base-2^B digits.
+# Every oracle reads the one truth table that `truth_table` keeps on the
+# function; a factory builds it when the oracle is made.  The Shapley
+# oracle answers a query that widens every other variable to one width ell
+# from the per-size popcounts of the table and of its part that sets the
+# target, dotted with a row of integer weights, cached per (n, ell), in a
+# closed form of its own: count_from_shapley checks it against the
+# reductions' separate table.  The oracles are still exhaustive enumeration
+# over the base space and never solve any linear system.
 
 
 def _check_arities(arities: Sequence[int], var_count: int) -> None:
@@ -438,67 +467,62 @@ def _check_arities(arities: Sequence[int], var_count: int) -> None:
         raise InputError("arities must be nonnegative")
 
 
-def _weighted_count(table: int, n: int, weights: Sequence[int], falses: bool = False) -> int:
-    """Sum over the models x of the truth table of the product of
-    weights[i] over the variables i that x sets, or, with `falses`, over
-    those that x leaves false."""
-    masks = _variable_masks(n)
-    for i, w in enumerate(weights):
-        if not w:
+def _one_width(arities: Sequence[int], widths: set[int]) -> int:
+    """The one width a reduction's query gives the variables it widens,
+    `widths`, or 0 if it widens none."""
+    if len(widths) > 1:
+        raise InputError(f"mixed-width query {tuple(arities)}: the formula oracles take one width")
+    return max(widths, default=0)
+
+
+def _weighted_count(
+    func: Circuit, arities: Sequence[int], weight: Callable, bound: int, falses: bool = False
+) -> int:
+    """Sum over the models x of the truth table of w^j, for w = weight(the
+    query's one nonzero width) and j the number of variables that x sets,
+    or, with `falses`, leaves false; a model that sets a variable of arity 0
+    (leaves it false, with `falses`) weighs 0."""
+    n = func.var_count
+    _check_arities(arities, n)
+    w = weight(_one_width(arities, set(arities) - {0}))
+    table, masks = truth_table(func, bound=bound), _variable_masks(n)
+    for i, m in enumerate(arities):
+        if not m:
             table &= masks[i] if falses else ~masks[i]
-    w = max(weights, default=0)
-    if all(x in (0, w) for x in weights):
-        profile = _profile(table, n)  # a model of size k weighs w^k, or w^(n-k)
-        total = 0
-        for count in profile if falses else reversed(profile):
-            total = total * w + count
-        return total
-    # sums[j] holds the weighted sum of the models whose index shifted right
-    # by the merged variable count is j; the odd entry of each pair has the
-    # next variable true and takes its weight (the even one, with `falses`)
-    sums = dict.fromkeys(_models(table, n), 1)
-    for w in weights:
-        merged: dict[int, int] = {}
-        for index, value in sums.items():
-            key = index >> 1
-            merged[key] = merged.get(key, 0) + (value * w if (index & 1) != falses else value)
-        sums = merged
-    return sums.get(0, 0)
+    profile = _profile(table, n)  # a model of size k weighs w^k, or w^(n-k)
+    total = 0
+    for count in profile if falses else reversed(profile):
+        total = total * w + count
+    return total
 
 
 def or_substituted_count(
-    func: BoolFunc, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
+    func: Circuit, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
 ) -> int:
     """Model count of the function after replacing variable i by a
     disjunction of arities[i] fresh variables."""
-    _check_arities(arities, func.var_count)
-    table = truth_table(func, bound=bound)
-    return _weighted_count(table, func.var_count, [(1 << m) - 1 for m in arities])
+    return _weighted_count(func, arities, lambda m: (1 << m) - 1, bound)
 
 
 def and_substituted_count(
-    func: BoolFunc, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
+    func: Circuit, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
 ) -> int:
     """Model count after replacing variable i by a conjunction of arities[i]
     fresh variables (false groups have 2^m - 1 assignments, true groups one)."""
-    _check_arities(arities, func.var_count)
-    table = truth_table(func, bound=bound)
-    return _weighted_count(table, func.var_count, [(1 << m) - 1 for m in arities], True)
+    return _weighted_count(func, arities, lambda m: (1 << m) - 1, bound, True)
 
 
 def or_substituted_kcounts(
-    func: BoolFunc, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
+    func: Circuit, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
 ) -> tuple[int, ...]:
     """Size-bucketed model counts of the function under a disjunctive
     group replacement, indexed 0..sum(arities), as base-2^B digits (see
     above).  No count exceeds 2^sum(arities), so B, the least multiple of 8
     above sum(arities), holds each without carrying into the next digit."""
-    _check_arities(arities, func.var_count)
-    table = truth_table(func, bound=bound)
     total = sum(arities)
     width = total // 8 + 1
-    weights = [((1 << 8 * width) + 1) ** m - 1 for m in arities]
-    raw = _weighted_count(table, func.var_count, weights).to_bytes(width * (total + 1), "little")
+    weight = lambda m: ((1 << 8 * width) + 1) ** m - 1
+    raw = _weighted_count(func, arities, weight, bound).to_bytes(width * (total + 1), "little")
     return tuple(int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width))
 
 
@@ -511,7 +535,7 @@ def _check_target(arities: Sequence[int], target: int, var_count: int) -> None:
         raise InputError("the distinguished variable must keep arity 1")
 
 
-def count_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
+def count_oracle(func: Circuit, *, bound: int = ENUMERATION_BOUND):
     """Count oracle for the reductions: arities -> model count of the
     disjunctive group replacement, by base-space enumeration.  Like the
     other oracles here, it builds the function's truth table when made, so
@@ -521,13 +545,13 @@ def count_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
     return lambda arities: or_substituted_count(func, arities, bound=bound)
 
 
-def and_count_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
+def and_count_oracle(func: Circuit, *, bound: int = ENUMERATION_BOUND):
     """As count_oracle, for conjunctive group replacements."""
     truth_table(func, bound=bound)
     return lambda arities: and_substituted_count(func, arities, bound=bound)
 
 
-def kcount_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
+def kcount_oracle(func: Circuit, *, bound: int = ENUMERATION_BOUND):
     """Size-bucketed count oracle for disjunctive group replacements."""
     truth_table(func, bound=bound)
     return lambda arities: or_substituted_kcounts(func, arities, bound=bound)
@@ -559,34 +583,24 @@ def _uniform_shapley_row(n: int, ell: int) -> tuple[tuple[int, ...], int]:
     return tuple(diffs), denom
 
 
-def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
+def shapley_oracle(func: Circuit, *, bound: int = ENUMERATION_BOUND):
     """Shapley oracle: (arities, target) -> Shapley value of the fresh
-    variable standing in for `target` under the group replacement.  A
-    query that gives every other variable one width ell is the target's
-    _cofactor_row, built once per target from the profile of T & x and
-    T's own, taken when the oracle is made, dotted with the weights of
-    _uniform_shapley_row, cached per (n, ell).  A query with mixed widths
-    passes the answers of the function's kcount_oracle, made on the first
-    such query, for the widths as asked and with the target set to 0, to
-    reductions._shapley_value.  Made as count_oracle is.
+    variable standing in for `target` when every other variable becomes a
+    disjunction of one width ell, the queries count_from_shapley asks: the
+    target's _cofactor_row, built once per target from the profile of
+    T & x and T's own, taken when the oracle is made, dotted with the
+    weights of _uniform_shapley_row, cached per (n, ell).  Made as
+    count_oracle is.
     """
     n = func.var_count
     table = truth_table(func, bound=bound)
     masks = _variable_masks(n)
     whole = _profile(table, n)
     diffs: dict[int, list[int]] = {}
-    kcounts = None  # the k-count oracle, made on the first mixed-width query
 
     def query(arities: Sequence[int], target: int) -> Fraction:
-        nonlocal kcounts
         _check_target(arities, target, n)
-        widths = {m for i, m in enumerate(arities) if i != target}
-        if len(widths) > 1:
-            if kcounts is None:
-                kcounts = kcount_oracle(func, bound=bound)
-            low = tuple(0 if i == target else m for i, m in enumerate(arities))
-            return _shapley_value(kcounts(arities), kcounts(low))
-        ell = widths.pop() if widths else 1  # one variable: T = 1 for any ell
+        ell = _one_width(arities, {m for i, m in enumerate(arities) if i != target})
         if target not in diffs:
             diffs[target] = _cofactor_row(whole, _profile(table & masks[target], n))
         weights, denom = _uniform_shapley_row(n, ell)
@@ -599,7 +613,7 @@ def shapley_oracle(func: BoolFunc, *, bound: int = ENUMERATION_BOUND):
 # Positive DNF
 
 
-def dnf_from_clauses(clauses: Iterable[frozenset[int]], var_count: int) -> BoolFunc:
+def dnf_from_clauses(clauses: Iterable[frozenset[int]], var_count: int) -> Circuit:
     """Deterministic positive-DNF function for a clause set.
 
     An empty clause makes the whole function the constant 1; no clauses at

@@ -1,9 +1,8 @@
 """Deterministic and decomposable circuits.
 
-A circuit is an indexed DAG of gates (constants, variables, NOT, n-ary
-AND/OR) with a single output gate, the last one: the same `boolfunc.Gate`
-array a `BoolFunc` lowers to, so `boolfunc`'s evaluator, truth tables and
-brute-force routines take circuits as they are.  Counting is linear once
+A circuit is the one gate array every Boolean function is (`boolfunc`
+defines `Circuit` and `Gate`, and this module re-exports both): constants,
+variables, NOT and n-ary AND/OR, the output last.  Counting is linear once
 two properties hold: every AND combines subcircuits over disjoint variables,
 and no valuation satisfies two children of the same OR.  Decomposability is
 checked structurally; determinism is verified exhaustively up to a bound,
@@ -16,12 +15,12 @@ being true as an exact pair (c, w), meaning c / 2^w, and the size-bucketed
 count works in the probability basis.  The same
 probability-basis pass, followed by one transposed pass, gives the Shapley
 value of every variable at once (`shapley_direct`).  `count_oracle` and
-`kcount_oracle` answer the paper's oracle queries, counts of the circuit
-with variables replaced by disjunctions of fresh ones, each by a weighted
-pass over the circuit itself with no substituted copy built;
-`kcounts_circuit` and `shapley_circuit` are the paper's reductions over
-them.  `or_substitute_all` writes the substituted copy's gate array
-directly, the closure witness that `compare` checks each query against.
+`kcount_oracle` answer the paper's oracle queries at any widths, counts of
+the circuit with variables replaced by disjunctions of fresh ones, each by
+a weighted pass over the circuit itself with no substituted copy built;
+`kcounts_circuit` is the paper's reduction over them.  `or_substitute_all`
+writes the substituted copy's gate array directly, the closure witness that
+`compare` checks each query against.
 """
 
 from __future__ import annotations
@@ -34,79 +33,11 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import reductions
-from .boolfunc import AND, CONST0, CONST1, NOT, OR, VAR, Gate
+from .boolfunc import AND, CONST0, CONST1, NOT, OR, VAR, Circuit, Gate
 from .boolfunc import _check_arities, _fold, _tables, _union, _variable_masks, evaluate
 from .errors import InconsistencyError, InputError, RefusalError
 
 DETERMINISM_BOUND = 20
-
-
-class Circuit:
-    """Immutable-by-convention gate DAG with one output.
-
-    Gate inputs always point at smaller indices, so index order is a
-    topological order.  Exactly one gate (the output) feeds nothing; as
-    nothing can read the last gate, that is the last one, never passed in.
-    """
-
-    __slots__ = (
-        "gates",
-        "var_count",
-        "deterministic_by_construction",
-        "_report",
-        "_table",
-    )
-
-    def __init__(
-        self,
-        gates: Sequence[Gate],
-        var_count: int,
-        deterministic_by_construction: bool = False,
-    ):
-        self.gates = tuple(gates)
-        self.var_count = var_count
-        self.deterministic_by_construction = deterministic_by_construction
-        self._report: ValidationReport | None = None
-        self._table: int | None = None
-        self._validate()
-
-    @property
-    def output(self) -> int:
-        return len(self.gates) - 1
-
-    def _validate(self) -> None:
-        gates, var_count = self.gates, self.var_count
-        if not gates:
-            raise InputError("a circuit needs at least one gate")
-        if var_count < 0:
-            raise InputError("variable count must be nonnegative")
-        referenced = bytearray(len(gates))
-        for idx, (kind, var, inputs) in enumerate(gates):
-            if kind == AND or kind == OR:
-                arity_ok = len(inputs) >= 2
-            elif kind == NOT:
-                arity_ok = len(inputs) == 1
-            elif kind == VAR or kind == CONST0 or kind == CONST1:
-                if kind == VAR and not 0 <= var < var_count:
-                    raise InputError(f"gate {idx}: variable {var} out of range")
-                arity_ok = not inputs
-            else:
-                raise InputError(f"gate {idx}: unknown kind {kind!r}")
-            if not arity_ok:
-                raise InputError(f"gate {idx}: wrong arity for {kind}")
-            if inputs and (min(inputs) < 0 or max(inputs) >= idx):
-                ref = next(r for r in inputs if not 0 <= r < idx)
-                raise InputError(f"gate {idx}: input {ref} does not precede it")
-            for ref in inputs:
-                referenced[ref] = 1
-        if referenced.count(0) != 1:
-            sinks = [idx for idx, seen in enumerate(referenced) if not seen]
-            raise InputError(
-                f"expected the output to be the only unreferenced gate, found {sinks}"
-            )
-
-    def size(self) -> int:
-        return len(self.gates)
 
 
 class CircuitBuilder:
@@ -738,9 +669,3 @@ def kcounts_circuit(circuit: Circuit) -> tuple[int, ...]:
     Must agree with size_polynomial_count."""
     return reductions.kcounts_from_counts(circuit.var_count, count_oracle(circuit))
 
-
-def shapley_circuit(circuit: Circuit) -> tuple[Fraction, ...]:
-    """Exact Shapley vector through the k-count-oracle reduction; the
-    variable-deleted cofactors are width-0 substitutions.  `shapley_direct`
-    returns the same vector and is the route `shapley` takes."""
-    return reductions.shapley_from_kcounts(circuit.var_count, kcount_oracle(circuit))

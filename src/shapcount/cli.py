@@ -21,7 +21,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import boolfunc, circuit, formats, gen, lineage, reductions
-from .boolfunc import BoolFunc
 from .errors import InconsistencyError, InputError, RefusalError, read_input
 
 EXIT_INPUT = 2
@@ -86,18 +85,19 @@ def _bound(ns) -> int:
 
 
 def _resolve(ns, method: str | None = None):
-    """The input as a formula or a validated circuit, with a lineage input's
-    database (None for the other kinds).  Lineage becomes its compiled
-    circuit when the query is in FP and the method is not brute, else its
-    formula, which only brute force reads: above the bound it is refused in
-    the words of the verb's brute pass, before it is built.  Size-bucketed
-    counts other than brute force are refused off FP."""
+    """The input, whether the circuit passes apply to it (a circuit file or
+    compiled lineage, never a formula), and a lineage input's database
+    (None for the other kinds).  Lineage becomes its compiled circuit when
+    the query is in FP and the method is not brute, else its formula, which
+    only brute force reads: above the bound it is refused in the words of
+    the verb's brute pass, before it is built.  Size-bucketed counts other
+    than brute force are refused off FP."""
     loaded = _load(ns)
     if ns.kind != "lineage":
-        return loaded, None
+        return loaded, ns.kind == "circuit", None
     query, db = loaded
     if method != "brute" and lineage.dichotomy_branch(query)[0] == "FP":
-        return lineage.compile_hierarchical_lineage(query, db), db
+        return lineage.compile_hierarchical_lineage(query, db), True, db
     if ns.verb == "kcount" and method != "brute":
         raise RefusalError(
             "size-bucketed counting beyond brute force needs a hierarchical "
@@ -106,7 +106,7 @@ def _resolve(ns, method: str | None = None):
     what = "subset enumeration" if ns.verb == "shapley" else "exhaustive enumeration"
     lineage._check_query(query, db.schema)
     boolfunc._check_bound(db.var_count, _bound(ns), what)
-    return lineage.build_lineage(query, db).func, db
+    return lineage.build_lineage(query, db).func, False, db
 
 
 # ---------------------------------------------------------------------------
@@ -114,20 +114,20 @@ def _resolve(ns, method: str | None = None):
 
 
 def cmd_count(ns) -> str:
-    func, _ = _resolve(ns)
-    if isinstance(func, circuit.Circuit):
+    func, passes, _ = _resolve(ns)
+    if passes:
         return f"{circuit.model_count_dd(func)}\n"
     return f"{boolfunc.brute_count(func, bound=_bound(ns))}\n"
 
 
 def cmd_kcount(ns) -> str:
     method = ns.method or "paper"
-    func, _ = _resolve(ns, method)
+    func, passes, _ = _resolve(ns, method)
     if method == "brute":
         counts = boolfunc.brute_kcounts(func, bound=_bound(ns))
-    elif isinstance(func, circuit.Circuit) and method == "paper":
+    elif passes and method == "paper":
         counts = circuit.kcounts_circuit(func)
-    elif isinstance(func, circuit.Circuit):
+    elif passes:
         counts = circuit.size_polynomial_count(func)
     elif method == "direct":
         raise InputError("--method direct needs a circuit or lineage input")
@@ -147,17 +147,15 @@ def cmd_shapley(ns) -> str:
     method = ns.method or "reduction"
     if ns.kind == "lineage" and method == "reduction":
         query, db = _load_instance(ns.inputs)
-        if lineage.dichotomy_branch(query)[0] == "FP":
-            values = circuit.shapley_direct(lineage.compile_hierarchical_lineage(query, db))
-        else:
-            # the dichotomy pipeline's refusals, then its hard-branch enumeration
-            values = lineage.shapley_tuples(query, db, bound=_bound(ns))
+        branch = lineage.dichotomy_branch(query)[0]
+        values = lineage.shapley_tuples(query, db, bound=_bound(ns), branch=branch)
+        if branch == "hard":
             _note("non-hierarchical query: falling back to exhaustive enumeration of the lineage")
         return _shapley_csv(values, db)
-    func, db = _resolve(ns, method)
+    func, passes, db = _resolve(ns, method)
     if method == "brute":
         values = boolfunc.brute_shapley_subsets(func, bound=_bound(ns))
-    elif isinstance(func, circuit.Circuit):
+    elif passes:
         values = circuit.shapley_direct(func)
     else:
         values = reductions.shapley_from_kcounts(
@@ -253,7 +251,7 @@ def cmd_pp2dnf(ns) -> str:
     return lineage.query_text(query)
 
 
-def _brute(func: BoolFunc | circuit.Circuit, bound: int):
+def _brute(func: circuit.Circuit, bound: int):
     """Brute force's count, k-counts and Shapley vector, with the groups of
     values that must be equal: the k-counts sum to the count, and the
     Shapley values sum to f(1…1) − f(0…0)."""
@@ -271,7 +269,7 @@ def _agree(lines: list[str], *groups) -> list[str]:
     return lines
 
 
-def _compare_formula(func: BoolFunc, bound: int) -> list[str]:
+def _compare_formula(func: circuit.Circuit, bound: int) -> list[str]:
     n = func.var_count
     count, kc_brute, sh_brute, invariants = _brute(func, bound)
     shap_oracle = reductions.CallCounter(boolfunc.shapley_oracle(func, bound=bound))

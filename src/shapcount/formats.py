@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 
 from .boolfunc import (
-    AND, CONST0, CONST1, NOT, OR, VAR, And, BoolFunc, Const, Node, Not, Or, Var,
+    AND, CONST0, CONST1, NOT, OR, VAR, And, BoolFunc, Circuit, Const, Node, Not, Or, Var,
     conjunction, disjunction, _fold,
 )
 from .errors import InputError
@@ -26,7 +26,7 @@ _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 _VARIABLE = re.compile(r"x(\d+)")
 
 
-def parse_sexpr(text: str) -> BoolFunc:
+def parse_sexpr(text: str) -> Circuit:
     tokens = _TOKEN.findall(text)
     if not tokens:
         raise InputError("empty function text")
@@ -113,7 +113,7 @@ def parse_sexpr(text: str) -> BoolFunc:
     return BoolFunc(root, var_count)
 
 
-def format_sexpr(func: BoolFunc) -> str:
+def format_sexpr(func: Circuit) -> str:
     """One-line rendering, always with the (vars ...) wrapper so the variable
     count round-trips."""
     # each node's text is a tuple of pieces holding its children's tuples, so
@@ -135,8 +135,8 @@ def format_sexpr(func: BoolFunc) -> str:
     return f"(vars {func.var_count} " + "".join(out) + ")"
 
 
-def parse_dimacs(text: str) -> BoolFunc:
-    """Parse `p cnf` or `p dnf` clause files into a function tree."""
+def parse_dimacs(text: str) -> Circuit:
+    """Parse `p cnf` or `p dnf` clause files into a function."""
     kind = None
     var_count = 0
     clause_count = 0
@@ -193,7 +193,7 @@ def parse_dimacs(text: str) -> BoolFunc:
     return BoolFunc(disjunction(parts), var_count)
 
 
-def format_dimacs(func: BoolFunc, kind: str) -> str:
+def format_dimacs(func: Circuit, kind: str) -> str:
     """Render a flat CNF/DNF-shaped function back to DIMACS text."""
     if kind not in ("cnf", "dnf"):
         raise InputError("kind must be 'cnf' or 'dnf'")
@@ -223,7 +223,7 @@ def format_dimacs(func: BoolFunc, kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_function(text: str) -> BoolFunc:
+def parse_function(text: str) -> Circuit:
     """Autodetect the format: DIMACS if the first effective line is a
     problem or comment line, s-expression otherwise."""
     for raw in text.splitlines():

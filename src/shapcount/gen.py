@@ -7,8 +7,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .boolfunc import And, BoolFunc, Const, Node, Not, Or, Var, conjunction, disjunction
-from .circuit import Circuit, CircuitBuilder
+from .boolfunc import And, BoolFunc, Circuit, Const, Node, Not, Or, Var, conjunction, disjunction
+from .circuit import CircuitBuilder
 from .lineage import (
     Atom, Database, Query, QueryConst, QueryVar, Relation, Schema, build_lineage, is_hierarchical
 )
@@ -16,7 +16,7 @@ from .lineage import (
 SHAPES = ("tree", "dnf", "cnf")
 
 
-def random_boolfunc(rng: random.Random, max_vars: int = 8, shape: str | None = None) -> BoolFunc:
+def random_boolfunc(rng: random.Random, max_vars: int = 8, shape: str | None = None) -> Circuit:
     """A random function in one of three shapes: a free-form tree, a DNF of
     signed literals, or a CNF of signed literals."""
     n = rng.randint(1, max_vars)

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .boolfunc import (
-    BoolFunc,
     ENUMERATION_BOUND,
     _check_arities,
     brute_shapley_subsets,
@@ -274,7 +273,7 @@ def _check_query(query: Query, schema: Schema) -> None:
 class Lineage:
     """Positive-DNF lineage with the variable-to-tuple correspondence."""
 
-    func: BoolFunc
+    func: Circuit
     clauses: tuple[frozenset[int], ...]
     tuple_map: tuple[tuple[str, int], ...]
 
@@ -616,7 +615,7 @@ def compile_hierarchical_lineage(query: Query, db: Database) -> Circuit:
 
 
 def shapley_tuples(
-    query: Query, db: Database, *, bound: int = ENUMERATION_BOUND
+    query: Query, db: Database, *, bound: int = ENUMERATION_BOUND, branch: str | None = None
 ) -> tuple[Fraction, ...]:
     """Shapley value of every endogenous tuple, indexed like db.tuple_map.
 
@@ -624,10 +623,11 @@ def shapley_tuples(
     vector one forward and one transposed pass give exactly at any size
     (`circuit.shapley_direct`); non-hierarchical ones are enumerated
     exhaustively, refusing above the bound (`dichotomy_branch` says which
-    branch a query is on).  A query with a self-join is outside the
+    branch a query is on; a caller that has classified the query already
+    passes its `branch`).  A query with a self-join is outside the
     dichotomy and is refused: only brute force answers it.
     """
-    branch = dichotomy_branch(query)[0]
+    branch = branch or dichotomy_branch(query)[0]
     if branch == "FP":
         return shapley_direct(compile_hierarchical_lineage(query, db))
     if branch != "hard":

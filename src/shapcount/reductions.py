@@ -16,8 +16,7 @@ Everything is exact.  The k-count Vandermonde system is solved in integers,
 its solution read off the base-t digits of one answer and every equation
 checked (Kronecker substitution; von zur Gathen and Gerhard, Modern
 Computer Algebra, 8.4).  One rule, `_shapley_value`, turns the k-counts of
-a function and of a cofactor into a Shapley value over one denominator,
-for shapley_from_kcounts and the formula Shapley oracle alike.  The n
+a function and of a cofactor into a Shapley value over one denominator.  The n
 moment systems of count_from_shapley share one matrix, so they are solved
 together, after all n * n oracle answers are in, by one fraction-free
 (Bareiss) Gauss-Jordan elimination over integers; each solution must be

@@ -2,8 +2,9 @@
 the embedding of the bipartite-DNF instance into any non-hierarchical
 query, and the independent references the tests check the package against:
 substitution by grouped fresh variables built as a formula, a circuit
-unfolded into function nodes, lineage by the active-domain recursion, and
-the widened Shapley weights by their defining sums."""
+unfolded into function nodes, the oracle answers at mixed widths, the
+circuit Shapley reduction, lineage by the active-domain recursion, and the
+widened Shapley weights by their defining sums."""
 
 from __future__ import annotations
 
@@ -28,8 +29,10 @@ from shapcount.boolfunc import (
     Var,
     _check_arities,
     _fold,
+    _models,
     conjunction,
     disjunction,
+    truth_table,
 )
 from shapcount.errors import InputError, RefusalError
 from shapcount.lineage import (
@@ -44,9 +47,10 @@ from shapcount.lineage import (
     is_hierarchical,
     is_self_join_free,
 )
+from shapcount.reductions import _shapley_value, shapley_from_kcounts
 
 
-def example1() -> BoolFunc:
+def example1() -> ct.Circuit:
     # x0 and (x1 or not x2): models {0}, {0,1}, {0,1,2}
     return BoolFunc(And((Var(0), Or((Var(1), Not(Var(2)))))), 3)
 
@@ -64,11 +68,17 @@ def example1_circuit() -> ct.Circuit:
     return b.build(b.add(ct.AND, inputs=(x0, either)))
 
 
+def same_dag(a: ct.Circuit, b: ct.Circuit) -> bool:
+    """Whether two functions are the same DAG over as many variables:
+    functions compare by identity, so tests compare their gates."""
+    return a.gates == b.gates and a.var_count == b.var_count
+
+
 # ---------------------------------------------------------------------------
 # Formula-level substitution, the reference for the oracles that count it
 
 
-def _rebuild(func: BoolFunc | ct.Circuit, replace: Callable[[int], Node]) -> Node:
+def _rebuild(func: ct.Circuit, replace: Callable[[int], Node]) -> Node:
     """The output of `func` as nodes, each variable gate replaced by
     replace(its variable index).
 
@@ -88,11 +98,13 @@ class GroupedSubstitution:
     index space is the concatenation of the groups in old-index order.
     """
 
-    func: BoolFunc
+    func: ct.Circuit
     groups: tuple[tuple[int, ...], ...]
 
 
-def _grouped_substitute(func: BoolFunc, arities: Sequence[int], connective) -> GroupedSubstitution:
+def _grouped_substitute(
+    func: ct.Circuit, arities: Sequence[int], connective
+) -> GroupedSubstitution:
     _check_arities(arities, func.var_count)
     groups = []
     offset = 0
@@ -105,7 +117,7 @@ def _grouped_substitute(func: BoolFunc, arities: Sequence[int], connective) -> G
     return GroupedSubstitution(BoolFunc(root, offset), tuple(groups))
 
 
-def or_substitute(func: BoolFunc, arities: Sequence[int]) -> GroupedSubstitution:
+def or_substitute(func: ct.Circuit, arities: Sequence[int]) -> GroupedSubstitution:
     """Replace variable i by a disjunction of arities[i] fresh variables.
 
     Arity 0 replaces the variable by the constant 0.  Arity 1 everywhere
@@ -114,16 +126,80 @@ def or_substitute(func: BoolFunc, arities: Sequence[int]) -> GroupedSubstitution
     return _grouped_substitute(func, arities, disjunction)
 
 
-def and_substitute(func: BoolFunc, arities: Sequence[int]) -> GroupedSubstitution:
+def and_substitute(func: ct.Circuit, arities: Sequence[int]) -> GroupedSubstitution:
     """Replace variable i by a conjunction of arities[i] fresh variables
     (arity 0 gives the constant 1)."""
     return _grouped_substitute(func, arities, conjunction)
 
 
-def unfold(circuit: ct.Circuit) -> BoolFunc:
+def unfold(circuit: ct.Circuit) -> ct.Circuit:
     """The circuit as function nodes, one per gate, so shared gates stay
     shared and the result is as small as the circuit."""
     return BoolFunc(_rebuild(circuit, Var), circuit.var_count)
+
+
+# ---------------------------------------------------------------------------
+# Oracle answers at mixed widths, which no reduction asks and the package's
+# formula oracles refuse, and the circuit Shapley reduction, which the CLI
+# runs over witnessed queries of its own
+
+
+def merged_count(func: ct.Circuit, weights: Sequence[int], falses: bool = False) -> int:
+    """Sum over the models x of `func` of the product of weights[i] over the
+    variables i that x sets, or, with `falses`, over those that x leaves
+    false, the models merged one variable at a time."""
+    # sums[j] holds the weighted sum of the models whose index shifted right
+    # by the merged variable count is j; the odd entry of each pair has the
+    # next variable true and takes its weight (the even one, with `falses`)
+    sums = dict.fromkeys(_models(truth_table(func), func.var_count), 1)
+    for w in weights:
+        merged: dict[int, int] = {}
+        for index, value in sums.items():
+            key = index >> 1
+            merged[key] = merged.get(key, 0) + (value * w if (index & 1) != falses else value)
+        sums = merged
+    return sums.get(0, 0)
+
+
+def merged_or_count(func: ct.Circuit, arities: Sequence[int]) -> int:
+    """Model count after replacing variable i by a disjunction of arities[i]
+    fresh variables."""
+    _check_arities(arities, func.var_count)
+    return merged_count(func, [(1 << m) - 1 for m in arities])
+
+
+def merged_and_count(func: ct.Circuit, arities: Sequence[int]) -> int:
+    """Model count after replacing variable i by a conjunction of arities[i]
+    fresh variables."""
+    _check_arities(arities, func.var_count)
+    return merged_count(func, [(1 << m) - 1 for m in arities], True)
+
+
+def merged_or_kcounts(func: ct.Circuit, arities: Sequence[int]) -> tuple[int, ...]:
+    """Size-bucketed counts under the disjunctive replacement, as the
+    base-2^B digits of one merged sum, B the least multiple of 8 above
+    sum(arities)."""
+    _check_arities(arities, func.var_count)
+    total = sum(arities)
+    width = total // 8 + 1
+    weights = [((1 << 8 * width) + 1) ** m - 1 for m in arities]
+    raw = merged_count(func, weights).to_bytes(width * (total + 1), "little")
+    return tuple(int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width))
+
+
+def merged_shapley(func: ct.Circuit, arities: Sequence[int], target: int) -> Fraction:
+    """The target's Shapley value under the disjunctive replacement, by the
+    reductions' rule over the k-counts of the replacement as asked and with
+    the target set to 0."""
+    low = tuple(0 if i == target else m for i, m in enumerate(arities))
+    return _shapley_value(merged_or_kcounts(func, arities), merged_or_kcounts(func, low))
+
+
+def shapley_circuit(circuit: ct.Circuit) -> tuple[Fraction, ...]:
+    """Exact Shapley vector through the k-count-oracle reduction; the
+    variable-deleted cofactors are width-0 substitutions.
+    `circuit.shapley_direct` must return the same vector."""
+    return shapley_from_kcounts(circuit.var_count, ct.kcount_oracle(circuit))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +249,7 @@ def active_domain(db: Database) -> tuple[str, ...]:
     return tuple(sorted(values))
 
 
-def lineage_by_active_domain(query: Query, db: Database) -> BoolFunc:
+def lineage_by_active_domain(query: Query, db: Database) -> ct.Circuit:
     """Reference construction that follows the recursive definition of
     lineage literally: existential variables expand into disjunctions over
     the whole active domain.  Exponential; for cross-checks only."""
@@ -206,7 +282,7 @@ def lineage_by_active_domain(query: Query, db: Database) -> BoolFunc:
     return BoolFunc(rec({}, variables), db.var_count)
 
 
-def cofactors(func: BoolFunc, var: int) -> tuple[BoolFunc, BoolFunc]:
+def cofactors(func: ct.Circuit, var: int) -> tuple[ct.Circuit, ct.Circuit]:
     """F[x_var:=1] and F[x_var:=0] over the other variables in their order:
     the width-0 conjunctive and disjunctive substitutions at x_var."""
     widths = [0 if v == var else 1 for v in range(func.var_count)]

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from math import comb
@@ -6,15 +7,22 @@ from math import comb
 import pytest
 
 from helpers import (
+    EXAMPLE_NNF,
     and_substitute,
     cofactors,
     example1,
     example1_circuit,
+    join_instance,
+    merged_and_count,
+    merged_or_count,
+    merged_or_kcounts,
+    merged_shapley,
     or_substitute,
+    same_dag,
     substituted_clauses,
 )
 from shapcount import circuit as ct
-from shapcount import gen
+from shapcount import formats, gen
 from shapcount import lineage as lg
 from shapcount.boolfunc import (
     And,
@@ -43,28 +51,61 @@ from shapcount.boolfunc import (
 from shapcount.errors import InputError, RefusalError
 
 
+# each reference at any widths, and the package oracle it stands for
+ORACLE_OF = {
+    merged_or_count: or_substituted_count,
+    merged_or_kcounts: or_substituted_kcounts,
+    merged_and_count: and_substituted_count,
+}
+
+
 def three_tuples() -> lg.Database:
     schema = lg.Schema((lg.Relation("R", 1, True),))
     return lg.Database(schema, {"R": [("a",), ("b",), ("c",)]})
 
 
-def pp2dnf_pairs() -> BoolFunc:
+def pp2dnf_pairs() -> ct.Circuit:
     # (x0 and x2) or (x1 and x3)
     return BoolFunc(Or((And((Var(0), Var(2))), And((Var(1), Var(3))))), 4)
 
 
 def test_node_validation():
-    with pytest.raises(InputError):
+    # the lowering checks only what a gate array cannot say; the circuit's
+    # gate check refuses a variable out of range and a one-child connective
+    with pytest.raises(InputError, match="gate 0: variable 3 out of range"):
         BoolFunc(Var(3), 3)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="gate 1: wrong arity for and"):
         BoolFunc(And((Var(0),)), 1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="constant must be 0 or 1, got 2"):
         BoolFunc(Const(2), 0)
+    with pytest.raises(InputError, match="not a function node"):
+        BoolFunc("x0", 1)
+    with pytest.raises(InputError, match="variable count must be nonnegative"):
+        BoolFunc(Const(1), -1)
 
 
 def test_size_counts_variables_and_connectives():
-    assert example1().size() == 6  # three variables, and, or, not
-    assert BoolFunc(Const(1), 0).size() == 0
+    # the gate count: one gate per distinct variable, connective and constant
+    assert example1().size() == len(example1().gates) == 6  # three variables, and, or, not
+    assert BoolFunc(Const(1), 0).size() == 1
+
+
+def test_every_function_is_one_gate_array_type():
+    # formulas, circuits and lineage, parsed, drawn, built or compiled, are
+    # all the one Circuit class
+    rng = random.Random(31)
+    query, db = join_instance()
+    made = [
+        formats.parse_sexpr("(and x0 (or x1 (not x2)))"),
+        formats.parse_dimacs("p cnf 2 1\n1 -2 0\n"),
+        ct.parse_nnf(EXAMPLE_NNF),
+        gen.random_boolfunc(rng),
+        gen.random_decision_circuit(rng),
+        lg.build_lineage(query, db).func,
+        lg.compile_hierarchical_lineage(query, db),
+        ct.or_substitute_all(example1_circuit(), (2, 0, 1)),
+    ]
+    assert {type(func) for func in made} == {ct.Circuit}
 
 
 def test_evaluate_worked_example():
@@ -106,8 +147,8 @@ def test_shared_dag_operations_are_linear():
         assert elapsed < 1.0
         return result
 
-    size = timed(tower.size)
-    assert size == (1 << 41) * (base.size() + 1) - 1
+    assert timed(tower.size) == tower_nodes
+    assert timed(lambda: truth_table(tower)) == want  # x and x is x
     # each variable's replacement is built once and shared by its
     # occurrences: the two x1 nodes of the base become one
     pinned = timed(lambda: cofactors(BoolFunc(top, 3), 2)[0])
@@ -116,15 +157,19 @@ def test_shared_dag_operations_are_linear():
     widened = timed(lambda: or_substitute(tower, (2, 3)).func)
     widened_nodes = len(widened.gates)
     assert widened_nodes == tower_nodes - 3 + 2 + 5
-    assert or_substituted_count(tower, (2, 3)) == truth_table(widened).bit_count()
+    assert merged_or_count(tower, (2, 3)) == truth_table(widened).bit_count()
+    uniform = truth_table(or_substitute(tower, (3, 3)).func).bit_count()
+    assert timed(lambda: or_substituted_count(tower, (3, 3))) == uniform
     many = BoolFunc(Or(tuple(Var(0) for _ in range(200))), 1)
     grouped_nodes = len(or_substitute(many, (3,)).func.gates)
     assert grouped_nodes == 1 + 4
 
 
 def test_equality_hash_and_repr_read_the_gates():
-    # methods that recursed through the nodes would pass the recursion limit
-    # on the chain and walk a 1.5e13-node tree on the tower
+    # a function compares, hashes and prints by identity, as any circuit
+    # does; two functions are the same DAG when their flat gates are equal,
+    # which compares without recursing on the chain and without walking the
+    # tower's 1.5e13-node tree
     chain = Var(0)
     for _ in range(3000):
         chain = Not(chain)
@@ -132,17 +177,18 @@ def test_equality_hash_and_repr_read_the_gates():
     for root, n, gates in ((chain, 1, 3001), (tower, 2, 4 + 41)):
         a, b = BoolFunc(root, n), BoolFunc(root, n)
         start = time.perf_counter()
-        same, hashes, text = a == b, hash(a) == hash(b), repr(a)
+        same, hashed, text = a.gates == b.gates, hash(a), repr(a)
         assert time.perf_counter() - start < 1.0
-        assert same and hashes and len(a.gates) == gates and a.output == gates - 1
-        assert text.startswith(f"BoolFunc(var_count={n}, gates=(Gate(")
-    assert BoolFunc(chain, 2) != BoolFunc(chain, 1)
-    # equal means the same DAG: the same tree with less sharing differs
+        assert same and hashed == object.__hash__(a) and a != b and a == a
+        assert len(a.gates) == gates and a.output == gates - 1
+        assert text.startswith("<shapcount.boolfunc.Circuit object at ")
+    assert not same_dag(BoolFunc(chain, 2), BoolFunc(chain, 1))
+    # the same DAG means the same sharing: the same tree with less differs
     x0 = Var(0)
     shared = BoolFunc(And((x0, Or((x0, Var(1))))), 2)
     unshared = BoolFunc(And((Var(0), Or((Var(0), Var(1))))), 2)
     assert len(shared.gates) == 4 and len(unshared.gates) == 5
-    assert shared != unshared and truth_table(shared) == truth_table(unshared)
+    assert shared.gates != unshared.gates and truth_table(shared) == truth_table(unshared)
     # a function keeps its gates, not the node it was built from
     assert not hasattr(shared, "root")
 
@@ -167,13 +213,13 @@ def test_nodes_compare_by_identity_and_never_walk_their_tree():
 
 def test_or_substitute_shapes():
     single = BoolFunc(Var(0), 1)
-    assert or_substitute(single, (3,)).func == BoolFunc(Or((Var(0), Var(1), Var(2))), 3)
+    assert same_dag(or_substitute(single, (3,)).func, BoolFunc(Or((Var(0), Var(1), Var(2))), 3))
 
     pair = BoolFunc(And((Var(0), Var(1))), 2)
     res = or_substitute(pair, (2, 2))
     assert res.func.var_count == 4
     assert res.groups == ((0, 1), (2, 3))
-    assert res.func == BoolFunc(And((Or((Var(0), Var(1))), Or((Var(2), Var(3))))), 4)
+    assert same_dag(res.func, BoolFunc(And((Or((Var(0), Var(1))), Or((Var(2), Var(3))))), 4))
 
     iso = or_substitute(example1(), (1, 1, 1))
     assert truth_table(iso.func) == truth_table(example1())
@@ -181,7 +227,7 @@ def test_or_substitute_shapes():
     # arity 0 leaves an explicit constant: no implicit folding
     zero = or_substitute(example1(), (0, 1, 1))
     assert zero.groups == ((), (0,), (1,))
-    assert zero.func == BoolFunc(And((Const(0), Or((Var(0), Not(Var(1)))))), 2)
+    assert same_dag(zero.func, BoolFunc(And((Const(0), Or((Var(0), Not(Var(1)))))), 2))
 
     with pytest.raises(InputError):
         or_substitute(pair, (2,))
@@ -189,7 +235,7 @@ def test_or_substitute_shapes():
 
 def test_and_substitute():
     single = BoolFunc(Var(0), 1)
-    assert and_substitute(single, (2,)).func == BoolFunc(And((Var(0), Var(1))), 2)
+    assert same_dag(and_substitute(single, (2,)).func, BoolFunc(And((Var(0), Var(1))), 2))
     iso = and_substitute(example1(), (1, 1, 1))
     assert truth_table(iso.func) == truth_table(example1())
     # (x0 or x1) with widths (2, 1): models where both clones or the single one
@@ -225,19 +271,18 @@ def test_kept_table_never_bypasses_the_bound(monkeypatch):
 
     monkeypatch.setattr(boolfunc, "truth_table", recording)
     g = example1()
-    # a mixed-width Shapley query makes the k-count oracle on the first such
-    # query and asks it twice; each of those reads the table
+    # each oracle reads the table when it is made, and a count oracle on
+    # each query too; the Shapley oracle's queries read what it took then
     queries = [
-        (count_oracle, lambda oracle: oracle((1, 2, 3)), 1),
-        (and_count_oracle, lambda oracle: oracle((1, 2, 3)), 1),
-        (kcount_oracle, lambda oracle: oracle((1, 2, 3)), 1),
-        (shapley_oracle, lambda oracle: oracle((1, 2, 3), 0), 3),
-        (shapley_oracle, lambda oracle: [oracle((1, 2, 3), 0), oracle((1, 3, 2), 0)], 5),
+        (count_oracle, lambda oracle: oracle((2, 0, 2)), 2),
+        (and_count_oracle, lambda oracle: oracle((2, 0, 2)), 2),
+        (kcount_oracle, lambda oracle: oracle((2, 0, 2)), 2),
+        (shapley_oracle, lambda oracle: oracle((1, 2, 2), 0), 1),
+        (shapley_oracle, lambda oracle: [oracle((1, 2, 2), 0), oracle((3, 1, 3), 1)], 1),
     ]
     for make, ask, reads in queries:
-        oracle = make(g, bound=30)
         bounds.clear()
-        ask(oracle)
+        ask(make(g, bound=30))
         assert bounds == [30] * reads, make.__name__
 
 
@@ -415,6 +460,9 @@ def test_cofactor_sum_identities():
 
 
 def test_substituted_oracles_match_materialized_functions():
+    # the references merge the models at any widths; the oracles answer
+    # one nonzero width, and refuse two distinct nonzero ones, which no
+    # reduction asks
     rng = random.Random(106)
     mixed = 0
     for _ in range(80):
@@ -422,23 +470,37 @@ def test_substituted_oracles_match_materialized_functions():
         arities = tuple(rng.randint(0, 3) for _ in range(f.var_count))
         if sum(arities) > 16:
             continue
-        # two distinct nonzero arities take the oracles' model-merging path
-        mixed += len(set(arities) - {0}) > 1
+        is_mixed = len(set(arities) - {0}) > 1
+        mixed += is_mixed
         materialized = or_substitute(f, arities).func
-        assert or_substituted_count(f, arities) == brute_count(materialized)
-        assert or_substituted_kcounts(f, arities) == brute_kcounts(materialized)
         and_materialized = and_substitute(f, arities).func
-        assert and_substituted_count(f, arities) == brute_count(and_materialized)
+        checks = [
+            (merged_or_count, brute_count(materialized)),
+            (merged_or_kcounts, brute_kcounts(materialized)),
+            (merged_and_count, brute_count(and_materialized)),
+        ]
+        for oracle, want in list(checks):
+            checks.append((ORACLE_OF[oracle], want))
+        for oracle, want in checks:
+            if is_mixed and oracle in ORACLE_OF.values():
+                with pytest.raises(InputError, match=re.escape(f"mixed-width query {arities}")):
+                    oracle(f, arities)
+            else:
+                assert oracle(f, arities) == want, oracle.__name__
     assert mixed >= 20
 
 
 def test_packed_kcount_digits_hold_binomial_rows():
     # the constant 1 has every valuation as a model: its bucket j is C(sum, j),
-    # the largest a digit of the packed total has to hold
-    for arities in ((8, 7, 0, 5, 9), (9,) * 6, (0, 0, 3), (1,) * 7, (16,), ()):
+    # the largest a digit of the packed total has to hold; the oracle takes
+    # one nonzero width, the reference any
+    for arities in ((8, 7, 0, 5, 9), (9,) * 6, (0, 0, 3), (1,) * 7, (16,), (), (0, 12, 12)):
         total = sum(arities)
         want = tuple(comb(total, j) for j in range(total + 1))
-        assert or_substituted_kcounts(BoolFunc(Const(1), len(arities)), arities) == want
+        one = BoolFunc(Const(1), len(arities))
+        assert merged_or_kcounts(one, arities) == want
+        if len(set(arities) - {0}) < 2:
+            assert or_substituted_kcounts(one, arities) == want
 
 
 @pytest.mark.parametrize(
@@ -483,14 +545,20 @@ def test_substituted_shapley_matches_materialized():
         res = or_substitute(f, arities)
         z = res.groups[target][0]
         want = brute_shapley_permutations(res.func)[z]
-        assert shapley_oracle(f)(arities, target) == want
+        assert merged_shapley(f, arities, target) == want
+        if len(set(arities[:target] + arities[target + 1 :])) > 1:
+            with pytest.raises(InputError, match=re.escape(f"mixed-width query {arities}")):
+                shapley_oracle(f)(arities, target)
+        else:
+            assert shapley_oracle(f)(arities, target) == want
     with pytest.raises(InputError):
         shapley_oracle(BoolFunc(Var(0), 1))((2,), 0)
 
 
 def test_mixed_width_shapley_matches_materialized():
-    # the mixed-width route, on draws whose other variables take at least
-    # two widths: the reductions' rule over the function's k-count oracle
+    # draws whose other variables take at least two widths, which the
+    # Shapley oracle refuses: the reference, the reductions' rule over the
+    # k-counts of the replacement by merged models, answers them
     rng = random.Random(109)
     draws = 0
     while draws < 300:
@@ -502,7 +570,9 @@ def test_mixed_width_shapley_matches_materialized():
             continue
         res = or_substitute(f, arities)
         want = brute_shapley_subsets(res.func)[res.groups[target][0]]
-        assert shapley_oracle(f)(arities, target) == want, (f, arities, target)
+        assert merged_shapley(f, arities, target) == want, (f, arities, target)
+        with pytest.raises(InputError, match=re.escape(f"mixed-width query {arities}")):
+            shapley_oracle(f)(arities, target)
         draws += 1
 
 
@@ -538,9 +608,9 @@ def test_positive_dnf_clause_round_trip():
 
     clauses = {frozenset({0, 2}), frozenset({1,})}
     f = dnf_from_clauses(clauses, 3)
-    assert f == BoolFunc(Or((And((Var(0), Var(2))), Var(1))), 3)
+    assert same_dag(f, BoolFunc(Or((And((Var(0), Var(2))), Var(1))), 3))
     assert minimal_models(f) == clauses
-    assert dnf_from_clauses([], 2) == BoolFunc(Const(0), 2)
+    assert same_dag(dnf_from_clauses([], 2), BoolFunc(Const(0), 2))
     assert minimal_models(dnf_from_clauses([], 2)) == set()
-    assert dnf_from_clauses([frozenset()], 2) == BoolFunc(Const(1), 2)
+    assert same_dag(dnf_from_clauses([frozenset()], 2), BoolFunc(Const(1), 2))
     assert minimal_models(dnf_from_clauses([frozenset(), frozenset({1})], 2)) == {frozenset()}

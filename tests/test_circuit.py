@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 
-from helpers import EXAMPLE_NNF, example1_circuit, or_substitute, unfold
+from helpers import EXAMPLE_NNF, example1_circuit, or_substitute, shapley_circuit, unfold
 from shapcount import boolfunc
 from shapcount import circuit as ct
 from shapcount import gen
@@ -39,7 +39,6 @@ from shapcount.circuit import (
     model_count_dd,
     or_substitute_all,
     parse_nnf,
-    shapley_circuit,
     shapley_direct,
     size_polynomial_count,
     to_nnf_text,

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import example1
+from helpers import example1, same_dag
 from shapcount import gen
 from shapcount.boolfunc import And, BoolFunc, Const, Not, Or, Var, brute_count, truth_table
 from shapcount.errors import InputError
@@ -18,15 +18,15 @@ from shapcount.formats import (
 
 def test_sexpr_parses_worked_example():
     f = parse_sexpr("(and x0 (or x1 (not x2)))")
-    assert f == example1()
+    assert same_dag(f, example1())
 
 
 def test_sexpr_round_trip():
     f = example1()
-    assert parse_sexpr(format_sexpr(f)) == f
+    assert same_dag(parse_sexpr(format_sexpr(f)), f)
     padded = BoolFunc(Const(0), 3)
     assert format_sexpr(padded) == "(vars 3 0)"
-    assert parse_sexpr(format_sexpr(padded)) == padded
+    assert same_dag(parse_sexpr(format_sexpr(padded)), padded)
 
 
 def test_sexpr_round_trip_at_depth_3000():
@@ -35,7 +35,7 @@ def test_sexpr_round_trip_at_depth_3000():
         node = Not(node) if level % 2 else And((node, Var(level % 7)))
     f = BoolFunc(node, 7)
     again = parse_sexpr(format_sexpr(f))
-    assert again == f and again.var_count == 7 and truth_table(again) == truth_table(f)
+    assert same_dag(again, f) and again.var_count == 7 and truth_table(again) == truth_table(f)
 
 
 def test_sexpr_vars_wrapper():
@@ -69,23 +69,23 @@ def test_dimacs_cnf():
     text = "c a comment\np cnf 3 2\n1 -3 0\n2 3 -1 0\n"
     f = parse_dimacs(text)
     assert f.var_count == 3
-    assert f == BoolFunc(
-        And((Or((Var(0), Not(Var(2)))), Or((Var(1), Var(2), Not(Var(0)))))), 3
+    assert same_dag(
+        f, BoolFunc(And((Or((Var(0), Not(Var(2)))), Or((Var(1), Var(2), Not(Var(0)))))), 3)
     )
 
 
 def test_dimacs_dnf():
     text = "p dnf 4 2\n1 3 0\n2 4 0\n"
     f = parse_dimacs(text)
-    assert f == BoolFunc(Or((And((Var(0), Var(2))), And((Var(1), Var(3))))), 4)
+    assert same_dag(f, BoolFunc(Or((And((Var(0), Var(2))), And((Var(1), Var(3))))), 4))
     assert brute_count(f) == 7
 
 
 def test_dimacs_degenerate_clauses():
-    assert parse_dimacs("p cnf 2 0\n") == BoolFunc(Const(1), 2)
-    assert parse_dimacs("p dnf 2 0\n") == BoolFunc(Const(0), 2)
-    assert parse_dimacs("p cnf 2 1\n0\n") == BoolFunc(Const(0), 2)
-    assert parse_dimacs("p dnf 2 1\n0\n") == BoolFunc(Const(1), 2)
+    assert same_dag(parse_dimacs("p cnf 2 0\n"), BoolFunc(Const(1), 2))
+    assert same_dag(parse_dimacs("p dnf 2 0\n"), BoolFunc(Const(0), 2))
+    assert same_dag(parse_dimacs("p cnf 2 1\n0\n"), BoolFunc(Const(0), 2))
+    assert same_dag(parse_dimacs("p dnf 2 1\n0\n"), BoolFunc(Const(1), 2))
 
 
 @pytest.mark.parametrize(
@@ -160,5 +160,5 @@ def test_format_dimacs_is_pinned_byte_for_byte():
 
 
 def test_parse_function_autodetects():
-    assert parse_function("(and x0 x1)") == BoolFunc(And((Var(0), Var(1))), 2)
-    assert parse_function("c hi\np cnf 1 1\n1 0\n") == BoolFunc(Var(0), 1)
+    assert same_dag(parse_function("(and x0 x1)"), BoolFunc(And((Var(0), Var(1))), 2))
+    assert same_dag(parse_function("c hi\np cnf 1 1\n1 0\n"), BoolFunc(Var(0), 1))

@@ -16,6 +16,7 @@ from helpers import (
     join_instance,
     lineage_by_active_domain,
     or_substitute,
+    shapley_circuit,
     substituted_clauses,
 )
 from shapcount import circuit as ct
@@ -555,7 +556,7 @@ def test_shapley_tuples_fp_branch_is_the_direct_pass(monkeypatch):
     expected = []
     for q, db in instances:
         compiled = lg.compile_hierarchical_lineage(q, db)
-        expected.append(ct.shapley_circuit(compiled))
+        expected.append(shapley_circuit(compiled))
         assert expected[-1] == brute_shapley_subsets(lg.build_lineage(q, db).func)
     # the FP branch rebuilds no substituted copy and runs no size pass
     monkeypatch.setattr(ct, "or_substitute_all", None)
@@ -572,7 +573,7 @@ def test_shapley_tuples_agrees_with_the_reduction_on_a_mid_size_join():
     q, db = lg.parse_query("Q :- R(x), S(x,y)"), lg.Database(schema, rows)
     values = lg.shapley_tuples(q, db)
     assert len(values) == 48 and sum(values) == 1
-    assert values == ct.shapley_circuit(lg.compile_hierarchical_lineage(q, db))
+    assert values == shapley_circuit(lg.compile_hierarchical_lineage(q, db))
 
 
 def test_shapley_tuples_empty_lineage():

@@ -34,8 +34,18 @@ def test_star_import_binds_functions_and_classes_only():
         "unfold",
         "lineage_by_active_domain",
         "active_domain",
+        "shapley_circuit",
     )
     for name in moved:
         assert name not in shapcount.__all__
         assert not any(hasattr(module, name) for module in (boolfunc, circuit, lineage))
     assert not hasattr(lineage.Database, "active_domain")
+
+
+def test_readme_lists_every_exported_name():
+    import shapcount
+
+    text = README.read_text(encoding="utf-8").split("The package exports these names", 1)[1]
+    listing = text.split("\n\n", 2)[1]
+    names = re.findall(r"`(\w+)`", listing)
+    assert sorted(names) == shapcount.__all__

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -9,6 +10,7 @@ from helpers import (
     binomial_moment_row,
     cofactors,
     example1,
+    merged_shapley,
     or_substitute,
 )
 from shapcount import boolfunc, formats, gen, reductions
@@ -20,6 +22,7 @@ from shapcount.boolfunc import (
     brute_count,
     brute_kcounts,
     brute_shapley_permutations,
+    brute_shapley_subsets,
     count_oracle,
     evaluate,
     kcount_oracle,
@@ -28,7 +31,6 @@ from shapcount.boolfunc import (
 from shapcount.errors import InconsistencyError, InputError, RefusalError
 from shapcount.reductions import (
     CallCounter,
-    _shapley_value,
     _solve_counts,
     _solve_fraction_free,
     count_from_shapley,
@@ -39,13 +41,16 @@ from shapcount.reductions import (
 )
 
 
-def digit_route(f, arities, target):
-    """The target's Shapley value under the group replacement, by the
-    reductions' rule over the k-counts of the replacement as asked and with
-    the target set to 0: independent of _uniform_shapley_row."""
-    kcounts = kcount_oracle(f)
-    low = tuple(0 if p == target else m for p, m in enumerate(arities))
-    return _shapley_value(kcounts(arities), kcounts(low))
+# the target's Shapley value under the group replacement, by the reductions'
+# rule over the k-counts of the replacement as asked and with the target set
+# to 0, from merged models: independent of _uniform_shapley_row
+digit_route = merged_shapley
+
+
+def refuses_mixed_widths(oracle, arities, target) -> bool:
+    with pytest.raises(InputError, match=re.escape(f"mixed-width query {arities}")):
+        oracle(arities, target)
+    return True
 
 
 def test_coefficients_values():
@@ -268,10 +273,10 @@ def test_shapley_oracle_builds_one_truth_table_per_call(monkeypatch):
         (and_count_oracle, lambda oracle: kcounts_from_counts_and(3, oracle) == (0, 1, 1, 1)),
         (kcount_oracle, lambda oracle: shapley_from_kcounts(3, oracle)[0] == Fraction(5, 6)),
         (shapley_oracle, lambda oracle: count_from_shapley(3, 0, oracle) == 3),
-        # a query that widens both others to 2 reads the same table, and so
-        # does a mixed-width query's k-count oracle
+        # a query that widens both others to 2 reads the same table, and a
+        # mixed-width one is refused before it reads anything
         (shapley_oracle, lambda oracle: oracle((1, 2, 2), 0) == Fraction(13, 15)),
-        (shapley_oracle, lambda oracle: oracle((1, 3, 1), 0) == Fraction(19, 20)),
+        (shapley_oracle, lambda oracle: refuses_mixed_widths(oracle, (1, 3, 1), 0)),
     ]
     for make, run in runs:
         f = example1()
@@ -295,6 +300,9 @@ def test_shapley_oracle_equals_the_digit_route():
             queries = [tuple(1 if p == target else ell for p in range(n)) for ell in range(1, 5)]
             queries.append(tuple(1 if p == target else rng.randint(0, 3) for p in range(n)))
             for arities in queries:
+                if len({m for p, m in enumerate(arities) if p != target}) > 1:
+                    assert refuses_mixed_widths(oracle, arities, target)
+                    continue
                 want = digit_route(f, arities, target)
                 assert oracle(arities, target) == want, (f, arities, target)
     with pytest.raises(InputError):
@@ -306,7 +314,7 @@ def test_shapley_oracle_equals_the_digit_route():
 def test_shapley_oracle_refuses_over_the_function_bound():
     f = example1()
     assert shapley_oracle(f, bound=3)((1, 2, 2), 0) == Fraction(13, 15)
-    assert shapley_oracle(f, bound=3)((1, 2, 3), 0) == digit_route(f, (1, 2, 3), 0)
+    assert refuses_mixed_widths(shapley_oracle(f, bound=3), (1, 2, 3), 0)
     with pytest.raises(RefusalError):
         shapley_oracle(f, bound=2)
 
@@ -374,7 +382,7 @@ def test_a_count_off_by_one_is_an_inconsistency(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().out.count("agreement ok") == 1
 
 
-def test_shapley_oracle_rows_answer_every_uniform_query(monkeypatch):
+def test_shapley_oracle_rows_answer_every_uniform_query():
     # each target's row is taken on its first uniform query and serves every
     # width after it
     rng = random.Random(44)
@@ -389,21 +397,18 @@ def test_shapley_oracle_rows_answer_every_uniform_query(monkeypatch):
                 assert oracle(arities, target) == digit_route(f, arities, target)
         if n < 3:
             continue
-        # a mixed-width query after the cached ones still takes the digit route
-        calls = []
+        # a mixed-width query after the cached ones is refused, and the
+        # reference answers it; the rows still serve uniform queries
         target = targets[0]
         others = [p for p in range(n) if p != target]
         arities = tuple(1 if p == target else 2 + (p == others[0]) for p in range(n))
-        want = digit_route(f, arities, target)
-        rule = reductions._shapley_value
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                boolfunc,
-                "_shapley_value",
-                lambda *args: calls.append(args) or rule(*args),
-            )
-            assert oracle(arities, target) == want
-        assert len(calls) == 1
+        assert refuses_mixed_widths(oracle, arities, target)
+        res = or_substitute(f, arities)
+        if sum(arities) <= 12:
+            want = brute_shapley_subsets(res.func)[res.groups[target][0]]
+            assert digit_route(f, arities, target) == want
+        uniform = tuple(1 if p == target else 2 for p in range(n))
+        assert oracle(uniform, target) == digit_route(f, uniform, target)
 
 
 def test_count_from_shapley_names_the_inconsistent_variable():
