@@ -1,7 +1,8 @@
 """Exact Shapley values for Boolean functions via model counting.
 
 The package has four layers: Boolean functions as gate DAGs, one
-`Circuit` type for formulas, d-D circuits and lineage alike, with
+`Circuit` type for formulas, d-D circuits and lineage alike, which the
+parsers (formats) and generators (gen) write gate by gate, with
 brute-force ground-truth oracles (boolfunc), the rational-arithmetic
 reductions tying Shapley values to model counting (reductions), the
 linear-time passes over deterministic-decomposable circuits (circuit), and
@@ -12,13 +13,7 @@ cli module wires them into a command-line tool.
 from types import ModuleType as _ModuleType
 
 from .boolfunc import (
-    And,
-    BoolFunc,
     Circuit,
-    Const,
-    Not,
-    Or,
-    Var,
     brute_count,
     brute_kcounts,
     brute_shapley_permutations,

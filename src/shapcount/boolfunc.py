@@ -3,11 +3,11 @@
 Every Boolean function is one `Circuit`: an array of `Gate`s over a dense
 variable index space 0..n-1, children first, the output last.  Formulas,
 d-D circuits and lineage differ only in the properties `circuit.validate`
-proves of that one DAG, not in their type.  `BoolFunc(root, n)` lowers
-expression nodes (shared subterms allowed) to a circuit, one gate per
-distinct node, and keeps only the gates.  Nodes are for construction only:
-they compare and hash by identity, and no method of theirs walks a node
-tree.  `formats.format_sexpr` renders a function, and `truth_table`
+proves of that one DAG, not in their type.  A function is written only as
+gates: the parsers and `dnf_from_clauses` append them to a list and pass
+it to `Circuit(gates, n)`, and the generators and the lineage compiler
+add them through `circuit.CircuitBuilder`, which can also intern and fold
+constants.  `formats.format_sexpr` renders a function, and `truth_table`
 compares two semantically.  Every per-gate pass, here and in `circuit` and
 `formats`, is one bottom-up walk of the gate array (`_fold`) that drops
 each value after its last reader, so it accepts any nesting depth and
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations, repeat
 from math import comb, factorial
@@ -54,56 +53,6 @@ class Gate(NamedTuple):
     kind: str
     var: int = -1
     inputs: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True, eq=False)
-class Const:
-    value: int
-
-
-@dataclass(frozen=True, eq=False)
-class Var:
-    index: int
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Not:
-    child: "Node"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class And:
-    children: tuple["Node", ...]
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Or:
-    children: tuple["Node", ...]
-
-
-Node = Const | Var | Not | And | Or
-
-TRUE = Const(1)
-FALSE = Const(0)
-
-
-def _collapse(children: Sequence[Node], empty: Node, connective: Callable[[tuple], Node]) -> Node:
-    """`connective` over `children`, `empty` if there are none, the child
-    itself if there is one."""
-    items = tuple(children)
-    if len(items) < 2:
-        return items[0] if items else empty
-    return connective(items)
-
-
-def conjunction(children: Sequence[Node]) -> Node:
-    """n-ary AND, collapsing the empty and single-child cases."""
-    return _collapse(children, TRUE, And)
-
-
-def disjunction(children: Sequence[Node]) -> Node:
-    """n-ary OR, collapsing the empty and single-child cases."""
-    return _collapse(children, FALSE, Or)
 
 
 class Circuit:
@@ -171,44 +120,6 @@ class Circuit:
 
     def size(self) -> int:
         return len(self.gates)
-
-
-def BoolFunc(root: Node, var_count: int) -> Circuit:
-    """The circuit of the expression node `root` over variables
-    0..var_count-1: one gate per distinct node (by identity), children
-    first, so the root is the output.  Only what a gate array cannot say is
-    checked here, that each node is one and each constant 0 or 1; the
-    Circuit checks variable ranges and arities."""
-    gates: list[Gate] = []
-    index: dict[int, int] = {}  # id(node) -> its gate; -1 until its children have one
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if not children_done and id(node) in index:
-            continue
-        if isinstance(node, Const):
-            if node.value not in (0, 1):
-                raise InputError(f"constant must be 0 or 1, got {node.value!r}")
-            gate = Gate(CONST1 if node.value else CONST0)
-        elif isinstance(node, Var):
-            gate = Gate(VAR, node.index)
-        elif not isinstance(node, (Not, And, Or)):
-            raise InputError(f"not a function node: {node!r}")
-        elif children_done:
-            if isinstance(node, Not):
-                gate = Gate(NOT, inputs=(index[id(node.child)],))
-            else:
-                inputs = tuple([index[id(c)] for c in node.children])
-                gate = Gate(AND if isinstance(node, And) else OR, inputs=inputs)
-        else:
-            children = (node.child,) if isinstance(node, Not) else node.children
-            index[id(node)] = -1
-            stack.append((node, True))
-            stack.extend([(c, False) for c in reversed(children)])
-            continue
-        index[id(node)] = len(gates)
-        gates.append(gate)
-    return Circuit(gates, var_count)
 
 
 def _fold(
@@ -618,11 +529,21 @@ def dnf_from_clauses(clauses: Iterable[frozenset[int]], var_count: int) -> Circu
 
     An empty clause makes the whole function the constant 1; no clauses at
     all make it the constant 0.  Clauses and literals are sorted so the
-    result is byte-stable.
+    result is byte-stable: each clause's variable gates, then its AND gate
+    (none for a one-variable clause), then the OR of the clauses (none for
+    one clause).
     """
     clause_set = {frozenset(c) for c in clauses}
     if frozenset() in clause_set:
-        return BoolFunc(TRUE, var_count)
-    ordered = sorted(clause_set, key=lambda c: tuple(sorted(c)))
-    terms = [conjunction([Var(v) for v in sorted(c)]) for c in ordered]
-    return BoolFunc(disjunction(terms), var_count)
+        return Circuit([Gate(CONST1)], var_count)
+    gates: list[Gate] = []
+    terms = []
+    for clause in sorted(clause_set, key=lambda c: tuple(sorted(c))):
+        start = len(gates)
+        gates.extend(Gate(VAR, v) for v in sorted(clause))
+        if len(clause) > 1:
+            gates.append(Gate(AND, inputs=tuple(range(start, len(gates)))))
+        terms.append(len(gates) - 1)
+    if len(terms) > 1:
+        gates.append(Gate(OR, inputs=tuple(terms)))
+    return Circuit(gates or [Gate(CONST0)], var_count)

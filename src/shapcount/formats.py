@@ -10,16 +10,20 @@ Two formats are supported:
 * DIMACS-style clause files: `p cnf <n> <m>` with one 0-terminated clause
   per record, and the symmetric `p dnf <n> <m>` where each record is a
   conjunctive term.  Negative literals negate, `c` lines are comments.
+
+Both parsers append `Gate`s in the order the text names them, each
+connective after its arguments, and pass the list to `Circuit`: one gate
+per occurrence of a constant, variable or connective, so the array is as
+large as the text.  In DIMACS a one-literal clause is its literal, a
+one-clause file is its clause, and all empty clauses read one shared
+constant gate.
 """
 
 from __future__ import annotations
 
 import re
 
-from .boolfunc import (
-    AND, CONST0, CONST1, NOT, OR, VAR, And, BoolFunc, Circuit, Const, Node, Not, Or, Var,
-    conjunction, disjunction, _fold,
-)
+from .boolfunc import AND, CONST0, CONST1, NOT, OR, VAR, Circuit, Gate, _fold
 from .errors import InputError
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
@@ -52,15 +56,16 @@ def parse_sexpr(text: str) -> Circuit:
         var_count = int(count_tok)
 
     needed = 0
-    # open connectives, innermost last, each with the arguments parsed so far
-    stack: list[tuple[str, list[Node]]] = []
-    node: Node | None = None  # a finished subterm not yet given to its parent
+    gates: list[Gate] = []  # in post-order, so each closing parenthesis appends its gate
+    # open connectives, innermost last, each with the gates of the arguments parsed so far
+    stack: list[tuple[str, list[int]]] = []
+    done = False  # whether gates[-1] is a finished subterm not yet given to its parent
     while True:
-        if node is not None:
+        if done:
             if not stack:
                 break
-            stack[-1][1].append(node)
-            node = None
+            stack[-1][1].append(len(gates) - 1)
+            done = False
         if stack:
             head, children = stack[-1]
             if head == "not":
@@ -68,14 +73,16 @@ def parse_sexpr(text: str) -> Circuit:
                     if take() != ")":
                         raise InputError("(not ...) takes exactly one argument")
                     stack.pop()
-                    node = Not(children[0])
+                    gates.append(Gate(NOT, inputs=(children[0],)))
+                    done = True
                     continue
             elif peek() == ")":
                 take()
                 stack.pop()
                 if len(children) < 2:
                     raise InputError(f"({head} ...) needs at least two arguments")
-                node = And(tuple(children)) if head == "and" else Or(tuple(children))
+                gates.append(Gate(AND if head == "and" else OR, inputs=tuple(children)))
+                done = True
                 continue
             elif peek() is None:
                 raise InputError(f"unterminated ({head} ...)")
@@ -87,20 +94,19 @@ def parse_sexpr(text: str) -> Circuit:
             if head not in ("not", "and", "or"):
                 raise InputError(f"unknown connective {head!r}")
             stack.append((head, []))
-        elif tok == ")":
+            continue
+        if tok == ")":
             raise InputError("unbalanced ')'")
-        elif tok == "0":
-            node = Const(0)
-        elif tok == "1":
-            node = Const(1)
+        if tok == "0" or tok == "1":
+            gates.append(Gate(CONST1 if tok == "1" else CONST0))
         else:
             m = _VARIABLE.fullmatch(tok)
             if not m:
                 raise InputError(f"unrecognized token {tok!r}")
             index = int(m.group(1))
             needed = max(needed, index + 1)
-            node = Var(index)
-    root = node
+            gates.append(Gate(VAR, index))
+        done = True
 
     if var_count is not None and take() != ")":
         raise InputError("(vars ...) takes a count and one expression")
@@ -110,13 +116,13 @@ def parse_sexpr(text: str) -> Circuit:
         var_count = needed
     elif var_count < needed:
         raise InputError(f"declared {var_count} variables but x{needed - 1} occurs")
-    return BoolFunc(root, var_count)
+    return Circuit(gates, var_count)
 
 
 def format_sexpr(func: Circuit) -> str:
     """One-line rendering, always with the (vars ...) wrapper so the variable
     count round-trips."""
-    # each node's text is a tuple of pieces holding its children's tuples, so
+    # each gate's text is a tuple of pieces holding its inputs' tuples, so
     # it costs O(1) to build; one join at the end keeps time and memory
     # linear in the output at any depth
     def connective(head: str):
@@ -181,16 +187,32 @@ def parse_dimacs(text: str) -> Circuit:
     if len(clauses) != clause_count:
         raise InputError(f"header declares {clause_count} clauses, found {len(clauses)}")
 
-    def literal(lit: int) -> Node:
-        v = Var(abs(lit) - 1)
-        return Not(v) if lit < 0 else v
-
-    if kind == "cnf":
-        # an empty clause is an empty disjunction: false
-        parts = [disjunction([literal(l) for l in cl]) for cl in clauses]
-        return BoolFunc(conjunction(parts), var_count)
-    parts = [conjunction([literal(l) for l in cl]) for cl in clauses]
-    return BoolFunc(disjunction(parts), var_count)
+    # each literal gets gates of its own, and the empty clauses share one
+    # constant: the empty disjunction is false, the empty conjunction true
+    inner, outer = (OR, AND) if kind == "cnf" else (AND, OR)
+    unit = {OR: CONST0, AND: CONST1}
+    gates: list[Gate] = []
+    parts: list[int] = []
+    empty: int | None = None
+    for clause in clauses:
+        if not clause:
+            if empty is None:
+                empty = len(gates)
+                gates.append(Gate(unit[inner]))
+            parts.append(empty)
+            continue
+        literals = []
+        for lit in clause:
+            gates.append(Gate(VAR, abs(lit) - 1))
+            if lit < 0:
+                gates.append(Gate(NOT, inputs=(len(gates) - 1,)))
+            literals.append(len(gates) - 1)
+        if len(literals) > 1:
+            gates.append(Gate(inner, inputs=tuple(literals)))
+        parts.append(len(gates) - 1)
+    if len(parts) > 1:
+        gates.append(Gate(outer, inputs=tuple(parts)))
+    return Circuit(gates or [Gate(unit[outer])], var_count)
 
 
 def format_dimacs(func: Circuit, kind: str) -> str:

@@ -1,13 +1,15 @@
 """Seeded random instance generators, shared by the test corpora and the
 CLI fuzzer.  Everything is driven by a caller-supplied random.Random so runs
-reproduce exactly."""
+reproduce exactly.  Functions and circuits are built gate by gate with
+`circuit.CircuitBuilder`: `random_boolfunc` adds one gate per draw, and
+`random_decision_circuit` interns and folds."""
 
 from __future__ import annotations
 
 import random
 from typing import Sequence
 
-from .boolfunc import And, BoolFunc, Circuit, Const, Node, Not, Or, Var, conjunction, disjunction
+from .boolfunc import AND, CONST0, CONST1, NOT, OR, VAR, Circuit
 from .circuit import CircuitBuilder
 from .lineage import (
     Atom, Database, Query, QueryConst, QueryVar, Relation, Schema, build_lineage, is_hierarchical
@@ -18,39 +20,38 @@ SHAPES = ("tree", "dnf", "cnf")
 
 def random_boolfunc(rng: random.Random, max_vars: int = 8, shape: str | None = None) -> Circuit:
     """A random function in one of three shapes: a free-form tree, a DNF of
-    signed literals, or a CNF of signed literals."""
+    signed literals, or a CNF of signed literals.  Gates are added as they
+    are drawn, each connective after its arguments."""
     n = rng.randint(1, max_vars)
     shape = shape or rng.choice(SHAPES)
+    builder = CircuitBuilder(n)
+    add = builder.add
 
-    def literal() -> Node:
-        v: Node = Var(rng.randrange(n))
-        return Not(v) if rng.random() < 0.4 else v
+    def signed(v: int, negated: bool) -> int:
+        literal = add(VAR, v)
+        return add(NOT, inputs=(literal,)) if negated else literal
 
     if shape in ("dnf", "cnf"):
-        clause_count = rng.randint(1, max(2, n))
+        inner, outer = (AND, OR) if shape == "dnf" else (OR, AND)
         clauses = []
-        for _ in range(clause_count):
+        for _ in range(rng.randint(1, max(2, n))):
             width = rng.randint(1, min(3, n))
-            lits = [
-                Not(Var(v)) if rng.random() < 0.4 else Var(v)
-                for v in rng.sample(range(n), width)
-            ]
-            clauses.append(conjunction(lits) if shape == "dnf" else disjunction(lits))
-        root = disjunction(clauses) if shape == "dnf" else conjunction(clauses)
-        return BoolFunc(root, n)
+            lits = [signed(v, rng.random() < 0.4) for v in rng.sample(range(n), width)]
+            clauses.append(add(inner, inputs=lits) if width > 1 else lits[0])
+        return builder.build(add(outer, inputs=clauses) if len(clauses) > 1 else clauses[0])
 
-    def tree(depth: int) -> Node:
+    def tree(depth: int) -> int:
         if depth <= 0 or rng.random() < 0.3:
             if rng.random() < 0.08:
-                return Const(rng.randint(0, 1))
-            return literal()
+                return add(CONST1 if rng.randint(0, 1) else CONST0)
+            return signed(rng.randrange(n), rng.random() < 0.4)
         kind = rng.random()
         if kind < 0.15:
-            return Not(tree(depth - 1))
-        children = tuple(tree(depth - 1) for _ in range(rng.randint(2, 3)))
-        return And(children) if kind < 0.6 else Or(children)
+            return add(NOT, inputs=(tree(depth - 1),))
+        children = [tree(depth - 1) for _ in range(rng.randint(2, 3))]
+        return add(AND if kind < 0.6 else OR, inputs=children)
 
-    return BoolFunc(tree(rng.randint(1, 3)), n)
+    return builder.build(tree(rng.randint(1, 3)))
 
 
 def random_decision_circuit(

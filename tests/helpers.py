@@ -1,8 +1,8 @@
 """Shared fixtures: the running worked example, small relational instances,
 the embedding of the bipartite-DNF instance into any non-hierarchical
 query, and the independent references the tests check the package against:
-substitution by grouped fresh variables built as a formula, a circuit
-unfolded into function nodes, the oracle answers at mixed widths, the
+substitution by grouped fresh variables built gate by gate, a circuit
+rebuilt as a fresh copy, the oracle answers at mixed widths, the
 circuit Shapley reduction, lineage by the active-domain recursion, and the
 widened Shapley weights by their defining sums."""
 
@@ -17,24 +17,9 @@ from typing import Callable, Mapping, Sequence
 
 from shapcount import circuit as ct
 from shapcount import lineage as lg
-from shapcount.boolfunc import (
-    FALSE,
-    TRUE,
-    And,
-    BoolFunc,
-    Const,
-    Node,
-    Not,
-    Or,
-    Var,
-    _check_arities,
-    _fold,
-    _models,
-    conjunction,
-    disjunction,
-    truth_table,
-)
+from shapcount.boolfunc import AND, NOT, OR, _check_arities, _fold, _models, truth_table
 from shapcount.errors import InputError, RefusalError
+from shapcount.formats import parse_sexpr
 from shapcount.lineage import (
     Atom,
     Database,
@@ -52,7 +37,7 @@ from shapcount.reductions import _shapley_value, shapley_from_kcounts
 
 def example1() -> ct.Circuit:
     # x0 and (x1 or not x2): models {0}, {0,1}, {0,1,2}
-    return BoolFunc(And((Var(0), Or((Var(1), Not(Var(2)))))), 3)
+    return parse_sexpr("(and x0 (or x1 (not x2)))")
 
 
 def example1_circuit() -> ct.Circuit:
@@ -78,16 +63,17 @@ def same_dag(a: ct.Circuit, b: ct.Circuit) -> bool:
 # Formula-level substitution, the reference for the oracles that count it
 
 
-def _rebuild(func: ct.Circuit, replace: Callable[[int], Node]) -> Node:
-    """The output of `func` as nodes, each variable gate replaced by
-    replace(its variable index).
+def _rebuild(func: ct.Circuit, b: ct.CircuitBuilder, replace: Callable[[int], int]) -> int:
+    """Add the gates of `func` to `b`, each variable gate replaced by the
+    gate replace(its variable index), and return the output's gate.
 
-    Connectives are rebuilt as they are, constants kept, and every gate is
-    rebuilt once, so shared subterms stay shared.
+    Connectives are added as they are, constants interned, and every gate
+    is added once, so shared subterms stay shared.
     """
-    conj = lambda nodes: And(tuple(nodes))
-    disj = lambda nodes: Or(tuple(nodes))
-    return _fold(func, replace, FALSE, TRUE, Not, conj, disj)[func.output]
+    neg = lambda gate: b.add(NOT, inputs=(gate,))
+    conj = lambda gates: b.add(AND, inputs=gates)
+    disj = lambda gates: b.add(OR, inputs=gates)
+    return _fold(func, replace, b.const(0), b.const(1), neg, conj, disj)[func.output]
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,10 +97,11 @@ def _grouped_substitute(
     for m in arities:
         groups.append(tuple(range(offset, offset + m)))
         offset += m
-    # one replacement node per variable, shared by all of its occurrences
-    replacements = [connective([Var(z) for z in group]) for group in groups]
-    root = _rebuild(func, lambda index: replacements[index])
-    return GroupedSubstitution(BoolFunc(root, offset), tuple(groups))
+    # one replacement gate per variable, read by all of its occurrences;
+    # `build` drops what nothing reads
+    b = ct.CircuitBuilder(offset)
+    replacements = [connective(b, [b.var(z) for z in group]) for group in groups]
+    return GroupedSubstitution(b.build(_rebuild(func, b, replacements.__getitem__)), tuple(groups))
 
 
 def or_substitute(func: ct.Circuit, arities: Sequence[int]) -> GroupedSubstitution:
@@ -123,19 +110,20 @@ def or_substitute(func: ct.Circuit, arities: Sequence[int]) -> GroupedSubstituti
     Arity 0 replaces the variable by the constant 0.  Arity 1 everywhere
     yields an isomorphic copy.
     """
-    return _grouped_substitute(func, arities, disjunction)
+    return _grouped_substitute(func, arities, ct.CircuitBuilder.or_)
 
 
 def and_substitute(func: ct.Circuit, arities: Sequence[int]) -> GroupedSubstitution:
     """Replace variable i by a conjunction of arities[i] fresh variables
     (arity 0 gives the constant 1)."""
-    return _grouped_substitute(func, arities, conjunction)
+    return _grouped_substitute(func, arities, ct.CircuitBuilder.and_)
 
 
 def unfold(circuit: ct.Circuit) -> ct.Circuit:
-    """The circuit as function nodes, one per gate, so shared gates stay
-    shared and the result is as small as the circuit."""
-    return BoolFunc(_rebuild(circuit, Var), circuit.var_count)
+    """A fresh copy of the circuit, rebuilt gate by gate, so shared gates
+    stay shared and the copy computes its own truth table."""
+    b = ct.CircuitBuilder(circuit.var_count)
+    return b.build(_rebuild(circuit, b, b.var))
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +249,27 @@ def lineage_by_active_domain(query: Query, db: Database) -> ct.Circuit:
         for rel in db.schema.relations
     }
 
-    def ground_atom(atom: Atom, binding: dict[str, str]) -> Node:
+    b = ct.CircuitBuilder(db.var_count)
+
+    def ground_atom(atom: Atom, binding: dict[str, str]) -> int:
         values = tuple(
             t.value if isinstance(t, QueryConst) else binding[t.name] for t in atom.args
         )
         rel = db.schema.get(atom.relation)
         idx = row_index[atom.relation].get(values)
         if idx is None:
-            return Const(0)
+            return b.const(0)
         if rel.endogenous:
-            return Var(db.var_of(atom.relation, idx))
-        return Const(1)
+            return b.var(db.var_of(atom.relation, idx))
+        return b.const(1)
 
-    def rec(binding: dict[str, str], remaining: tuple[str, ...]) -> Node:
+    def rec(binding: dict[str, str], remaining: tuple[str, ...]) -> int:
         if not remaining:
-            return conjunction([ground_atom(a, binding) for a in query.atoms])
+            return b.and_([ground_atom(a, binding) for a in query.atoms])
         v, rest = remaining[0], remaining[1:]
-        return disjunction([rec({**binding, v: a}, rest) for a in adom])
+        return b.or_([rec({**binding, v: a}, rest) for a in adom])
 
-    return BoolFunc(rec({}, variables), db.var_count)
+    return b.build(rec({}, variables))
 
 
 def cofactors(func: ct.Circuit, var: int) -> tuple[ct.Circuit, ct.Circuit]:

@@ -28,7 +28,6 @@ from shapcount import gen
 from shapcount import lineage as lg
 from shapcount import reductions as rd
 from shapcount.boolfunc import (
-    BoolFunc,
     and_count_oracle,
     brute_count,
     brute_kcounts,

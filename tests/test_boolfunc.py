@@ -25,14 +25,13 @@ from shapcount import circuit as ct
 from shapcount import formats, gen
 from shapcount import lineage as lg
 from shapcount.boolfunc import (
-    And,
-    BoolFunc,
-    Const,
-    Node,
-    Not,
-    Or,
+    AND,
+    CONST1,
+    OR,
     PERMUTATION_BOUND,
-    Var,
+    VAR,
+    Circuit,
+    Gate,
     and_count_oracle,
     and_substituted_count,
     brute_count,
@@ -49,6 +48,7 @@ from shapcount.boolfunc import (
     truth_table,
 )
 from shapcount.errors import InputError, RefusalError
+from shapcount.formats import parse_sexpr
 
 
 # each reference at any widths, and the package oracle it stands for
@@ -66,28 +66,24 @@ def three_tuples() -> lg.Database:
 
 def pp2dnf_pairs() -> ct.Circuit:
     # (x0 and x2) or (x1 and x3)
-    return BoolFunc(Or((And((Var(0), Var(2))), And((Var(1), Var(3))))), 4)
+    return parse_sexpr("(or (and x0 x2) (and x1 x3))")
 
 
 def test_node_validation():
-    # the lowering checks only what a gate array cannot say; the circuit's
-    # gate check refuses a variable out of range and a one-child connective
+    # the circuit's gate check refuses a variable out of range, a one-child
+    # connective and a negative variable count
     with pytest.raises(InputError, match="gate 0: variable 3 out of range"):
-        BoolFunc(Var(3), 3)
+        Circuit([Gate(VAR, 3)], 3)
     with pytest.raises(InputError, match="gate 1: wrong arity for and"):
-        BoolFunc(And((Var(0),)), 1)
-    with pytest.raises(InputError, match="constant must be 0 or 1, got 2"):
-        BoolFunc(Const(2), 0)
-    with pytest.raises(InputError, match="not a function node"):
-        BoolFunc("x0", 1)
+        Circuit([Gate(VAR, 0), Gate(AND, inputs=(0,))], 1)
     with pytest.raises(InputError, match="variable count must be nonnegative"):
-        BoolFunc(Const(1), -1)
+        Circuit([Gate(CONST1)], -1)
 
 
 def test_size_counts_variables_and_connectives():
-    # the gate count: one gate per distinct variable, connective and constant
+    # the gate count: one gate per variable, connective and constant
     assert example1().size() == len(example1().gates) == 6  # three variables, and, or, not
-    assert BoolFunc(Const(1), 0).size() == 1
+    assert parse_sexpr("1").size() == 1
 
 
 def test_every_function_is_one_gate_array_type():
@@ -112,7 +108,7 @@ def test_evaluate_worked_example():
     f = example1()
     assert evaluate(f, {0}) == 1
     assert evaluate(f, {2}) == 0
-    assert evaluate(BoolFunc(Const(1), 0), ()) == 1
+    assert evaluate(parse_sexpr("1"), ()) == 1
     # full behaviour: exactly {0}, {0,1}, {0,1,2} are models
     models = [frozenset(t) for t in ([0], [0, 1], [0, 1, 2])]
     for mask in range(8):
@@ -122,21 +118,22 @@ def test_evaluate_worked_example():
         evaluate(f, {5})
 
 
-def shared_tower(node: Node, levels: int) -> Node:
+def shared_tower(func: Circuit, levels: int) -> Circuit:
+    """`func` ANDed with itself `levels` times over, each AND reading the
+    one below twice: a tree of 2^levels copies from `levels` more gates."""
+    gates = list(func.gates)
     for _ in range(levels):
-        node = And((node, node))
-    return node
+        gates.append(Gate(AND, inputs=(len(gates) - 1,) * 2))
+    return Circuit(gates, func.var_count)
 
 
 def test_shared_dag_operations_are_linear():
-    # (x0 or (x1 and 0) or not x1) = x0 or not x1, from 7 distinct nodes; 41
-    # levels make a tree of about 1.5e13 nodes from 48 distinct ones, and a
-    # function holds one gate per distinct node
-    base_node = Or((Var(0), And((Var(1), Const(0))), Not(Var(1))))
-    base = BoolFunc(base_node, 2)
+    # (x0 or (x1 and 0) or not x1) = x0 or not x1, from 7 gates; 41 levels
+    # make a tree of about 1.5e13 nodes from 48 gates
+    base_text = "(or x0 (and x1 0) (not x1))"
+    base = parse_sexpr(base_text)
     want = truth_table(base)
-    top = shared_tower(base_node, 41)
-    tower = BoolFunc(top, 2)
+    tower = shared_tower(base, 41)
     tower_nodes = len(tower.gates)
     assert tower_nodes == 7 + 41
 
@@ -150,8 +147,9 @@ def test_shared_dag_operations_are_linear():
     assert timed(tower.size) == tower_nodes
     assert timed(lambda: truth_table(tower)) == want  # x and x is x
     # each variable's replacement is built once and shared by its
-    # occurrences: the two x1 nodes of the base become one
-    pinned = timed(lambda: cofactors(BoolFunc(top, 3), 2)[0])
+    # occurrences: the two x1 gates of the base become one
+    padded = shared_tower(parse_sexpr(f"(vars 3 {base_text})"), 41)
+    pinned = timed(lambda: cofactors(padded, 2)[0])
     pinned_table, pinned_nodes = truth_table(pinned), len(pinned.gates)
     assert pinned_table == want and pinned_nodes == tower_nodes - 1
     widened = timed(lambda: or_substitute(tower, (2, 3)).func)
@@ -160,7 +158,7 @@ def test_shared_dag_operations_are_linear():
     assert merged_or_count(tower, (2, 3)) == truth_table(widened).bit_count()
     uniform = truth_table(or_substitute(tower, (3, 3)).func).bit_count()
     assert timed(lambda: or_substituted_count(tower, (3, 3))) == uniform
-    many = BoolFunc(Or(tuple(Var(0) for _ in range(200))), 1)
+    many = Circuit([Gate(VAR, 0)] * 200 + [Gate(OR, inputs=tuple(range(200)))], 1)
     grouped_nodes = len(or_substitute(many, (3,)).func.gates)
     assert grouped_nodes == 1 + 4
 
@@ -170,56 +168,36 @@ def test_equality_hash_and_repr_read_the_gates():
     # does; two functions are the same DAG when their flat gates are equal,
     # which compares without recursing on the chain and without walking the
     # tower's 1.5e13-node tree
-    chain = Var(0)
-    for _ in range(3000):
-        chain = Not(chain)
-    tower = shared_tower(Or((Var(0), Not(Var(1)))), 41)
-    for root, n, gates in ((chain, 1, 3001), (tower, 2, 4 + 41)):
-        a, b = BoolFunc(root, n), BoolFunc(root, n)
+    chain = "(not " * 3000 + "x0" + ")" * 3000
+    tower = lambda: shared_tower(parse_sexpr("(or x0 (not x1))"), 41)
+    for make, gates in ((lambda: parse_sexpr(chain), 3001), (tower, 4 + 41)):
+        a, b = make(), make()  # built twice, so no gate is shared between them
         start = time.perf_counter()
         same, hashed, text = a.gates == b.gates, hash(a), repr(a)
         assert time.perf_counter() - start < 1.0
         assert same and hashed == object.__hash__(a) and a != b and a == a
         assert len(a.gates) == gates and a.output == gates - 1
         assert text.startswith("<shapcount.boolfunc.Circuit object at ")
-    assert not same_dag(BoolFunc(chain, 2), BoolFunc(chain, 1))
+    assert not same_dag(parse_sexpr(f"(vars 2 {chain})"), parse_sexpr(chain))
     # the same DAG means the same sharing: the same tree with less differs
-    x0 = Var(0)
-    shared = BoolFunc(And((x0, Or((x0, Var(1))))), 2)
-    unshared = BoolFunc(And((Var(0), Or((Var(0), Var(1))))), 2)
+    x0, x1 = Gate(VAR, 0), Gate(VAR, 1)
+    shared = Circuit([x0, x1, Gate(OR, inputs=(0, 1)), Gate(AND, inputs=(0, 2))], 2)
+    unshared = parse_sexpr("(and x0 (or x0 x1))")
     assert len(shared.gates) == 4 and len(unshared.gates) == 5
     assert shared.gates != unshared.gates and truth_table(shared) == truth_table(unshared)
-    # a function keeps its gates, not the node it was built from
+    # a function is its gates, with no expression root kept beside them
     assert not hasattr(shared, "root")
 
 
-def test_nodes_compare_by_identity_and_never_walk_their_tree():
-    chain = Var(0)
-    for _ in range(3000):
-        chain = Not(chain)
-    tower = shared_tower(Or((Var(0), Not(Var(1)))), 41)
-    # each twin is built like its node from the same children: equal as trees
-    for node, twin in ((chain, Not(chain.child)), (tower, And(tower.children))):
-        for method in (lambda: node == twin, lambda: hash(node), lambda: repr(node)):
-            start = time.perf_counter()
-            method()
-            assert time.perf_counter() - start < 0.01
-        assert node == node and node != twin
-        assert hash(node) == object.__hash__(node) and repr(node) == object.__repr__(node)
-    # leaves keep their flat dataclass repr, and also compare by identity
-    assert repr(Var(0)) == "Var(index=0)" and repr(Const(1)) == "Const(value=1)"
-    assert Var(0) != Var(0) and len({Const(0), Const(0)}) == 2
-
-
 def test_or_substitute_shapes():
-    single = BoolFunc(Var(0), 1)
-    assert same_dag(or_substitute(single, (3,)).func, BoolFunc(Or((Var(0), Var(1), Var(2))), 3))
+    single = parse_sexpr("x0")
+    assert same_dag(or_substitute(single, (3,)).func, parse_sexpr("(or x0 x1 x2)"))
 
-    pair = BoolFunc(And((Var(0), Var(1))), 2)
+    pair = parse_sexpr("(and x0 x1)")
     res = or_substitute(pair, (2, 2))
     assert res.func.var_count == 4
     assert res.groups == ((0, 1), (2, 3))
-    assert same_dag(res.func, BoolFunc(And((Or((Var(0), Var(1))), Or((Var(2), Var(3))))), 4))
+    assert same_dag(res.func, parse_sexpr("(and (or x0 x1) (or x2 x3))"))
 
     iso = or_substitute(example1(), (1, 1, 1))
     assert truth_table(iso.func) == truth_table(example1())
@@ -227,34 +205,34 @@ def test_or_substitute_shapes():
     # arity 0 leaves an explicit constant: no implicit folding
     zero = or_substitute(example1(), (0, 1, 1))
     assert zero.groups == ((), (0,), (1,))
-    assert same_dag(zero.func, BoolFunc(And((Const(0), Or((Var(0), Not(Var(1)))))), 2))
+    assert same_dag(zero.func, parse_sexpr("(vars 2 (and 0 (or x0 (not x1))))"))
 
     with pytest.raises(InputError):
         or_substitute(pair, (2,))
 
 
 def test_and_substitute():
-    single = BoolFunc(Var(0), 1)
-    assert same_dag(and_substitute(single, (2,)).func, BoolFunc(And((Var(0), Var(1))), 2))
+    single = parse_sexpr("x0")
+    assert same_dag(and_substitute(single, (2,)).func, parse_sexpr("(and x0 x1)"))
     iso = and_substitute(example1(), (1, 1, 1))
     assert truth_table(iso.func) == truth_table(example1())
     # (x0 or x1) with widths (2, 1): models where both clones or the single one
-    f = BoolFunc(Or((Var(0), Var(1))), 2)
+    f = parse_sexpr("(or x0 x1)")
     assert brute_count(and_substitute(f, (2, 1)).func) == 5
 
 
 def test_brute_count():
     assert brute_count(example1()) == 3
-    assert brute_count(BoolFunc(Const(0), 3)) == 0
+    assert brute_count(parse_sexpr("(vars 3 0)")) == 0
     assert brute_count(pp2dnf_pairs()) == 7
     with pytest.raises(RefusalError, match="bound of 4"):
-        brute_count(BoolFunc(Var(0), 5), bound=4)
+        brute_count(parse_sexpr("(vars 5 x0)"), bound=4)
 
 
 def test_kept_table_never_bypasses_the_bound(monkeypatch):
     from shapcount import boolfunc
 
-    f = BoolFunc(Or((Var(0), Var(4))), 5)
+    f = parse_sexpr("(or x0 x4)")
     assert truth_table(f) == truth_table(f, bound=5)  # built and kept
     refusal = "exhaustive enumeration over 5 variables exceeds the bound of 4"
     for call in (truth_table, brute_count, count_oracle, shapley_oracle):
@@ -288,8 +266,8 @@ def test_kept_table_never_bypasses_the_bound(monkeypatch):
 
 def test_brute_kcounts():
     assert brute_kcounts(example1()) == (0, 1, 1, 1)
-    assert brute_kcounts(BoolFunc(Const(1), 2)) == (1, 2, 1)
-    f = BoolFunc(And((Or((Var(0), Var(1))), Var(2))), 3)
+    assert brute_kcounts(parse_sexpr("(vars 2 1)")) == (1, 2, 1)
+    f = parse_sexpr("(and (or x0 x1) x2)")
     assert brute_kcounts(f) == (0, 0, 2, 1)
 
 
@@ -299,19 +277,19 @@ def test_brute_shapley_permutations():
         Fraction(2, 6),
         Fraction(-1, 6),
     )
-    assert brute_shapley_permutations(BoolFunc(Var(0), 1)) == (Fraction(1),)
-    assert brute_shapley_permutations(BoolFunc(And((Var(0), Var(1))), 2)) == (
+    assert brute_shapley_permutations(parse_sexpr("x0")) == (Fraction(1),)
+    assert brute_shapley_permutations(parse_sexpr("(and x0 x1)")) == (
         Fraction(1, 2),
         Fraction(1, 2),
     )
     with pytest.raises(RefusalError):
-        brute_shapley_permutations(BoolFunc(Var(0), PERMUTATION_BOUND + 1))
+        brute_shapley_permutations(parse_sexpr(f"(vars {PERMUTATION_BOUND + 1} x0)"))
 
 
 def test_brute_shapley_subsets():
     assert brute_shapley_subsets(example1())[0] == Fraction(5, 6)
-    assert brute_shapley_subsets(BoolFunc(Const(1), 3)) == (Fraction(0),) * 3
-    assert brute_shapley_subsets(BoolFunc(Or((Var(0), Var(1))), 2)) == (
+    assert brute_shapley_subsets(parse_sexpr("(vars 3 1)")) == (Fraction(0),) * 3
+    assert brute_shapley_subsets(parse_sexpr("(or x0 x1)")) == (
         Fraction(1, 2),
         Fraction(1, 2),
     )
@@ -333,7 +311,7 @@ def test_graded_table_matches_evaluation():
     from shapcount.boolfunc import NOT, Gate, _profile
 
     rng = random.Random(27)
-    funcs = [BoolFunc(Const(0), 0), BoolFunc(Const(1), 0), BoolFunc(Const(1), 3)]
+    funcs = [parse_sexpr("0"), parse_sexpr("1"), parse_sexpr("(vars 3 1)")]
     funcs += [gen.random_boolfunc(rng, max_vars=10) for _ in range(60)]
     funcs += [gen.random_decision_circuit(rng, max_vars=10) for _ in range(60)]
     assert {f.var_count for f in funcs} == set(range(11))
@@ -497,7 +475,7 @@ def test_packed_kcount_digits_hold_binomial_rows():
     for arities in ((8, 7, 0, 5, 9), (9,) * 6, (0, 0, 3), (1,) * 7, (16,), (), (0, 12, 12)):
         total = sum(arities)
         want = tuple(comb(total, j) for j in range(total + 1))
-        one = BoolFunc(Const(1), len(arities))
+        one = parse_sexpr(f"(vars {len(arities)} 1)")
         assert merged_or_kcounts(one, arities) == want
         if len(set(arities) - {0}) < 2:
             assert or_substituted_kcounts(one, arities) == want
@@ -552,7 +530,7 @@ def test_substituted_shapley_matches_materialized():
         else:
             assert shapley_oracle(f)(arities, target) == want
     with pytest.raises(InputError):
-        shapley_oracle(BoolFunc(Var(0), 1))((2,), 0)
+        shapley_oracle(parse_sexpr("x0"))((2,), 0)
 
 
 def test_mixed_width_shapley_matches_materialized():
@@ -608,9 +586,9 @@ def test_positive_dnf_clause_round_trip():
 
     clauses = {frozenset({0, 2}), frozenset({1,})}
     f = dnf_from_clauses(clauses, 3)
-    assert same_dag(f, BoolFunc(Or((And((Var(0), Var(2))), Var(1))), 3))
+    assert same_dag(f, parse_sexpr("(or (and x0 x2) x1)"))
     assert minimal_models(f) == clauses
-    assert same_dag(dnf_from_clauses([], 2), BoolFunc(Const(0), 2))
+    assert same_dag(dnf_from_clauses([], 2), parse_sexpr("(vars 2 0)"))
     assert minimal_models(dnf_from_clauses([], 2)) == set()
-    assert same_dag(dnf_from_clauses([frozenset()], 2), BoolFunc(Const(1), 2))
+    assert same_dag(dnf_from_clauses([frozenset()], 2), parse_sexpr("(vars 2 1)"))
     assert minimal_models(dnf_from_clauses([frozenset(), frozenset({1})], 2)) == {frozenset()}

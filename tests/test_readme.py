@@ -40,6 +40,18 @@ def test_star_import_binds_functions_and_classes_only():
         assert name not in shapcount.__all__
         assert not any(hasattr(module, name) for module in (boolfunc, circuit, lineage))
     assert not hasattr(lineage.Database, "active_domain")
+    # the expression-node layer is gone: functions are written as gates,
+    # and no test-only copy of the nodes stands in for it
+    import helpers
+
+    nodes = (
+        "BoolFunc", "Const", "Var", "Not", "And", "Or", "Node",
+        "conjunction", "disjunction", "TRUE", "FALSE",
+    )
+    for name in nodes:
+        assert name not in shapcount.__all__
+        assert not hasattr(boolfunc, name)
+        assert name not in vars(helpers)
 
 
 def test_readme_lists_every_exported_name():

@@ -15,9 +15,6 @@ from helpers import (
 )
 from shapcount import boolfunc, formats, gen, reductions
 from shapcount.boolfunc import (
-    BoolFunc,
-    Const,
-    Var,
     and_count_oracle,
     brute_count,
     brute_kcounts,
@@ -29,6 +26,7 @@ from shapcount.boolfunc import (
     shapley_oracle,
 )
 from shapcount.errors import InconsistencyError, InputError, RefusalError
+from shapcount.formats import parse_sexpr
 from shapcount.reductions import (
     CallCounter,
     _solve_counts,
@@ -121,22 +119,18 @@ def test_fraction_free_solve_rejects_singular_matrices():
 def test_kcounts_from_counts_worked_example():
     f = example1()
     assert kcounts_from_counts(3, count_oracle(f)) == (0, 1, 1, 1)
-    two_true = BoolFunc(Const(1), 2)
+    two_true = parse_sexpr("(vars 2 1)")
     assert kcounts_from_counts(2, count_oracle(two_true)) == (1, 2, 1)
-    from shapcount.boolfunc import And, Or
-
-    pairs = BoolFunc(Or((And((Var(0), Var(2))), And((Var(1), Var(3))))), 4)
+    pairs = parse_sexpr("(or (and x0 x2) (and x1 x3))")
     assert kcounts_from_counts(4, count_oracle(pairs)) == (0, 0, 2, 4, 1)
 
 
 def test_kcounts_from_counts_and_variant():
     f = example1()
     assert kcounts_from_counts_and(3, and_count_oracle(f)) == (0, 1, 1, 1)
-    zero = BoolFunc(Const(0), 2)
+    zero = parse_sexpr("(vars 2 0)")
     assert kcounts_from_counts_and(2, and_count_oracle(zero)) == (0, 0, 0)
-    from shapcount.boolfunc import And
-
-    both = BoolFunc(And((Var(0), Var(1))), 2)
+    both = parse_sexpr("(and x0 x1)")
     assert kcounts_from_counts_and(2, and_count_oracle(both)) == (0, 0, 1)
 
 
@@ -147,21 +141,17 @@ def test_shapley_from_kcounts_worked_example():
         Fraction(2, 6),
         Fraction(-1, 6),
     )
-    assert shapley_from_kcounts(3, kcount_oracle(BoolFunc(Const(0), 3))) == (Fraction(0),) * 3
-    from shapcount.boolfunc import Or
-
-    triple = BoolFunc(Or((Var(0), Var(1), Var(2))), 3)
+    assert shapley_from_kcounts(3, kcount_oracle(parse_sexpr("(vars 3 0)"))) == (Fraction(0),) * 3
+    triple = parse_sexpr("(or x0 x1 x2)")
     assert shapley_from_kcounts(3, kcount_oracle(triple)) == (Fraction(1, 3),) * 3
 
 
 def test_count_from_shapley_worked_example():
     f = example1()
     assert count_from_shapley(3, 0, shapley_oracle(f)) == 3
-    one = BoolFunc(Const(1), 1)
+    one = parse_sexpr("(vars 1 1)")
     assert count_from_shapley(1, 1, shapley_oracle(one)) == 2
-    from shapcount.boolfunc import And, Or
-
-    pairs = BoolFunc(Or((And((Var(0), Var(2))), And((Var(1), Var(3))))), 4)
+    pairs = parse_sexpr("(or (and x0 x2) (and x1 x3))")
     assert count_from_shapley(4, 0, shapley_oracle(pairs)) == 7
 
 
@@ -423,7 +413,7 @@ def test_count_from_shapley_names_the_inconsistent_variable():
 
 
 def test_zero_variable_edge_cases():
-    assert kcounts_from_counts(0, count_oracle(BoolFunc(Const(1), 0))) == (1,)
-    assert kcounts_from_counts_and(0, and_count_oracle(BoolFunc(Const(0), 0))) == (0,)
-    assert shapley_from_kcounts(0, kcount_oracle(BoolFunc(Const(1), 0))) == ()
-    assert count_from_shapley(0, 1, shapley_oracle(BoolFunc(Const(1), 0))) == 1
+    assert kcounts_from_counts(0, count_oracle(parse_sexpr("1"))) == (1,)
+    assert kcounts_from_counts_and(0, and_count_oracle(parse_sexpr("0"))) == (0,)
+    assert shapley_from_kcounts(0, kcount_oracle(parse_sexpr("1"))) == ()
+    assert count_from_shapley(0, 1, shapley_oracle(parse_sexpr("1"))) == 1
