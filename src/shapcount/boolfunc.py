@@ -17,17 +17,16 @@ values Fractions.
 The brute-force routines in this module are the ground truth the rest of the
 package is checked against.  They enumerate the full valuation space as big
 integer bitmasks, one bit per valuation, graded by size: the valuations with
-k true variables fill one byte-aligned block, in increasing order of their
-index (bit v set for each true variable v), for k = 0..n.  Every per-size
-count is then the popcount of one byte slice, which keeps exhaustive
-enumeration fast up to the configured bounds (bit-parallel tables as in
-Knuth, TAOCP 4A, 7.1.3).
+k true variables fill one byte-aligned block, for k = 0..n, laid out by the
+variable masks (`_variable_masks`) alone.  A table is read only through
+those masks and popcounts, whole or per size of T or T & x_i (`_profile`,
+one popcount per block), which keeps exhaustive enumeration fast up to the
+configured bounds (bit-parallel tables as in Knuth, TAOCP 4A, 7.1.3).
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, permutations, repeat
 from math import comb, factorial
@@ -223,26 +222,6 @@ def _profile(table: int, n: int) -> list[int]:
     return [int.from_bytes(raw[block], "little").bit_count() for block in blocks]
 
 
-def _models(table: int, n: int) -> Iterator[int]:
-    """The valuation index of each model of a truth table over n variables,
-    by colex unranking: the rank-r valuation of size k sets the largest c
-    with C(c, k) <= r, and below it the rank-(r - C(c, k)) one of size k - 1."""
-    blocks = _blocks(n)
-    raw = table.to_bytes(blocks[-1].stop, "little")
-    columns = [[comb(c, k) for c in range(n)] for k in range(n + 1)]
-    for size, block in enumerate(blocks):
-        bits = bin(int.from_bytes(raw[block], "little"))[:1:-1]  # bits[r]: rank r
-        rank = bits.find("1")
-        while rank >= 0:
-            index, rest = 0, rank
-            for k in range(size, 0, -1):
-                c = bisect_right(columns[k], rest) - 1
-                index |= 1 << c
-                rest -= columns[k][c]
-            yield index
-            rank = bits.find("1", rank + 1)
-
-
 def _check_bound(n: int, bound: int, what: str) -> None:
     if n > bound:
         raise RefusalError(f"{what} over {n} variables exceeds the bound of {bound}")
@@ -271,11 +250,9 @@ def _tables(func: Circuit, disj: Callable[[Iterator[int]], int] = _union) -> lis
 
 
 def truth_table(func: Circuit, *, bound: int = ENUMERATION_BOUND) -> int:
-    """All 2^n values as a bitmask in the graded layout: the valuations of
-    size k = 0..n fill one byte-aligned block each, in increasing order of
-    their index (bit v set for each true variable v), and every padding
-    bit is 0.  Built on the first call and kept on the function; every call
-    checks the bound first, so a kept table never answers above it."""
+    """All 2^n values as a bitmask in the graded layout, every padding bit
+    0.  Built on the first call and kept on the function; every call checks
+    the bound first, so a kept table never answers above it."""
     _check_bound(func.var_count, bound, "exhaustive enumeration")
     if func._table is None:
         func._table = _tables(func)[func.output]
@@ -298,12 +275,14 @@ def brute_kcounts(func: Circuit, *, bound: int = ENUMERATION_BOUND) -> tuple[int
 
 def brute_shapley_permutations(func: Circuit) -> tuple[Fraction, ...]:
     """Shapley vector by averaging marginal contributions over all n! orders,
-    refused above PERMUTATION_BOUND variables."""
+    refused above PERMUTATION_BOUND variables.  It finds the models by
+    `evaluate` on each of the 2^n valuations, not in the truth table, so it
+    shares nothing with the table's layout."""
     n = func.var_count
     _check_bound(n, PERMUTATION_BOUND, "permutation enumeration")
     if n == 0:
         return ()
-    models = frozenset(_models(truth_table(func), n))
+    models = {i for i in range(1 << n) if evaluate(func, [v for v in range(n) if i >> v & 1])}
     totals = [0] * n
     for perm in permutations(range(n)):
         index = 0
@@ -346,28 +325,23 @@ def _cofactor_row(whole: Sequence[int], hi: Sequence[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration oracles for substituted functions.
+# Enumeration oracles for the reductions' queries.
 #
-# A function with n variables, each replaced by a group of m_i fresh
-# disjuncts, has sum(m_i) variables; enumerating those directly is hopeless
-# already at moderate n.  These oracles instead enumerate the 2^n base
-# valuations and count group assignments combinatorially: a true group can
-# be set 2^m - 1 ways, a false group exactly one way, so each base model
-# weighs the product of its true variables' weights (of its false ones, for
-# conjunctive groups).  They answer the queries the reductions ask, which
-# widen every variable they keep to one width, and refuse mixed widths:
-# a model's weight then depends only on its size, and the sum takes one
-# popcount per size.  Size-bucketed counts ride along as digits: the
-# weight of a true group, evaluated at t = 2^B, is its size polynomial
-# (1+t)^m - 1, and the counts are read off the total's base-2^B digits.
-# Every oracle reads the one truth table that `truth_table` keeps on the
-# function; a factory builds it when the oracle is made.  The Shapley
-# oracle answers a query that widens every other variable to one width ell
-# from the per-size popcounts of the table and of its part that sets the
-# target, dotted with a row of integer weights, cached per (n, ell), in a
-# closed form of its own: count_from_shapley checks it against the
-# reductions' separate table.  The oracles are still exhaustive enumeration
-# over the base space and never solve any linear system.
+# A function whose n variables each become a group of fresh disjuncts has
+# too many variables to enumerate.  These oracles instead answer from the
+# profiles of the one truth table T the function keeps, of T or T & x_i,
+# and take exactly the query shapes the reductions ask; any other shape is
+# an input error.  Each factory builds T when the oracle is made.
+# - Count: one width ell >= 1 at every variable.  A true group can be set
+#   w = 2^ell - 1 ways and a false one one way, so a model of size k weighs
+#   w^k (w^(n-k) for conjunctive groups): Horner's rule over T's profile.
+# - k-count: width 1 everywhere, T's profile; or width 0 at one variable
+#   x_i, the profile of f[x_i:=0], |T & W_k| - |T & x_i & W_k| for k < n.
+# - Shapley: width 1 at the target, one width ell >= 1 at the others.  The
+#   target's cofactor row is dotted with a row of integer weights, cached
+#   per (n, ell), in a closed form of its own: count_from_shapley checks it
+#   against the reductions' separate table.
+# No oracle solves a linear system.
 
 
 def _check_arities(arities: Sequence[int], var_count: int) -> None:
@@ -379,30 +353,27 @@ def _check_arities(arities: Sequence[int], var_count: int) -> None:
 
 
 def _one_width(arities: Sequence[int], widths: set[int]) -> int:
-    """The one width a reduction's query gives the variables it widens,
-    `widths`, or 0 if it widens none."""
+    """The one width ell >= 1 a reduction's query gives the variables it
+    widens, `widths`, or 1 if it widens none."""
     if len(widths) > 1:
         raise InputError(f"mixed-width query {tuple(arities)}: the formula oracles take one width")
-    return max(widths, default=0)
+    if 0 in widths:
+        raise InputError(f"query {tuple(arities)} has width 0: the formula oracles take ell >= 1")
+    return max(widths, default=1)
 
 
-def _weighted_count(
-    func: Circuit, arities: Sequence[int], weight: Callable, bound: int, falses: bool = False
+def _uniform_count(
+    func: Circuit, arities: Sequence[int], bound: int, conjunctive: bool = False
 ) -> int:
-    """Sum over the models x of the truth table of w^j, for w = weight(the
-    query's one nonzero width) and j the number of variables that x sets,
-    or, with `falses`, leaves false; a model that sets a variable of arity 0
-    (leaves it false, with `falses`) weighs 0."""
+    """Model count after replacing every variable by a disjunction (with
+    `conjunctive`, a conjunction) of one width ell >= 1 of fresh ones: T's
+    profile by Horner's rule at w = 2^ell - 1, reversed for disjunctions."""
     n = func.var_count
     _check_arities(arities, n)
-    w = weight(_one_width(arities, set(arities) - {0}))
-    table, masks = truth_table(func, bound=bound), _variable_masks(n)
-    for i, m in enumerate(arities):
-        if not m:
-            table &= masks[i] if falses else ~masks[i]
-    profile = _profile(table, n)  # a model of size k weighs w^k, or w^(n-k)
+    w = (1 << _one_width(arities, set(arities))) - 1
+    profile = _profile(truth_table(func, bound=bound), n)
     total = 0
-    for count in profile if falses else reversed(profile):
+    for count in profile if conjunctive else reversed(profile):
         total = total * w + count
     return total
 
@@ -410,62 +381,49 @@ def _weighted_count(
 def or_substituted_count(
     func: Circuit, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
 ) -> int:
-    """Model count of the function after replacing variable i by a
-    disjunction of arities[i] fresh variables."""
-    return _weighted_count(func, arities, lambda m: (1 << m) - 1, bound)
-
-
-def and_substituted_count(
-    func: Circuit, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
-) -> int:
-    """Model count after replacing variable i by a conjunction of arities[i]
-    fresh variables (false groups have 2^m - 1 assignments, true groups one)."""
-    return _weighted_count(func, arities, lambda m: (1 << m) - 1, bound, True)
-
-
-def or_substituted_kcounts(
-    func: Circuit, arities: Sequence[int], *, bound: int = ENUMERATION_BOUND
-) -> tuple[int, ...]:
-    """Size-bucketed model counts of the function under a disjunctive
-    group replacement, indexed 0..sum(arities), as base-2^B digits (see
-    above).  No count exceeds 2^sum(arities), so B, the least multiple of 8
-    above sum(arities), holds each without carrying into the next digit."""
-    total = sum(arities)
-    width = total // 8 + 1
-    weight = lambda m: ((1 << 8 * width) + 1) ** m - 1
-    raw = _weighted_count(func, arities, weight, bound).to_bytes(width * (total + 1), "little")
-    return tuple(int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width))
-
-
-def _check_target(arities: Sequence[int], target: int, var_count: int) -> None:
-    """A Shapley query widens the others and keeps its target a single variable."""
-    _check_arities(arities, var_count)
-    if not 0 <= target < var_count:
-        raise InputError(f"no variable {target}")
-    if arities[target] != 1:
-        raise InputError("the distinguished variable must keep arity 1")
+    """Model count of the function after replacing every variable by a
+    disjunction of one width arities[i] = ell >= 1 of fresh variables."""
+    return _uniform_count(func, arities, bound)
 
 
 def count_oracle(func: Circuit, *, bound: int = ENUMERATION_BOUND):
-    """Count oracle for the reductions: arities -> model count of the
-    disjunctive group replacement, by base-space enumeration.  Like the
-    other oracles here, it builds the function's truth table when made, so
-    it refuses above the bound before a reduction spends time on its first
-    call; its queries read the kept table under the same bound."""
+    """Count oracle for kcounts_from_counts: arities -> or_substituted_count.
+    Like the other oracles here, it builds the function's truth table when
+    made, so it refuses above the bound before a reduction spends time on
+    its first call; its queries read the kept table under the same bound."""
     truth_table(func, bound=bound)
     return lambda arities: or_substituted_count(func, arities, bound=bound)
 
 
 def and_count_oracle(func: Circuit, *, bound: int = ENUMERATION_BOUND):
-    """As count_oracle, for conjunctive group replacements."""
+    """As count_oracle, for the conjunctive groups of kcounts_from_counts_and:
+    a false group can be set 2^ell - 1 ways, a true group one way."""
     truth_table(func, bound=bound)
-    return lambda arities: and_substituted_count(func, arities, bound=bound)
+    return lambda arities: _uniform_count(func, arities, bound, conjunctive=True)
 
 
 def kcount_oracle(func: Circuit, *, bound: int = ENUMERATION_BOUND):
-    """Size-bucketed count oracle for disjunctive group replacements."""
-    truth_table(func, bound=bound)
-    return lambda arities: or_substituted_kcounts(func, arities, bound=bound)
+    """Size-bucketed count oracle for shapley_from_kcounts: width 1 at every
+    variable gives T's profile, and width 0 at one variable x_i, 1 at the
+    others, the profile of f[x_i:=0], from T's and that of T & x_i.  Made
+    as count_oracle is."""
+    n = func.var_count
+    whole = _profile(truth_table(func, bound=bound), n)
+    masks = _variable_masks(n)
+
+    def query(arities: Sequence[int]) -> tuple[int, ...]:
+        _check_arities(arities, n)
+        deleted = [i for i, m in enumerate(arities) if not m]
+        if _one_width(arities, set(arities) - {0}) != 1 or len(deleted) > 1:
+            raise InputError(
+                f"query {tuple(arities)}: the formula k-count oracle takes 1s, or one 0"
+            )
+        if not deleted:
+            return tuple(whole)
+        hi = _profile(truth_table(func, bound=bound) & masks[deleted[0]], n)
+        return tuple(map(sub, whole[:n], hi))
+
+    return query
 
 
 @functools.cache
@@ -497,8 +455,8 @@ def _uniform_shapley_row(n: int, ell: int) -> tuple[tuple[int, ...], int]:
 def shapley_oracle(func: Circuit, *, bound: int = ENUMERATION_BOUND):
     """Shapley oracle: (arities, target) -> Shapley value of the fresh
     variable standing in for `target` when every other variable becomes a
-    disjunction of one width ell, the queries count_from_shapley asks: the
-    target's _cofactor_row, built once per target from the profile of
+    disjunction of one width ell >= 1, the queries count_from_shapley asks:
+    the target's _cofactor_row, built once per target from the profile of
     T & x and T's own, taken when the oracle is made, dotted with the
     weights of _uniform_shapley_row, cached per (n, ell).  Made as
     count_oracle is.
@@ -510,7 +468,11 @@ def shapley_oracle(func: Circuit, *, bound: int = ENUMERATION_BOUND):
     diffs: dict[int, list[int]] = {}
 
     def query(arities: Sequence[int], target: int) -> Fraction:
-        _check_target(arities, target, n)
+        _check_arities(arities, n)
+        if not 0 <= target < n:
+            raise InputError(f"no variable {target}")
+        if arities[target] != 1:
+            raise InputError("the distinguished variable must keep arity 1")
         ell = _one_width(arities, {m for i, m in enumerate(arities) if i != target})
         if target not in diffs:
             diffs[target] = _cofactor_row(whole, _profile(table & masks[target], n))

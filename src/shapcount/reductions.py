@@ -2,9 +2,9 @@
 model counts.
 
 All three reductions talk to abstract oracles, so the same code runs against
-the brute-force enumerators, the circuit engine, and the lineage engine.  An
-oracle is a callable taking the per-variable arities of a disjunctive group
-replacement:
+the brute-force enumerators and the circuit engine, which also answers for
+compiled lineage.  An oracle is a callable taking the per-variable arities
+of a disjunctive group replacement:
 
     count oracle   (arities)         -> model count of the replaced function
     k-count oracle (arities)         -> size-bucketed counts of the same

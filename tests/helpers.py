@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 from shapcount import circuit as ct
 from shapcount import lineage as lg
-from shapcount.boolfunc import AND, NOT, OR, _check_arities, _fold, _models, truth_table
+from shapcount.boolfunc import AND, NOT, OR, _check_arities, _fold, evaluate
 from shapcount.errors import InputError, RefusalError
 from shapcount.formats import parse_sexpr
 from shapcount.lineage import (
@@ -139,7 +139,8 @@ def merged_count(func: ct.Circuit, weights: Sequence[int], falses: bool = False)
     # sums[j] holds the weighted sum of the models whose index shifted right
     # by the merged variable count is j; the odd entry of each pair has the
     # next variable true and takes its weight (the even one, with `falses`)
-    sums = dict.fromkeys(_models(truth_table(func), func.var_count), 1)
+    n = func.var_count
+    sums = {i: 1 for i in range(1 << n) if evaluate(func, [v for v in range(n) if i >> v & 1])}
     for w in weights:
         merged: dict[int, int] = {}
         for index, value in sums.items():

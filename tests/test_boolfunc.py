@@ -33,7 +33,6 @@ from shapcount.boolfunc import (
     Circuit,
     Gate,
     and_count_oracle,
-    and_substituted_count,
     brute_count,
     brute_kcounts,
     brute_shapley_permutations,
@@ -43,7 +42,6 @@ from shapcount.boolfunc import (
     evaluate,
     kcount_oracle,
     or_substituted_count,
-    or_substituted_kcounts,
     shapley_oracle,
     truth_table,
 )
@@ -51,11 +49,24 @@ from shapcount.errors import InputError, RefusalError
 from shapcount.formats import parse_sexpr
 
 
-# each reference at any widths, and the package oracle it stands for
+def count_shape(arities) -> bool:
+    """The count queries the k-count reductions ask: one width ell >= 1 at
+    every variable."""
+    return len(set(arities)) <= 1 and 0 not in arities
+
+
+def kcount_shape(arities) -> bool:
+    """The k-count queries shapley_from_kcounts asks: width 1 at every
+    variable, or 0 at one of them."""
+    return set(arities) <= {0, 1} and arities.count(0) <= 1
+
+
+# each reference at any widths, the package oracle it stands for, and the
+# query shapes that oracle answers
 ORACLE_OF = {
-    merged_or_count: or_substituted_count,
-    merged_or_kcounts: or_substituted_kcounts,
-    merged_and_count: and_substituted_count,
+    merged_or_count: (count_oracle, count_shape),
+    merged_or_kcounts: (kcount_oracle, kcount_shape),
+    merged_and_count: (and_count_oracle, count_shape),
 }
 
 
@@ -250,11 +261,12 @@ def test_kept_table_never_bypasses_the_bound(monkeypatch):
     monkeypatch.setattr(boolfunc, "truth_table", recording)
     g = example1()
     # each oracle reads the table when it is made, and a count oracle on
-    # each query too; the Shapley oracle's queries read what it took then
+    # each query too, a k-count oracle on each cofactor query; the Shapley
+    # oracle's queries read what it took then
     queries = [
-        (count_oracle, lambda oracle: oracle((2, 0, 2)), 2),
-        (and_count_oracle, lambda oracle: oracle((2, 0, 2)), 2),
-        (kcount_oracle, lambda oracle: oracle((2, 0, 2)), 2),
+        (count_oracle, lambda oracle: oracle((2, 2, 2)), 2),
+        (and_count_oracle, lambda oracle: oracle((2, 2, 2)), 2),
+        (kcount_oracle, lambda oracle: oracle((1, 0, 1)), 2),
         (shapley_oracle, lambda oracle: oracle((1, 2, 2), 0), 1),
         (shapley_oracle, lambda oracle: [oracle((1, 2, 2), 0), oracle((3, 1, 3), 1)], 1),
     ]
@@ -350,6 +362,47 @@ def test_brute_shapley_subsets_takes_n_plus_one_profiles(monkeypatch):
         assert calls == [f.var_count] * (f.var_count + 1)
 
 
+def test_swapped_variable_masks_are_an_equivalent_mutant(monkeypatch):
+    # the masks alone lay out the graded table, and every read of it is a
+    # mask or a per-size profile, so swapping the masks of variables 0 and 1
+    # moves the table's bits but changes no answer; the permutation
+    # reference finds its models through evaluate, not through the layout
+    from shapcount import boolfunc
+    from shapcount import reductions as rd
+
+    rng = random.Random(110)
+    draws = [gen.random_boolfunc(rng, max_vars=7) for _ in range(300)]
+
+    def answers(f):
+        f._table = None  # built again under the masks in force
+        n = f.var_count
+        return (
+            truth_table(f),
+            brute_count(f),
+            brute_kcounts(f),
+            brute_shapley_subsets(f),
+            rd.kcounts_from_counts(n, count_oracle(f)),
+            rd.kcounts_from_counts_and(n, and_count_oracle(f)),
+            rd.shapley_from_kcounts(n, kcount_oracle(f)),
+            rd.count_from_shapley(n, evaluate(f, ()), shapley_oracle(f)),
+            brute_shapley_permutations(f),
+        )
+
+    want = [answers(f) for f in draws]
+    masks = boolfunc._variable_masks
+
+    def swapped(n):
+        out = list(masks(n))
+        out[:2] = out[1::-1]
+        return tuple(out)
+
+    monkeypatch.setattr(boolfunc, "_variable_masks", swapped)
+    monkeypatch.setattr(ct, "_variable_masks", swapped)
+    got = [answers(f) for f in draws]
+    assert sum(g[0] != w[0] for g, w in zip(got, want)) > 100  # the tables do move
+    assert [g[1:] for g in got] == [w[1:] for w in want]
+
+
 def test_zero_arity_substitutions_are_cofactors():
     # F[x_0:=1] and F[x_0:=0] over x1, x2, renumbered 0, 1
     f = example1()
@@ -410,7 +463,7 @@ def test_uniform_and_substitution_count_identity():
             materialized = and_substitute(f, (ell,) * n).func
             want = sum(((1 << ell) - 1) ** (n - k) * c for k, c in enumerate(kcounts))
             assert brute_count(materialized) == want
-            assert and_substituted_count(f, (ell,) * n) == want
+            assert and_count_oracle(f)((ell,) * n) == want
 
 
 def test_cofactor_splitting_identity():
@@ -438,60 +491,64 @@ def test_cofactor_sum_identities():
 
 
 def test_substituted_oracles_match_materialized_functions():
-    # the references merge the models at any widths; the oracles answer
-    # one nonzero width, and refuse two distinct nonzero ones, which no
-    # reduction asks
+    # the references merge the models at any widths; each oracle answers
+    # the query shapes its reduction asks and refuses every other shape,
+    # asked here the drawn widths, widths 1 and 2 at every variable, and
+    # one variable deleted
     rng = random.Random(106)
-    mixed = 0
+    answered = refused = 0
     for _ in range(80):
         f = gen.random_boolfunc(rng, max_vars=7)
-        arities = tuple(rng.randint(0, 3) for _ in range(f.var_count))
-        if sum(arities) > 16:
-            continue
-        is_mixed = len(set(arities) - {0}) > 1
-        mixed += is_mixed
-        materialized = or_substitute(f, arities).func
-        and_materialized = and_substitute(f, arities).func
-        checks = [
-            (merged_or_count, brute_count(materialized)),
-            (merged_or_kcounts, brute_kcounts(materialized)),
-            (merged_and_count, brute_count(and_materialized)),
-        ]
-        for oracle, want in list(checks):
-            checks.append((ORACLE_OF[oracle], want))
-        for oracle, want in checks:
-            if is_mixed and oracle in ORACLE_OF.values():
-                with pytest.raises(InputError, match=re.escape(f"mixed-width query {arities}")):
-                    oracle(f, arities)
-            else:
-                assert oracle(f, arities) == want, oracle.__name__
-    assert mixed >= 20
+        n = f.var_count
+        drawn = tuple(rng.randint(0, 3) for _ in range(n))
+        queries = [(1,) * n, (2,) * n, tuple(int(p != sum(drawn) % n) for p in range(n))]
+        for arities in queries + [drawn] * (sum(drawn) <= 16):
+            materialized = or_substitute(f, arities).func
+            and_materialized = and_substitute(f, arities).func
+            checks = [
+                (merged_or_count, brute_count(materialized)),
+                (merged_or_kcounts, brute_kcounts(materialized)),
+                (merged_and_count, brute_count(and_materialized)),
+            ]
+            for reference, want in checks:
+                assert reference(f, arities) == want, reference.__name__
+                make, asked = ORACLE_OF[reference]
+                if asked(arities):
+                    assert make(f)(arities) == want, make.__name__
+                    answered += 1
+                else:
+                    with pytest.raises(InputError, match=re.escape(f"query {arities}")):
+                        make(f)(arities)
+                    refused += 1
+    assert answered >= 6 * 80 and refused >= 3 * 80
 
 
 def test_packed_kcount_digits_hold_binomial_rows():
     # the constant 1 has every valuation as a model: its bucket j is C(sum, j),
-    # the largest a digit of the packed total has to hold; the oracle takes
-    # one nonzero width, the reference any
-    for arities in ((8, 7, 0, 5, 9), (9,) * 6, (0, 0, 3), (1,) * 7, (16,), (), (0, 12, 12)):
+    # the largest a digit of the reference's packed total has to hold; the
+    # reference takes any widths, the oracle the shapes its reduction asks
+    for arities in (
+        (8, 7, 0, 5, 9), (9,) * 6, (0, 0, 3), (1,) * 7, (16,), (), (0, 12, 12), (1, 0, 1, 1)
+    ):
         total = sum(arities)
         want = tuple(comb(total, j) for j in range(total + 1))
         one = parse_sexpr(f"(vars {len(arities)} 1)")
         assert merged_or_kcounts(one, arities) == want
-        if len(set(arities) - {0}) < 2:
-            assert or_substituted_kcounts(one, arities) == want
+        if kcount_shape(arities):
+            assert kcount_oracle(one)(arities) == want
 
 
 @pytest.mark.parametrize(
-    "substitution",
+    "substitution, unasked",
     [
-        lambda widths: or_substitute(example1(), widths),
-        lambda widths: or_substituted_count(example1(), widths),
-        lambda widths: and_substituted_count(example1(), widths),
-        lambda widths: or_substituted_kcounts(example1(), widths),
-        lambda widths: shapley_oracle(example1())(widths, 1),
-        lambda widths: ct.count_oracle(example1_circuit())(widths),
-        lambda widths: ct.kcount_oracle(example1_circuit())(widths),
-        lambda widths: lg.stretch_database_expand(three_tuples(), widths),
+        (lambda widths: or_substitute(example1(), widths), ()),
+        (lambda widths: or_substituted_count(example1(), widths), ((2, 0, 2),)),
+        (lambda widths: and_count_oracle(example1())(widths), ((2, 0, 2),)),
+        (lambda widths: kcount_oracle(example1())(widths), ((2, 2, 2), (0, 0, 1))),
+        (lambda widths: shapley_oracle(example1())(widths, 1), ((0, 1, 1), (0, 1, 0))),
+        (lambda widths: ct.count_oracle(example1_circuit())(widths), ()),
+        (lambda widths: ct.kcount_oracle(example1_circuit())(widths), ()),
+        (lambda widths: lg.stretch_database_expand(three_tuples(), widths), ()),
     ],
     ids=[
         "or_substitute",
@@ -504,11 +561,15 @@ def test_packed_kcount_digits_hold_binomial_rows():
         "stretch_expand",
     ],
 )
-def test_substitutions_reject_bad_arity_lists(substitution):
+def test_substitutions_reject_bad_arity_lists(substitution, unasked):
     with pytest.raises(InputError, match="arities must be nonnegative"):
         substitution((-1, 1, 1))
     with pytest.raises(InputError, match="one arity per variable of 3, got 2"):
         substitution((1, 1))
+    # a formula oracle also refuses the shapes its reduction never asks
+    for arities in unasked:
+        with pytest.raises(InputError, match=re.escape(f"query {arities}")):
+            substitution(arities)
 
 
 def test_substituted_shapley_matches_materialized():
@@ -524,8 +585,12 @@ def test_substituted_shapley_matches_materialized():
         z = res.groups[target][0]
         want = brute_shapley_permutations(res.func)[z]
         assert merged_shapley(f, arities, target) == want
-        if len(set(arities[:target] + arities[target + 1 :])) > 1:
+        others = set(arities[:target] + arities[target + 1 :])
+        if len(others) > 1:
             with pytest.raises(InputError, match=re.escape(f"mixed-width query {arities}")):
+                shapley_oracle(f)(arities, target)
+        elif others == {0}:
+            with pytest.raises(InputError, match=re.escape(f"query {arities} has width 0")):
                 shapley_oracle(f)(arities, target)
         else:
             assert shapley_oracle(f)(arities, target) == want

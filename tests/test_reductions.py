@@ -290,8 +290,13 @@ def test_shapley_oracle_equals_the_digit_route():
             queries = [tuple(1 if p == target else ell for p in range(n)) for ell in range(1, 5)]
             queries.append(tuple(1 if p == target else rng.randint(0, 3) for p in range(n)))
             for arities in queries:
-                if len({m for p, m in enumerate(arities) if p != target}) > 1:
+                others = {m for p, m in enumerate(arities) if p != target}
+                if len(others) > 1:
                     assert refuses_mixed_widths(oracle, arities, target)
+                    continue
+                if others == {0}:  # no reduction asks width 0 at every other variable
+                    with pytest.raises(InputError, match=re.escape(f"query {arities} has width 0")):
+                        oracle(arities, target)
                     continue
                 want = digit_route(f, arities, target)
                 assert oracle(arities, target) == want, (f, arities, target)
