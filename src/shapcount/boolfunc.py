@@ -4,9 +4,11 @@ Every Boolean function is one `Circuit`: an array of `Gate`s over a dense
 variable index space 0..n-1, children first, the output last.  Formulas,
 d-D circuits and lineage differ only in the properties `circuit.validate`
 proves of that one DAG, not in their type.  A function is written only as
-gates: the parsers and `dnf_from_clauses` append them to a list and pass
-it to `Circuit(gates, n)`, and the generators and the lineage compiler
-add them through `circuit.CircuitBuilder`, which can also intern and fold
+gates, appended to a list passed to `Circuit(gates, n)`: clause sets (DIMACS
+files, lineage DNFs from `dnf_from_clauses`, random CNF/DNF draws) by the
+one clause writer `_clause_circuit`, s-expressions by their parser, random
+trees by `gen.random_boolfunc`.  The d-D generator and the lineage compiler
+add gates through `circuit.CircuitBuilder`, which also interns and folds
 constants.  `formats.format_sexpr` renders a function, and `truth_table`
 compares two semantically.  Every per-gate pass, here and in `circuit` and
 `formats`, is one bottom-up walk of the gate array (`_fold`) that drops
@@ -483,29 +485,50 @@ def shapley_oracle(func: Circuit, *, bound: int = ENUMERATION_BOUND):
 
 
 # ---------------------------------------------------------------------------
-# Positive DNF
+# Clause sets
+
+
+def _clause_circuit(
+    clauses: Iterable[Sequence[int]], inner: str, outer: str, var_count: int
+) -> Circuit:
+    """The `outer` (AND or OR) of the `inner`s of clauses of signed 1-based
+    literals, in one pass: each literal's gates (a NOT over its VAR for a
+    negative literal), then the clause's `inner` gate unless it has one
+    literal, then the `outer` gate unless there is one clause.  The empty
+    clauses share one constant, the empty `inner`; no clauses at all give
+    the empty `outer`."""
+    unit = {OR: CONST0, AND: CONST1}
+    gates: list[Gate] = []
+    parts: list[int] = []
+    empty: int | None = None
+    for clause in clauses:
+        if not clause:
+            if empty is None:
+                empty = len(gates)
+                gates.append(Gate(unit[inner]))
+            parts.append(empty)
+            continue
+        literals = []
+        for lit in clause:
+            gates.append(Gate(VAR, abs(lit) - 1))
+            if lit < 0:
+                gates.append(Gate(NOT, inputs=(len(gates) - 1,)))
+            literals.append(len(gates) - 1)
+        if len(literals) > 1:
+            gates.append(Gate(inner, inputs=tuple(literals)))
+        parts.append(len(gates) - 1)
+    if len(parts) > 1:
+        gates.append(Gate(outer, inputs=tuple(parts)))
+    return Circuit(gates or [Gate(unit[outer])], var_count)
 
 
 def dnf_from_clauses(clauses: Iterable[frozenset[int]], var_count: int) -> Circuit:
-    """Deterministic positive-DNF function for a clause set.
-
-    An empty clause makes the whole function the constant 1; no clauses at
-    all make it the constant 0.  Clauses and literals are sorted so the
-    result is byte-stable: each clause's variable gates, then its AND gate
-    (none for a one-variable clause), then the OR of the clauses (none for
-    one clause).
-    """
+    """Deterministic positive-DNF function for a set of clauses of 0-based
+    variables: the constant 1 if one clause is empty, else `_clause_circuit`
+    of the clauses, each and its literals sorted so the result is
+    byte-stable (no clauses at all make the constant 0)."""
     clause_set = {frozenset(c) for c in clauses}
     if frozenset() in clause_set:
         return Circuit([Gate(CONST1)], var_count)
-    gates: list[Gate] = []
-    terms = []
-    for clause in sorted(clause_set, key=lambda c: tuple(sorted(c))):
-        start = len(gates)
-        gates.extend(Gate(VAR, v) for v in sorted(clause))
-        if len(clause) > 1:
-            gates.append(Gate(AND, inputs=tuple(range(start, len(gates)))))
-        terms.append(len(gates) - 1)
-    if len(terms) > 1:
-        gates.append(Gate(OR, inputs=tuple(terms)))
-    return Circuit(gates or [Gate(CONST0)], var_count)
+    terms = sorted(tuple(v + 1 for v in sorted(c)) for c in clause_set)
+    return _clause_circuit(terms, AND, OR, var_count)

@@ -198,16 +198,11 @@ def parse_nnf(text: str) -> Circuit:
             if lit == 0 or abs(lit) > header[2]:
                 fail(lineno, f"literal {lit} out of range")
             index = abs(lit) - 1
-            if lit > 0:
+            if lit > 0 or index not in var_gate:
                 gates.append(Gate(VAR, var=index))
-                line_gate.append(len(gates) - 1)
                 var_gate.setdefault(index, len(gates) - 1)
-            else:
-                if index not in var_gate:
-                    gates.append(Gate(VAR, var=index))
-                    var_gate[index] = len(gates) - 1
+            if lit < 0:
                 gates.append(Gate(NOT, inputs=(var_gate[index],)))
-                line_gate.append(len(gates) - 1)
         elif tag in ("A", "O"):
             body = ints(lineno, fields[1:])
             if tag == "O":
@@ -225,15 +220,14 @@ def parse_nnf(text: str) -> Circuit:
                 fail(lineno, f"declared {count} children, found {len(refs)}")
             kind = AND if tag == "A" else OR
             gates.append(Gate(kind, inputs=child_refs(lineno, refs)))
-            line_gate.append(len(gates) - 1)
             edge_total += count
         elif tag in ("T", "F"):
             if len(fields) != 1:
                 fail(lineno, "constant lines carry no arguments")
             gates.append(Gate(CONST1 if tag == "T" else CONST0))
-            line_gate.append(len(gates) - 1)
         else:
             fail(lineno, f"unknown gate tag {tag!r}")
+        line_gate.append(len(gates) - 1)
 
     if header is None:
         raise InputError("missing 'nnf V E n' header")

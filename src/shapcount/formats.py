@@ -11,107 +11,88 @@ Two formats are supported:
   per record, and the symmetric `p dnf <n> <m>` where each record is a
   conjunctive term.  Negative literals negate, `c` lines are comments.
 
-Both parsers append `Gate`s in the order the text names them, each
-connective after its arguments, and pass the list to `Circuit`: one gate
-per occurrence of a constant, variable or connective, so the array is as
-large as the text.  In DIMACS a one-literal clause is its literal, a
-one-clause file is its clause, and all empty clauses read one shared
-constant gate.
+Each parser writes its gate array in one pass, one gate per occurrence of
+a constant, variable or connective, so the array is as large as the text:
+the s-expression parser appends a connective's gate after those of its
+arguments, and DIMACS clauses go to `boolfunc._clause_circuit`, the one
+clause writer that lineage DNFs and random CNF/DNF draws share.
 """
 
 from __future__ import annotations
 
 import re
 
-from .boolfunc import AND, CONST0, CONST1, NOT, OR, VAR, Circuit, Gate, _fold
+from .boolfunc import AND, CONST0, CONST1, NOT, OR, VAR, Circuit, Gate, _clause_circuit, _fold
 from .errors import InputError
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 _VARIABLE = re.compile(r"x(\d+)")
+_CONNECTIVES = {"not": NOT, "and": AND, "or": OR}
+# the heads that take one argument, each with what a wrong count reads
+_ONE_ARGUMENT = {
+    "not": "(not ...) takes exactly one argument",
+    "vars": "(vars ...) takes a count and one expression",
+}
 
 
 def parse_sexpr(text: str) -> Circuit:
     tokens = _TOKEN.findall(text)
     if not tokens:
         raise InputError("empty function text")
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise InputError("unexpected end of function text")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
+    # open connectives, innermost last, each with the gates of its arguments
+    # so far; the bottom entry, headless, takes the whole expression, and a
+    # (vars ...) wrapper, only ever the first token, passes its argument down
+    stack: list[tuple[str, list[int]]] = [("", [])]
+    rest = iter(tokens)
     var_count = None
-    if tokens[:2] == ["(", "vars"]:
-        pos = 2
-        count_tok = take()
-        if not count_tok.isdecimal():  # what int() and the \d of _VARIABLE accept
-            raise InputError("(vars ...) needs a nonnegative count")
-        var_count = int(count_tok)
-
     needed = 0
     gates: list[Gate] = []  # in post-order, so each closing parenthesis appends its gate
-    # open connectives, innermost last, each with the gates of the arguments parsed so far
-    stack: list[tuple[str, list[int]]] = []
-    done = False  # whether gates[-1] is a finished subterm not yet given to its parent
-    while True:
-        if done:
-            if not stack:
-                break
-            stack[-1][1].append(len(gates) - 1)
-            done = False
-        if stack:
-            head, children = stack[-1]
-            if head == "not":
-                if children:
-                    if take() != ")":
-                        raise InputError("(not ...) takes exactly one argument")
-                    stack.pop()
-                    gates.append(Gate(NOT, inputs=(children[0],)))
-                    done = True
-                    continue
-            elif peek() == ")":
-                take()
-                stack.pop()
-                if len(children) < 2:
-                    raise InputError(f"({head} ...) needs at least two arguments")
-                gates.append(Gate(AND if head == "and" else OR, inputs=tuple(children)))
-                done = True
-                continue
-            elif peek() is None:
-                raise InputError(f"unterminated ({head} ...)")
-        tok = take()
+    for tok in rest:
+        head, args = stack[-1]
+        if not head and args:
+            raise InputError(f"trailing input after function: {tok!r}")
+        if head in _ONE_ARGUMENT and (tok == ")") != (len(args) == 1):
+            raise InputError(_ONE_ARGUMENT[head])
         if tok == "(":
-            head = take()
+            head = next(rest, None)
+            if head is None:
+                raise InputError("unexpected end of function text")
             if head == "vars":
-                raise InputError("(vars ...) may only appear at the top level")
-            if head not in ("not", "and", "or"):
+                if len(stack) > 1:
+                    raise InputError("(vars ...) may only appear at the top level")
+                count = next(rest, None)
+                if count is None:
+                    raise InputError("unexpected end of function text")
+                if not count.isdecimal():  # what int() and the \d of _VARIABLE accept
+                    raise InputError("(vars ...) needs a nonnegative count")
+                var_count = int(count)
+            elif head not in _CONNECTIVES:
                 raise InputError(f"unknown connective {head!r}")
             stack.append((head, []))
             continue
         if tok == ")":
-            raise InputError("unbalanced ')'")
-        if tok == "0" or tok == "1":
+            if not head:
+                raise InputError("unbalanced ')'")
+            if head not in _ONE_ARGUMENT and len(args) < 2:
+                raise InputError(f"({head} ...) needs at least two arguments")
+            stack.pop()
+            if head != "vars":
+                gates.append(Gate(_CONNECTIVES[head], inputs=tuple(args)))
+        elif tok == "0" or tok == "1":
             gates.append(Gate(CONST1 if tok == "1" else CONST0))
         else:
             m = _VARIABLE.fullmatch(tok)
             if not m:
                 raise InputError(f"unrecognized token {tok!r}")
-            index = int(m.group(1))
-            needed = max(needed, index + 1)
-            gates.append(Gate(VAR, index))
-        done = True
+            gates.append(Gate(VAR, int(m.group(1))))
+            needed = max(needed, gates[-1].var + 1)
+        stack[-1][1].append(len(gates) - 1)
 
-    if var_count is not None and take() != ")":
-        raise InputError("(vars ...) takes a count and one expression")
-    if pos != len(tokens):
-        raise InputError(f"trailing input after function: {tokens[pos]!r}")
+    head = stack[-1][0]
+    if head == "and" or head == "or":
+        raise InputError(f"unterminated ({head} ...)")
+    if head:
+        raise InputError("unexpected end of function text")
     if var_count is None:
         var_count = needed
     elif var_count < needed:
@@ -187,32 +168,8 @@ def parse_dimacs(text: str) -> Circuit:
     if len(clauses) != clause_count:
         raise InputError(f"header declares {clause_count} clauses, found {len(clauses)}")
 
-    # each literal gets gates of its own, and the empty clauses share one
-    # constant: the empty disjunction is false, the empty conjunction true
     inner, outer = (OR, AND) if kind == "cnf" else (AND, OR)
-    unit = {OR: CONST0, AND: CONST1}
-    gates: list[Gate] = []
-    parts: list[int] = []
-    empty: int | None = None
-    for clause in clauses:
-        if not clause:
-            if empty is None:
-                empty = len(gates)
-                gates.append(Gate(unit[inner]))
-            parts.append(empty)
-            continue
-        literals = []
-        for lit in clause:
-            gates.append(Gate(VAR, abs(lit) - 1))
-            if lit < 0:
-                gates.append(Gate(NOT, inputs=(len(gates) - 1,)))
-            literals.append(len(gates) - 1)
-        if len(literals) > 1:
-            gates.append(Gate(inner, inputs=tuple(literals)))
-        parts.append(len(gates) - 1)
-    if len(parts) > 1:
-        gates.append(Gate(outer, inputs=tuple(parts)))
-    return Circuit(gates or [Gate(unit[outer])], var_count)
+    return _clause_circuit(clauses, inner, outer, var_count)
 
 
 def format_dimacs(func: Circuit, kind: str) -> str:

@@ -1,15 +1,16 @@
 """Seeded random instance generators, shared by the test corpora and the
 CLI fuzzer.  Everything is driven by a caller-supplied random.Random so runs
-reproduce exactly.  Functions and circuits are built gate by gate with
-`circuit.CircuitBuilder`: `random_boolfunc` adds one gate per draw, and
-`random_decision_circuit` interns and folds."""
+reproduce exactly.  `random_boolfunc` writes a plain gate list, as the
+parsers do, and its CNF and DNF draws through the clause writer DIMACS files
+use (`boolfunc._clause_circuit`); `random_decision_circuit` builds through
+`circuit.CircuitBuilder`, which interns and folds."""
 
 from __future__ import annotations
 
 import random
 from typing import Sequence
 
-from .boolfunc import AND, CONST0, CONST1, NOT, OR, VAR, Circuit
+from .boolfunc import AND, CONST0, CONST1, NOT, OR, VAR, Circuit, Gate, _clause_circuit
 from .circuit import CircuitBuilder
 from .lineage import (
     Atom, Database, Query, QueryConst, QueryVar, Relation, Schema, build_lineage, is_hierarchical
@@ -20,38 +21,38 @@ SHAPES = ("tree", "dnf", "cnf")
 
 def random_boolfunc(rng: random.Random, max_vars: int = 8, shape: str | None = None) -> Circuit:
     """A random function in one of three shapes: a free-form tree, a DNF of
-    signed literals, or a CNF of signed literals.  Gates are added as they
-    are drawn, each connective after its arguments."""
+    signed literals, or a CNF of signed literals.  A tree appends each gate
+    to a plain list as it is drawn, each connective after its arguments; a
+    DNF or CNF draws its clauses, then writes them as `parse_dimacs` does."""
     n = rng.randint(1, max_vars)
     shape = shape or rng.choice(SHAPES)
-    builder = CircuitBuilder(n)
-    add = builder.add
-
-    def signed(v: int, negated: bool) -> int:
-        literal = add(VAR, v)
-        return add(NOT, inputs=(literal,)) if negated else literal
-
     if shape in ("dnf", "cnf"):
-        inner, outer = (AND, OR) if shape == "dnf" else (OR, AND)
         clauses = []
         for _ in range(rng.randint(1, max(2, n))):
-            width = rng.randint(1, min(3, n))
-            lits = [signed(v, rng.random() < 0.4) for v in rng.sample(range(n), width)]
-            clauses.append(add(inner, inputs=lits) if width > 1 else lits[0])
-        return builder.build(add(outer, inputs=clauses) if len(clauses) > 1 else clauses[0])
+            chosen = rng.sample(range(n), rng.randint(1, min(3, n)))
+            clauses.append([-v - 1 if rng.random() < 0.4 else v + 1 for v in chosen])
+        inner, outer = (AND, OR) if shape == "dnf" else (OR, AND)
+        return _clause_circuit(clauses, inner, outer, n)
+
+    gates: list[Gate] = []
 
     def tree(depth: int) -> int:
         if depth <= 0 or rng.random() < 0.3:
             if rng.random() < 0.08:
-                return add(CONST1 if rng.randint(0, 1) else CONST0)
-            return signed(rng.randrange(n), rng.random() < 0.4)
-        kind = rng.random()
-        if kind < 0.15:
-            return add(NOT, inputs=(tree(depth - 1),))
-        children = [tree(depth - 1) for _ in range(rng.randint(2, 3))]
-        return add(AND if kind < 0.6 else OR, inputs=children)
+                gates.append(Gate(CONST1 if rng.randint(0, 1) else CONST0))
+            else:
+                gates.append(Gate(VAR, rng.randrange(n)))
+                if rng.random() < 0.4:
+                    gates.append(Gate(NOT, inputs=(len(gates) - 1,)))
+        elif (kind := rng.random()) < 0.15:
+            gates.append(Gate(NOT, inputs=(tree(depth - 1),)))
+        else:
+            children = tuple(tree(depth - 1) for _ in range(rng.randint(2, 3)))
+            gates.append(Gate(AND if kind < 0.6 else OR, inputs=children))
+        return len(gates) - 1
 
-    return builder.build(tree(rng.randint(1, 3)))
+    tree(rng.randint(1, 3))
+    return Circuit(gates, n)
 
 
 def random_decision_circuit(

@@ -58,23 +58,42 @@ def test_sexpr_vars_wrapper():
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "text, message",
     [
-        "",
-        "(and x0)",
-        "(or)",
-        "(nope x0 x1)",
-        "(and x0 x1",
-        "x0 x1",
-        "(not x0 x1)",
-        "y3",
-        "(vars x (and x0 x1))",
-        pytest.param("(and (not " * 3000 + "x0", id="unterminated-at-depth-6000"),
+        pytest.param(text, message, id=text)
+        for text, message in [
+            ("", "empty function text"),
+            ("(and x0)", "(and ...) needs at least two arguments"),
+            ("(or)", "(or ...) needs at least two arguments"),
+            ("(nope x0 x1)", "unknown connective 'nope'"),
+            ("(and x0 x1", "unterminated (and ...)"),
+            ("x0 x1", "trailing input after function: 'x1'"),
+            ("(not x0 x1)", "(not ...) takes exactly one argument"),
+            ("y3", "unrecognized token 'y3'"),
+            ("(vars x (and x0 x1))", "(vars ...) needs a nonnegative count"),
+            ("(not)", "(not ...) takes exactly one argument"),
+            ("(vars 3)", "(vars ...) takes a count and one expression"),
+            (")", "unbalanced ')'"),
+            ("((and x0 x1))", "unknown connective '('"),
+            ("(and x0 (vars 1 x0))", "(vars ...) may only appear at the top level"),
+            ("(vars 2 x0 x1)", "(vars ...) takes a count and one expression"),
+            ("(vars -1 x0)", "(vars ...) needs a nonnegative count"),
+            ("(vars 3 x0", "unexpected end of function text"),
+            ("(vars 1 (or x0 x1))", "declared 1 variables but x1 occurs"),
+        ]
+    ]
+    + [
+        pytest.param(
+            "(and (not " * 3000 + "x0",
+            "unexpected end of function text",
+            id="unterminated-at-depth-6000",
+        )
     ],
 )
-def test_sexpr_rejects_malformed(bad):
-    with pytest.raises(InputError):
-        parse_sexpr(bad)
+def test_sexpr_rejects_malformed(text, message):
+    with pytest.raises(InputError) as excinfo:
+        parse_sexpr(text)
+    assert str(excinfo.value) == message
 
 
 def test_dimacs_cnf():
